@@ -14,12 +14,10 @@ Exit codes: 0 success/pass, 1 fail or below target, 2 usage error,
 """
 
 import argparse
-import itertools
 import logging
 import os
 import random
 import sys
-from math import comb
 
 import networkx as nx
 
@@ -155,7 +153,11 @@ def _dummy_count(policy, kind, n, D, num_edges):
         if kind == "perm6":
             return reductions.sufficient_dummies_perm6(n)
         return reductions.sufficient_dummies_perm4(n, D, num_edges)
-    return int(policy)
+    try:
+        return int(policy)
+    except ValueError:
+        raise InvalidInputError("--dummies expects paper, sufficient or a "
+                                "count, got %r" % policy)
 
 
 def _parse_steps(spec_text):
@@ -246,29 +248,12 @@ def cmd_reduce(args):
 # solve
 # ---------------------------------------------------------------------------
 
-def _perm6_best_selection(cert, grid):
-    """Exhaustive phi search for an arity-6 certificate (small n only)."""
-    n = cert.n
-    if n > 4:
-        raise InvalidInputError("phi enumeration is limited to n <= 4")
-    structural = (comb(len(cert.dummy_vars), 4) * comb(n + 1, 2) + n)
-    best, best_sel = -1, None
-    for choice in itertools.product(range(1, n + 1), repeat=n):
-        vs = [(i, j) for i, j in enumerate(choice, start=1)]
-        edges = sum(1 for a, b in itertools.combinations(vs, 2)
-                    if grid.has_edge(a, b))
-        count = structural + edges
-        if count > best:
-            best, best_sel = count, solvers.RowSelection(choice)
-    ordering = validate.map_selection_to_ordering(best_sel, cert)
-    got = evaluate(cert.instance, ordering)
-    if got != best:
+def _report_result(instance, result, target):
+    got = evaluate(instance, result.witness)
+    if got != result.optimum:
         raise InternalConsistencyError(
-            "closed form says %d, evaluate says %d" % (best, got))
-    return solvers.SolveResult(best, ordering, n ** n)
-
-
-def _report_result(result, target):
+            "optimum %d, but the witness satisfies %d constraints"
+            % (result.optimum, got))
     print("optimum %d" % result.optimum)
     print("witness %s" % " ".join(str(v) for v in result.witness.sequence()))
     if target is None:
@@ -321,10 +306,8 @@ def cmd_solve(args):
         raise InvalidInputError("unrecognized input format in %s"
                                 % args.instance)
 
-    instance = formats.read_instance(text)
-    cert = None
-    if "c target" in text:
-        cert = formats.read_certificate(text)
+    cert = formats.read_certificate(text) if "c target" in text else None
+    instance = cert.instance if cert else formats.read_instance(text)
 
     if method == "auto":
         if cert is not None and (cert.kind == "perm6"
@@ -350,120 +333,90 @@ def cmd_solve(args):
         if cert is None:
             raise InvalidInputError(
                 "--method convenient needs a certificate trailer")
-        if cert.kind == "perm6":
-            if args.source is None:
-                raise InvalidInputError(
-                    "an arity-6 certificate needs --source (the grid file)")
-            grid = formats.read_grid(_read(args.source))
-            result = _perm6_best_selection(cert, grid)
-        else:
-            if args.source is None:
-                raise InvalidInputError(
-                    "an arity-4 certificate needs --source (the grid file)")
-            h = formats.read_grid(_read(args.source))
-            result = solvers.solve_convenient(cert, h, D=h.D)
+        if args.source is None:
+            raise InvalidInputError(
+                "an arity-%s certificate needs --source (the grid file)"
+                % cert.kind[-1])
+        grid = formats.read_grid(_read(args.source))
+        result = solvers.solve_convenient(cert, grid, D=grid.D)
     else:
         raise InvalidInputError("method %s does not apply to a pcsp file"
                                 % method)
-    return _report_result(result, cert.target if cert else None)
+    return _report_result(instance, result, cert.target if cert else None)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
+def _perm4_conditions(grid, cert, D):
+    """Print the three biclique-grid condition reports; the failures,
+    including a delta sum that disagrees with the certificate's."""
+    failures = []
+    report = validate.check_biclique_structure(grid)
+    for line in report.lines():
+        print(line)
+    if not report.holds:
+        failures.append("biclique structure")
+    report, delta = validate.check_regularity(grid)
+    for line in report.lines():
+        print(line)
+    if not report.holds:
+        failures.append("regularity")
+    else:
+        # Sum over top-to-bottom row pairs only (the bottom-to-top
+        # half mirrors it and is not part of the count).
+        half = grid.side // 2
+        got = int(delta[:half, half:].sum())
+        if got != cert.delta_sum:
+            failures.append("delta-sum mismatch: grid %d, certificate %d"
+                            % (got, cert.delta_sum))
+    report, _ = validate.check_stability(grid, D)
+    for line in report.lines():
+        print(line)
+    if not report.holds:
+        failures.append("stability")
+    return failures
+
+
 def cmd_verify(args):
     cert = formats.read_certificate(_read(args.certificate))
     grid = formats.read_grid(_read(args.source))
+    perm4 = cert.kind == "perm4"
+    kind = "biclique" if perm4 else "clique"
+    if grid.kind != kind:
+        raise InvalidInputError("an arity-%s certificate needs a %s source "
+                                "grid" % (cert.kind[-1], kind))
     failures = []
-
-    if cert.kind == "perm4":
-        if grid.kind != "biclique":
-            raise InvalidInputError("an arity-4 certificate needs a "
-                                    "biclique source grid")
-        report = validate.check_biclique_structure(grid)
-        for line in report.lines():
-            print(line)
-        if not report.holds:
-            failures.append("biclique structure")
-        report, delta = validate.check_regularity(grid)
-        for line in report.lines():
-            print(line)
-        if not report.holds:
-            failures.append("regularity")
-        else:
-            # Sum over top-to-bottom row pairs only (the bottom-to-top
-            # half mirrors it and is not part of the count).
-            half = grid.side // 2
-            got = int(delta[:half, half:].sum())
-            if got != cert.delta_sum:
-                failures.append("delta-sum mismatch: grid %d, certificate %d"
-                                % (got, cert.delta_sum))
+    m = len(cert.dummy_vars)
+    if perm4:
         D = grid.D if grid.D is not None else cert.D
-        report, _ = validate.check_stability(grid, D)
-        for line in report.lines():
-            print(line)
-        if not report.holds:
-            failures.append("stability")
-        n = grid.side // 2
-        want = validate.target_perm4(n, D, len(cert.dummy_vars),
-                                     cert.delta_sum)
-        if want != cert.target:
-            failures.append("target mismatch: recomputed %d, stated %d"
-                            % (want, cert.target))
-        if not failures:
-            regen = reductions.reduce_dcnnb_to_perm4(
-                grid, D=D, dummy_count=len(cert.dummy_vars))
-            if sorted(regen.instance.constraints) != \
-                    sorted(cert.instance.constraints):
-                failures.append("constraint set does not match the source "
-                                "grid (%d vs %d constraints)"
-                                % (len(cert.instance.constraints),
-                                   len(regen.instance.constraints)))
-        if not failures:
-            sel = solvers.solve_row_biclique(grid)
-            result = solvers.solve_convenient(cert, grid, D=D)
-            meets = result.optimum >= cert.target
-            print("source row-biclique: %s"
-                  % ("found" if sel is not None else "none"))
-            print("convenient optimum %d target %d" % (result.optimum,
-                                                       cert.target))
-            if meets != (sel is not None):
-                failures.append("iff violated: optimum %s target but "
-                                "transversal %s"
-                                % ("meets" if meets else "misses",
-                                   "exists" if sel else "does not exist"))
+        failures += _perm4_conditions(grid, cert, D)
+        want = validate.target_perm4(grid.side // 2, D, m, cert.delta_sum)
     else:
-        if grid.kind != "clique":
-            raise InvalidInputError("an arity-6 certificate needs a clique "
-                                    "source grid")
-        n = grid.side
-        want = validate.target_perm6(n, len(cert.dummy_vars))
-        if want != cert.target:
-            failures.append("target mismatch: recomputed %d, stated %d"
-                            % (want, cert.target))
-        if not failures:
-            regen = reductions.reduce_clique_to_perm6(
-                grid, dummy_count=len(cert.dummy_vars))
-            if sorted(regen.instance.constraints) != \
-                    sorted(cert.instance.constraints):
-                failures.append("constraint set does not match the source "
-                                "grid (%d vs %d constraints)"
-                                % (len(cert.instance.constraints),
-                                   len(regen.instance.constraints)))
-        if not failures:
-            sel = solvers.solve_row_clique(grid)
-            result = _perm6_best_selection(cert, grid)
-            meets = result.optimum >= cert.target
-            print("source row-clique: %s"
-                  % ("found" if sel is not None else "none"))
-            print("best selection count %d target %d" % (result.optimum,
-                                                         cert.target))
-            if meets != (sel is not None):
-                failures.append("iff violated: optimum %s target but "
-                                "transversal %s"
-                                % ("meets" if meets else "misses",
-                                   "exists" if sel else "does not exist"))
+        D = None
+        want = validate.target_perm6(grid.side, m)
+    if want != cert.target:
+        failures.append("target mismatch: recomputed %d, stated %d"
+                        % (want, cert.target))
+    if not failures:
+        mismatch = solvers.certificate_mismatch(cert, grid, D)
+        if mismatch is not None:
+            failures.append(mismatch)
+    if not failures:
+        sel = (solvers.solve_row_biclique if perm4
+               else solvers.solve_row_clique)(grid)
+        result = solvers.solve_convenient(cert, grid, D=D)
+        meets = result.optimum >= cert.target
+        print("source row-%s: %s" % (kind, "found" if sel else "none"))
+        print("%s %d target %d"
+              % ("convenient optimum" if perm4 else "best selection count",
+                 result.optimum, cert.target))
+        if meets != (sel is not None):
+            failures.append("iff violated: optimum %s target but "
+                            "transversal %s"
+                            % ("meets" if meets else "misses",
+                               "exists" if sel else "does not exist"))
 
     if failures:
         for f in failures:

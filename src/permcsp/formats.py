@@ -13,7 +13,12 @@ from typing import List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from permcsp.core import Ordering, PermCspInstance, PermCspError
+from permcsp.core import (
+    Ordering,
+    PermCspError,
+    PermCspInstance,
+    validate_instance,
+)
 from permcsp.reductions import CnfFormula, GridGraph, ReductionCertificate
 
 
@@ -190,7 +195,10 @@ def read_grid(text: str) -> GridGraph:
         elif tokens[0] == "d":
             if len(tokens) != 4:
                 raise lines.error(lineno, "delta line 'd i k value'", line)
-            deltas.append(_ints(lines, lineno, tokens[1:]))
+            i, k, val = _ints(lines, lineno, tokens[1:])
+            if not (1 <= i <= side and 1 <= k <= side):
+                raise lines.error(lineno, "rows within 1..%d" % side, line)
+            deltas.append((i, k, val))
         else:
             raise lines.error(lineno, "an 'e', 'd' or comment line", line)
     if side is None:
@@ -235,13 +243,16 @@ def write_grid(g: GridGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_pcsp(text: str):
+    """The instance, its comment lines as (line number, text), and the
+    line iterator for positioned errors."""
     lines = _Lines(text)
     header = None
     constraints = []
+    linenos = []
     comments = []
     for lineno, _, line in lines:
         if line.startswith("c"):
-            comments.append(line)
+            comments.append((lineno, line))
             continue
         tokens = line.split()
         if tokens[0] == "p":
@@ -249,6 +260,7 @@ def _parse_pcsp(text: str):
                 raise lines.error(
                     lineno, "header 'p pcsp <vars> <constraints> <arity>'", line)
             header = _ints(lines, lineno, tokens[2:])
+            header_lineno = lineno
             continue
         if header is None:
             raise lines.error(lineno, "the 'p pcsp' header first", line)
@@ -261,6 +273,7 @@ def _parse_pcsp(text: str):
         if any(not 1 <= v <= header[0] for v in body):
             raise lines.error(lineno, "indices within 1..%d" % header[0], line)
         constraints.append(tuple(body))
+        linenos.append(lineno)
     if header is None:
         raise FormatError(1, 0, "a 'p pcsp' header", "end of input")
     num_vars, num_constraints, arity = header
@@ -270,7 +283,16 @@ def _parse_pcsp(text: str):
                           "%d constraints" % len(constraints))
     instance = PermCspInstance(num_vars=num_vars,
                                constraints=tuple(constraints), arity=arity)
-    return instance, comments
+    if validate_instance(instance):
+        # Name the first offending line: the header arity is a promise
+        # that the solvers rely on.
+        for lineno, c in zip(linenos, constraints):
+            if validate_instance(PermCspInstance(num_vars, (c,), arity)):
+                raise lines.error(lineno, "1..%d distinct variables" % arity,
+                                  lines.raw[lineno - 1].strip())
+        raise lines.error(header_lineno, "a positive variable count",
+                          str(num_vars))
+    return instance, comments, lines
 
 
 def read_instance(text: str) -> PermCspInstance:
@@ -297,27 +319,38 @@ def write_ordering(ordering: Ordering) -> str:
 
 
 _ROLE_CODES = {"d": "dummy", "r": "row", "c": "column"}
+_INT_PARAMS = ("n", "D", "source-edges", "delta-sum")
 
 
 def read_certificate(text: str) -> ReductionCertificate:
-    instance, comments = _parse_pcsp(text)
+    instance, comments, lines = _parse_pcsp(text)
     target = None
     params = {}
     roles = {}
-    for line in comments:
+    for lineno, line in comments:
         tokens = line.split()
         if len(tokens) >= 3 and tokens[1] == "target":
-            target = int(tokens[2])
+            target, = _ints(lines, lineno, tokens[2:3])
         elif len(tokens) >= 4 and tokens[1] == "param":
-            params[tokens[2]] = tokens[3]
+            key, value = tokens[2], tokens[3]
+            if key in _INT_PARAMS:
+                value, = _ints(lines, lineno, [value])
+            elif key == "kind" and value not in ("perm4", "perm6"):
+                raise lines.error(lineno, "kind perm4|perm6", value)
+            params[key] = value
         elif len(tokens) >= 4 and tokens[1] == "role":
-            var, code, idx = int(tokens[2]), tokens[3], int(tokens[4])
-            if code not in _ROLE_CODES:
-                raise FormatError(1, 0, "role code r|c|d", code)
-            roles[var] = (code, idx)
-    if target is None or "kind" not in params or "n" not in params:
-        raise FormatError(1, 0, "certificate trailer with target/kind/n",
-                          "missing trailer")
+            if len(tokens) != 5:
+                raise lines.error(lineno, "role line 'c role <var> r|c|d "
+                                  "<index>'", line)
+            var, idx = _ints(lines, lineno, [tokens[2], tokens[4]])
+            if tokens[3] not in _ROLE_CODES:
+                raise lines.error(lineno, "role code r|c|d", tokens[3])
+            roles[var] = (tokens[3], idx)
+    required = ["kind", "n"] + (["D"] if params.get("kind") == "perm4" else [])
+    if target is None or any(key not in params for key in required):
+        raise FormatError(len(lines.raw), lines.offsets[-1],
+                          "certificate trailer with target/%s"
+                          % "/".join(required), "missing trailer")
 
     def by_role(code):
         picked = sorted(((idx, var) for var, (c, idx) in roles.items()
@@ -328,13 +361,13 @@ def read_certificate(text: str) -> ReductionCertificate:
         instance=instance,
         target=target,
         kind=params["kind"],
-        n=int(params["n"]),
-        D=int(params["D"]) if "D" in params else None,
+        n=params["n"],
+        D=params.get("D"),
         dummy_vars=by_role("d"),
         row_vars=by_role("r"),
         col_vars=by_role("c"),
-        source_edges=int(params.get("source-edges", 0)),
-        delta_sum=int(params.get("delta-sum", 0)),
+        source_edges=params.get("source-edges", 0),
+        delta_sum=params.get("delta-sum", 0),
     )
 
 

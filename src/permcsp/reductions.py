@@ -22,6 +22,7 @@ import networkx as nx
 import numpy as np
 
 from permcsp.core import (
+    InternalConsistencyError,
     InvalidInputError,
     PermCspInstance,
     SizeLimitError,
@@ -138,18 +139,6 @@ class GridGraph:
             for v in np.nonzero(self.adj[u, u + 1:])[0]:
                 yield a, self.vertex(u + 1 + int(v))
 
-    def half_indices(self):
-        """Flat indices of top-half and bottom-half vertices of a biclique
-        grid, each enumerated lexicographically by (row, column)."""
-        if self.kind != "biclique":
-            raise InvalidInputError("half_indices only applies to biclique grids")
-        n = self.side // 2
-        top = np.array([(i - 1) * self.side + (j - 1)
-                        for i in range(1, n + 1) for j in range(1, n + 1)])
-        bottom = np.array([(n + i - 1) * self.side + (n + j - 1)
-                           for i in range(1, n + 1) for j in range(1, n + 1)])
-        return top, bottom
-
     def cross_matrix(self):
         """The n^2 x n^2 top-vs-bottom adjacency block of a biclique grid.
 
@@ -248,7 +237,9 @@ def distance3_partition(g: nx.Graph, degree_bound: int) -> List[List[int]]:
     classes = [[] for _ in range(num_classes)]
     for v in sorted(color):
         classes[color[v]].append(v)
-    assert len(classes) <= degree_bound * degree_bound + 1
+    if len(classes) > degree_bound * degree_bound + 1:
+        raise InternalConsistencyError("greedy coloring used %d classes"
+                                       % len(classes))
     return classes
 
 
@@ -387,7 +378,9 @@ def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
             block.append(next_id)
             padding.append(next_id)
             next_id += 1
-    assert len(padding) == nprime * x - n0
+    if len(padding) != nprime * x - n0:
+        raise InternalConsistencyError("blocks hold %d padding vertices"
+                                       % len(padding))
 
     words = ternary_gray(x).array()        # (nprime, x), shared by every row
 
@@ -398,15 +391,18 @@ def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
     pair_edges = defaultdict(list)
     for u, v in g.edges():
         (bu, ku), (bv, kv) = where[u], where[v]
-        assert bu != bv, "blocks must be independent sets"
+        if bu == bv:
+            raise InternalConsistencyError(
+                "block %d is not an independent set" % (bu + 1))
         if bu > bv:
             (bu, ku), (bv, kv) = (bv, kv), (bu, ku)
         pair_edges[(bu, bv)].append((ku, kv))
     for (bu, bv), matched in pair_edges.items():
         firsts = [a for a, _ in matched]
         seconds = [b for _, b in matched]
-        assert len(set(firsts)) == len(firsts) and len(set(seconds)) == len(seconds), \
-            "block pair does not induce a matching"
+        if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
+            raise InternalConsistencyError(
+                "blocks %d and %d do not induce a matching" % (bu + 1, bv + 1))
 
     total = nprime * nprime
     adj = np.ones((total, total), dtype=bool)
@@ -579,7 +575,9 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
 
     instance = PermCspInstance.make(m + 2 * n + 1, constraints)
     target = comb(m, 4) * comb(n + 1, 2) + n + comb(n, 2)
-    assert num_structural == comb(m, 4) * comb(n + 1, 2) + n
+    if num_structural != comb(m, 4) * comb(n + 1, 2) + n:
+        raise InternalConsistencyError("%d structural constraints"
+                                       % num_structural)
     return ReductionCertificate(
         instance=instance, target=target, kind="perm6", n=n, D=None,
         dummy_vars=tuple(range(1, m + 1)),

@@ -5,10 +5,12 @@
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
   the dichotomy.
 - :func:`solve_convenient`: optimum over convenient orderings of an
-  arity-4 reduction output, via the closed-form count.
-- :func:`solve_sat`, :func:`solve_3coloring`, :func:`solve_row_clique`,
-  :func:`solve_row_biclique`: the auxiliary oracles for the reduction
-  chain.
+  arity-4 or arity-6 reduction certificate, via the closed-form count.
+- :func:`solve_sat`, :func:`solve_3coloring`: the auxiliary oracles for
+  the first two links of the reduction chain.
+- :func:`solve_row_clique`, :func:`solve_row_biclique`: row-transversal
+  cliques and bicliques, two thin adapters over one arc-consistency
+  search (:func:`_row_transversal`).
 """
 
 import itertools
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
+from permcsp import reductions
 from permcsp.core import (
     InternalConsistencyError,
     InvalidInputError,
@@ -170,11 +173,13 @@ def solve_dp3(instance: PermCspInstance, max_vars: int = 24) -> SolveResult:
     last is not -- so each constraint is credited exactly once, and the
     final value f(V) is the true optimum.
     """
-    if instance.arity > 3:
+    # The header arity is a claim; the constraints themselves decide.
+    arity = max([instance.arity] + [len(c) for c in instance.constraints])
+    if arity > 3:
         raise UnsupportedArityError(
             "subset DP applies to arity <= 3 only (the other side of the "
             "dichotomy has no known O*(c^n) algorithm); got arity %d"
-            % instance.arity
+            % arity
         )
     n = instance.num_vars
     if n > max_vars:
@@ -240,7 +245,7 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
     if any(len(c) == 0 for c in clauses):
         return None
 
-    def propagate(assign):
+    def unit_propagate(assign):
         changed = True
         while changed:
             changed = False
@@ -264,21 +269,21 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
                     changed = True
         return True
 
-    def search(assign):
+    def dpll(assign):
         assign = dict(assign)
-        if not propagate(assign):
+        if not unit_propagate(assign):
             return None
         var = next((v for v in range(1, cnf.num_vars + 1) if v not in assign),
                    None)
         if var is None:
             return assign
         for value in (True, False):
-            result = search({**assign, var: value})
+            result = dpll({**assign, var: value})
             if result is not None:
                 return result
         return None
 
-    result = search({})
+    result = dpll({})
     if result is None:
         return None
     for v in range(1, cnf.num_vars + 1):
@@ -332,27 +337,21 @@ def solve_3coloring(g: nx.Graph) -> Optional[Dict[int, int]]:
 # Row-transversal clique / biclique search
 # ---------------------------------------------------------------------------
 
-def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
-    """One vertex per row forming a clique, or None.
+def _row_transversal(width, neighbors, degree, block):
+    """One candidate column per row, pairwise compatible, or None.
 
-    Branch and bound with forward checking: every unassigned row keeps the
-    mask of columns compatible with the partial selection, the row with
-    the fewest candidates is branched next (ties by row index), and any
-    empty mask prunes.  Deterministic; on fully compatible instances the
-    lexicographically first selection is returned.
+    Rows ``r`` and ``neighbors[r]`` form the constrained row pairs;
+    ``block(row, src)`` is their boolean compatibility matrix, indexed
+    [column of row, column of src], and ``degree[r]`` counts the pairs of
+    row r.  Unconstrained pairs are compatible everywhere.  Returns the
+    0-based columns.
+
+    Branch and bound with arc consistency: every row keeps the mask of its
+    candidate columns, and a wiped-out mask prunes.  Deterministic; on
+    fully compatible instances the lexicographically first selection is
+    returned.
     """
-    if g.kind != "clique":
-        raise InvalidInputError("row-clique search expects an n x n grid")
-    side = g.side
-    blocks = g.adj.reshape(side, side, side, side)
-    # Row pairs where every column pair is adjacent constrain nothing;
-    # the search only propagates and backjumps along the remaining pairs.
-    full = blocks.all(axis=(1, 3))
-    np.fill_diagonal(full, True)
-    degree = (~full).sum(axis=1)
-    choice = [0] * side
-
-    neighbors = [np.nonzero(~full[k])[0] for k in range(side)]
+    rows = len(neighbors)
     last_wipe = [-1]
 
     def propagate(cand, dirty):
@@ -365,7 +364,7 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
             in_queue.discard(src)
             support = np.nonzero(cand[src])[0]
             for row in neighbors[src]:
-                supported = blocks[row, :, src][:, support].any(axis=1)
+                supported = block(row, src)[:, support].any(axis=1)
                 new = cand[row] & supported
                 count = int(new.sum())
                 if count != int(cand[row].sum()):
@@ -393,10 +392,11 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
         return [cols]
 
     def search(cand):
-        """Branch by splitting the candidate set of the tightest open row.
+        """Branch by splitting the candidate set of the tightest open row;
+        the arc-consistent all-singleton candidates on success, else None.
 
         With arc consistency restored after every split, all-singleton
-        domains are mutually adjacent, so reaching them is success.
+        domains are mutually compatible, so reaching them is success.
         The row that wiped out most recently is branched first (the
         last-conflict heuristic keeps the search at the failure site);
         otherwise fewest candidates, most constrained pairs, lowest
@@ -406,9 +406,7 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
         counts = cand.sum(axis=1)
         open_rows = np.nonzero(counts > 1)[0]
         if open_rows.size == 0:
-            for k in range(side):
-                choice[k] = int(np.nonzero(cand[k])[0][0]) + 1
-            return True
+            return cand
         if last_wipe[0] in open_rows:
             row = last_wipe[0]
         else:
@@ -418,23 +416,45 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
             nxt = cand.copy()
             nxt[row] = False
             nxt[row, part] = True
-            if propagate(nxt, [row]) and search(nxt):
-                return True
-        return False
+            if propagate(nxt, [row]):
+                found = search(nxt)
+                if found is not None:
+                    return found
+        return None
 
-    cand = np.ones((side, side), dtype=bool)
-    if propagate(cand, list(range(side))) and search(cand):
-        return RowSelection(tuple(choice))
-    return None
+    cand = np.ones((rows, width), dtype=bool)
+    if not propagate(cand, list(range(rows))):
+        return None
+    found = search(cand)
+    if found is None:
+        return None
+    return [int(np.nonzero(found[k])[0][0]) for k in range(rows)]
+
+
+def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
+    """One vertex per row forming a clique, or None (see
+    :func:`_row_transversal`)."""
+    if g.kind != "clique":
+        raise InvalidInputError("row-clique search expects an n x n grid")
+    side = g.side
+    blocks = g.adj.reshape(side, side, side, side)
+    # Row pairs where every column pair is adjacent constrain nothing;
+    # the search only propagates along the remaining pairs.
+    full = blocks.all(axis=(1, 3))
+    np.fill_diagonal(full, True)
+    neighbors = [np.nonzero(~full[k])[0] for k in range(side)]
+    cols = _row_transversal(side, neighbors, (~full).sum(axis=1),
+                            lambda row, src: blocks[row, :, src])
+    return None if cols is None else RowSelection(tuple(j + 1 for j in cols))
 
 
 def solve_row_biclique(h: GridGraph) -> Optional[RowSelection]:
     """One vertex per row forming a K_{n,n} across the two halves, or None.
 
-    The bipartite structure condition is checked first; search then runs
-    on the top-vs-bottom cross adjacency with the same forward-checking
-    scheme as :func:`solve_row_clique`.  Top rows select columns in
-    [1, n], bottom rows in [n+1, 2n].
+    The bipartite structure condition is checked first; the search (see
+    :func:`_row_transversal`) then constrains only top-vs-bottom row
+    pairs, on the cross adjacency.  Top rows select columns in [1, n],
+    bottom rows in [n+1, 2n].
     """
     from permcsp import validate
 
@@ -448,136 +468,97 @@ def solve_row_biclique(h: GridGraph) -> Optional[RowSelection]:
     degree = np.concatenate([(~full).sum(axis=1), (~full).sum(axis=0)])
     top_nbrs = [np.nonzero(~full[k])[0] + n for k in range(n)]
     bot_nbrs = [np.nonzero(~full[:, k])[0] for k in range(n)]
-    neighbors = top_nbrs + bot_nbrs
-    choice = [0] * (2 * n)
-    last_wipe = [-1]
 
-    def propagate(cand, dirty):
-        """AC-3 over top/bottom row pairs on the cross adjacency; False
-        on a wiped-out row, remembered for last-conflict branching."""
-        queue = list(dirty)
-        in_queue = set(queue)
-        while queue:
-            src = queue.pop()
-            in_queue.discard(src)
-            support_cols = np.nonzero(cand[src])[0]
-            src_top = src < n
-            for row in neighbors[src]:
-                if src_top:
-                    mat = blocks[src % n, :, row % n, :].T
-                else:
-                    mat = blocks[row % n, :, src % n, :]
-                supported = mat[:, support_cols].any(axis=1)
-                new = cand[row] & supported
-                count = int(new.sum())
-                if count != int(cand[row].sum()):
-                    if count == 0:
-                        last_wipe[0] = int(row)
-                        return False
-                    cand[row] = new
-                    if row not in in_queue:
-                        queue.append(row)
-                        in_queue.add(row)
-        return True
+    def block(row, src):
+        if src < n:
+            return blocks[src, :, row - n, :].T
+        return blocks[row, :, src - n, :]
 
-    def split(cols):
-        """Same aligned-block partition as in :func:`solve_row_clique`."""
-        width = 1
-        while width * 3 <= int(cols[-1]):
-            width *= 3
-        while width >= 1:
-            groups = cols // width
-            if groups[0] != groups[-1]:
-                return [cols[groups == v] for v in np.unique(groups)]
-            width //= 3
-        return [cols]
+    # Rows 0..n-1 are the top half, n..2n-1 the bottom; columns are
+    # offsets within the row's own half.
+    cols = _row_transversal(n, top_nbrs + bot_nbrs, degree, block)
+    if cols is None:
+        return None
+    return RowSelection(tuple(j + 1 + (n if k >= n else 0)
+                              for k, j in enumerate(cols)))
 
-    def search(cand):
-        counts = cand.sum(axis=1)
-        open_rows = np.nonzero(counts > 1)[0]
-        if open_rows.size == 0:
-            for k in range(2 * n):
-                j = int(np.nonzero(cand[k])[0][0])
-                choice[k] = (j + 1) if k < n else (n + j + 1)
-            return True
-        if last_wipe[0] in open_rows:
-            row = last_wipe[0]
-        else:
-            row = min(open_rows,
-                      key=lambda k: (counts[k], -int(degree[k]), k))
-        for part in split(np.nonzero(cand[row])[0]):
-            nxt = cand.copy()
-            nxt[row] = False
-            nxt[row, part] = True
-            if propagate(nxt, [row]) and search(nxt):
-                return True
-        return False
 
-    # cand[row] holds candidate columns: offsets in [0, n) within the
-    # row's own half (top rows choose in [1, n], bottom in [n+1, 2n]).
-    cand = np.ones((2 * n, n), dtype=bool)
-    if propagate(cand, list(range(2 * n))) and search(cand):
-        return RowSelection(tuple(choice))
+# ---------------------------------------------------------------------------
+# Convenient-ordering search for reduction certificates
+# ---------------------------------------------------------------------------
+
+def certificate_mismatch(cert: ReductionCertificate, grid: GridGraph,
+                         D: Optional[int] = None) -> Optional[str]:
+    """Rerun the reduction that made ``cert`` on its source grid, with the
+    certificate's dummy count and (arity 4 only) ``D``, defaulting to the
+    certificate's; what differs from ``cert``, or None.  A grid that
+    breaks the reduction's preconditions raises
+    :class:`InvalidInputError`."""
+    m = len(cert.dummy_vars)
+    if cert.kind == "perm4":
+        regen = reductions.reduce_dcnnb_to_perm4(
+            grid, D=cert.D if D is None else D, dummy_count=m)
+    else:
+        regen = reductions.reduce_clique_to_perm6(grid, dummy_count=m)
+    if sorted(regen.instance.constraints) != sorted(cert.instance.constraints):
+        return ("constraint set does not match the source grid (%d vs %d "
+                "constraints)" % (len(cert.instance.constraints),
+                                  len(regen.instance.constraints)))
+    if (regen.dummy_vars, regen.row_vars, regen.col_vars) != \
+            (cert.dummy_vars, cert.row_vars, cert.col_vars):
+        return "role lines do not match the source grid"
+    if regen.target != cert.target:
+        return ("target does not match the source grid: regenerated %d, "
+                "stated %d" % (regen.target, cert.target))
     return None
 
 
-# ---------------------------------------------------------------------------
-# Convenient-ordering search for arity-4 reduction outputs
-# ---------------------------------------------------------------------------
-
 def solve_convenient(cert: ReductionCertificate, h: GridGraph,
                      D: Optional[int] = None) -> SolveResult:
-    """Maximize over convenient orderings d_1..d_m c_1 R_1 ... c_{2n+1}.
+    """Maximize over convenient orderings d_1..d_m c_1 R_1 ... c_last.
 
+    Works for both certificate kinds: ``h`` is the 2n x 2n biclique grid
+    of an arity-4 certificate or the n x n clique grid of an arity-6 one,
+    and must regenerate the certificate (:func:`certificate_mismatch`).
     Enumerates every row-to-interval assignment phi exhaustively (kept
-    dumb on purpose -- this is an oracle), scores each with the closed
-    form  C(m,2)*C(2n+1,2) + (n+2)*sum(Delta) + |E(H[V_phi])|, and for
-    every phi materializes the ordering and re-checks the closed form
-    against the evaluator; any disagreement raises
-    :class:`InternalConsistencyError`.
+    dumb on purpose -- this is an oracle) and scores each with the closed
+    form: the target minus the edges of a full transversal (n^2 for
+    arity 4, C(n,2) for arity 6), plus the edges of H[V_phi].  For every phi the ordering is
+    materialized and the closed form re-checked against the evaluator;
+    any disagreement raises :class:`InternalConsistencyError`.  The first
+    maximizer wins.
     """
-    from math import comb
-
     from permcsp import validate
-    from permcsp.reductions import reduce_dcnnb_to_perm4
-
-    if cert.kind != "perm4":
-        raise InvalidInputError("convenient-ordering search needs an arity-4 "
-                                "reduction certificate")
-    if h.kind != "biclique" or h.side != 2 * cert.n:
-        raise InvalidInputError("certificate and grid dimensions disagree")
-    if D is None:
-        D = cert.D
-    regenerated = reduce_dcnnb_to_perm4(h, D=D, dummy_count=len(cert.dummy_vars))
-    if sorted(regenerated.instance.constraints) != sorted(cert.instance.constraints):
-        raise InvalidInputError("certificate does not match the given grid")
 
     n = cert.n
-    m = len(cert.dummy_vars)
-    _, delta = validate.check_regularity(h)
-    delta_sum = int(delta[:n, n:].sum())
-    base = comb(m, 2) * comb(2 * n + 1, 2) + (n + 2) * delta_sum
-    cross = h.cross_matrix()
+    if cert.kind == "perm4":
+        side, kind, full = 2 * n, "biclique", n * n
+        intervals = [range(1, n + 1)] * n + [range(n + 1, 2 * n + 1)] * n
+    else:
+        if n > 4:
+            raise InvalidInputError("phi enumeration is limited to n <= 4")
+        side, kind, full = n, "clique", math.comb(n, 2)
+        intervals = [range(1, n + 1)] * n
+    if h.kind != kind or h.side != side:
+        raise InvalidInputError("certificate and grid dimensions disagree")
+    mismatch = certificate_mismatch(cert, h, D)
+    if mismatch is not None:
+        raise InvalidInputError(mismatch)
 
+    base = cert.target - full
     best, best_witness, nodes = -1, None, 0
-    for phi_top in itertools.product(range(1, n + 1), repeat=n):
-        for phi_bot in itertools.product(range(n + 1, 2 * n + 1), repeat=n):
-            nodes += 1
-            sel = RowSelection(phi_top + phi_bot)
-            edges = 0
-            for i in range(n):
-                a = i * n + (phi_top[i] - 1)
-                for ip in range(n):
-                    b = ip * n + (phi_bot[ip] - n - 1)
-                    edges += int(cross[a, b])
-            count = base + edges
-            ordering = validate.map_selection_to_ordering(sel, cert)
-            measured = evaluate(cert.instance, ordering)
-            if measured != count:
-                raise InternalConsistencyError(
-                    "closed form says %d, evaluator says %d for phi=%s"
-                    % (count, measured, sel.choice)
-                )
-            if count > best:
-                best, best_witness = count, ordering
+    for choice in itertools.product(*intervals):
+        nodes += 1
+        flat = [i * side + j - 1 for i, j in enumerate(choice)]
+        count = base + int(h.adj[np.ix_(flat, flat)].sum()) // 2
+        ordering = validate.map_selection_to_ordering(RowSelection(choice),
+                                                      cert)
+        measured = evaluate(cert.instance, ordering)
+        if measured != count:
+            raise InternalConsistencyError(
+                "closed form says %d, evaluator says %d for phi=%s"
+                % (count, measured, choice)
+            )
+        if count > best:
+            best, best_witness = count, ordering
     return SolveResult(best, best_witness, nodes)

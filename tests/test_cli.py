@@ -119,6 +119,16 @@ def test_reduce_dummies_policies(tmp_path, capsys):
         assert len(cert.dummy_vars) == want
 
 
+def test_reduce_dummies_must_be_a_count(tmp_path, capsys):
+    src = tmp_path / "grid.grid"
+    src.write_text("p grid 2\nc kind clique\ne 1 1 2 2\n")
+    code, out, err = run(capsys, ["reduce", str(src), "--steps",
+                                  "clique2perm6", "--dummies", "abc",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "--dummies" in err and "'abc'" in err
+
+
 def test_reduce_rejects_bad_step_composition(tmp_path, capsys):
     src = tmp_path / "x.graph"
     src.write_text("p edge 1 0\n")
@@ -222,6 +232,79 @@ def test_solve_certificate_below_target(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", str(cert2), "--source", str(bare)])
     assert code == 1
     assert "BELOW TARGET" in out
+
+
+def test_solve_rejects_constraint_beyond_header_arity(tmp_path, capsys):
+    # The header promises arity 3; trusting it would let dp3 report an
+    # optimum that its own witness does not reach.
+    f = tmp_path / "i.pcsp"
+    f.write_text("p pcsp 4 2 3\n1 2 3 4 0\n4 1 0\n")
+    code, out, err = run(capsys, ["solve", str(f)])
+    assert code == 2 and out == ""
+    assert "line 2" in err
+
+
+def test_solve_checks_the_witness(tmp_path, capsys, monkeypatch):
+    # A solver that overstates its optimum must not get past the CLI.
+    from dataclasses import replace
+    from permcsp import solvers
+    f = tmp_path / "i.pcsp"
+    f.write_text("p pcsp 3 2 3\n1 2 3 0\n1 3 2 0\n")
+    real = solvers.solve_dp3
+    monkeypatch.setattr(solvers, "solve_dp3",
+                        lambda inst: replace(real(inst), optimum=2))
+    code, out, err = run(capsys, ["solve", str(f)])
+    assert code == 3 and out == ""
+    assert "witness satisfies 1" in err
+
+
+def _perm6_files(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    grid.write_text("p grid 2\nc kind clique\ne 1 1 2 2\n")
+    assert cli.main(["reduce", str(grid), "--steps", "clique2perm6",
+                     "--out-dir", str(tmp_path / "red")]) == 0
+    capsys.readouterr()
+    return grid, tmp_path / "red" / "step1-clique2perm6.pcsp"
+
+
+def test_solve_perm6_certificate_against_another_grid(tmp_path, capsys):
+    _, cert = _perm6_files(tmp_path, capsys)
+    other = tmp_path / "other.grid"
+    other.write_text("p grid 2\nc kind clique\ne 1 2 2 1\n")
+    code, out, err = run(capsys, ["solve", str(cert), "--source", str(other)])
+    assert code == 2 and out == ""
+    assert "does not match" in err
+
+
+def test_swapped_role_lines_are_bad_input(tmp_path, capsys):
+    # The constraints still match the grid, but rows 1 and 2 trade
+    # variables: that is a wrong certificate, not an internal error.
+    grid, cert = _perm6_files(tmp_path, capsys)
+    text = cert.read_text()
+    cert.write_text(text.replace("c role 7 r 1", "c role 8 r 0")
+                    .replace("c role 8 r 2", "c role 7 r 2")
+                    .replace("c role 8 r 0", "c role 8 r 1"))
+    code, out, err = run(capsys, ["solve", str(cert), "--source", str(grid)])
+    assert code == 2 and "role lines" in err
+    code, out, _ = run(capsys, ["verify", str(cert), str(grid)])
+    assert code == 1 and "FAIL role lines do not match" in out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("c role 5 d 5", "c role 5 d"),
+    ("c target 48", "c target x"),
+])
+def test_bad_certificate_trailer_is_usage_error(tmp_path, capsys, old, new):
+    grid, cert = _perm6_files(tmp_path, capsys)
+    text = cert.read_text()
+    assert old + "\n" in text
+    cert.write_text(text.replace(old + "\n", new + "\n"))
+    lineno = text.split("\n").index(old) + 1
+    for argv in (["solve", str(cert), "--source", str(grid)],
+                 ["verify", str(cert), str(grid)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line %d (byte " % lineno)
 
 
 # ---------------------------------------------------------------------------

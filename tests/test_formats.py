@@ -208,3 +208,47 @@ def test_certificate_rejects_bad_role_code():
     text = write_certificate(cert).replace("c role 1 d 1", "c role 1 z 1")
     with pytest.raises(FormatError):
         read_certificate(text)
+
+
+def test_instance_rejects_constraint_beyond_header_arity():
+    with pytest.raises(FormatError) as exc:
+        read_instance("p pcsp 4 2 3\n1 2 3 4 0\n4 1 0\n")
+    assert (exc.value.line, exc.value.offset) == (2, 13)
+    with pytest.raises(FormatError) as exc:
+        read_instance("p pcsp 4 2 3\n1 2 0\n4 1 4 0\n")   # repeated variable
+    assert exc.value.line == 3
+    with pytest.raises(FormatError) as exc:
+        read_instance("p pcsp 0 0 3\n")
+    assert exc.value.line == 1
+
+
+def _perm6_certificate_text():
+    cert = reduce_clique_to_perm6(grid_from_edges(2, [((1, 1), (2, 2))]),
+                                  dummy_count=6)
+    return write_certificate(cert)
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    ("c role 5 d 5", "c role 5 d", "role line"),
+    ("c role 5 d 5", "c role 5 d x", "an integer"),
+    ("c target 48", "c target x", "an integer"),
+    ("c param n 2", "c param n two", "an integer"),
+    ("c param kind perm6", "c param kind perm5", "kind perm4|perm6"),
+])
+def test_certificate_trailer_errors_are_positioned(old, new, expected):
+    text = _perm6_certificate_text()
+    lines = text.split("\n")
+    lineno = lines.index(old) + 1
+    with pytest.raises(FormatError) as exc:
+        read_certificate(text.replace(old + "\n", new + "\n"))
+    assert exc.value.line == lineno
+    assert exc.value.offset == len("\n".join(lines[:lineno - 1])) + 1
+    assert expected in exc.value.expected
+
+
+def test_grid_delta_rows_in_range():
+    with pytest.raises(FormatError) as exc:
+        read_grid("p grid 2\nd 0 1 5\n")
+    assert exc.value.line == 2
+    with pytest.raises(FormatError):
+        read_grid("p grid 2\nd 1 3 5\n")

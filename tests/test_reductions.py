@@ -451,3 +451,15 @@ def test_perm4_degenerate_rccr_shape():
     edge_cons = cert.instance.constraints[-4:]
     assert (1, r1, c2, r2) in edge_cons
     assert all(len(set(c)) == len(c) for c in cert.instance.constraints)
+
+
+def test_construction_invariant_raises_without_assert(monkeypatch):
+    # A partition whose block holds an edge must stop the construction
+    # with InternalConsistencyError, also under python -O.
+    from permcsp import reductions
+    from permcsp.core import InternalConsistencyError
+    g = nx.Graph([(1, 2), (3, 4)])
+    monkeypatch.setattr(reductions, "distance3_partition",
+                        lambda graph, bound: [[1, 2], [3, 4]])
+    with pytest.raises(InternalConsistencyError, match="independent set"):
+        reduce_coloring_to_dcnnc(g, degree_bound=1)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,3 +312,99 @@ def test_row_biclique_matches_exhaustive(rng):
                        for i in range(n) for ip in range(n)):
                     exists = True
         assert (sel is not None) == exists
+
+
+# Exact selections of the row-transversal search on fixed grids.  Any
+# change to the branching order, the split or the propagation shows up
+# here, including on the biclique side, whose search shares the engine.
+_PINNED_CHAIN = {
+    1: ((24, 22, 19, 3, 13, 13, 19, 26, 4, 6, 1, 24, 13) + (1,) * 14,
+        (51, 49, 46, 30, 40, 40, 46, 53, 31, 33, 28, 51, 40) + (28,) * 14),
+    -1: ((8, 9, 1, 13, 19, 26, 4, 3, 10, 11, 19, 5, 25) + (1,) * 14,
+         (35, 36, 28, 40, 46, 53, 31, 30, 37, 38, 46, 32, 52) + (28,) * 14),
+}
+
+
+@pytest.mark.parametrize("lit", [1, -1])
+def test_row_transversal_pinned_on_chain_grids(lit):
+    from permcsp.reductions import (reduce_coloring_to_dcnnc,
+                                    reduce_dcnnc_to_dcnnb,
+                                    reduce_sat_to_coloring)
+    g, bound = reduce_sat_to_coloring(CnfFormula(1, ((lit,),), 3))
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+    h = reduce_dcnnc_to_dcnnb(grid)
+    assert (grid.side, h.side) == (27, 54)
+    clique, bottom = _PINNED_CHAIN[lit]
+    assert solve_row_clique(grid).choice == clique
+    assert solve_row_biclique(h).choice == clique + bottom
+
+
+def _seeded_grids(seed, side=6, p=0.5):
+    """A random clique grid and its doubling (without condition checks)."""
+    from conftest import all_cross_row_edges
+    rng = random.Random(seed)
+    edges = [e for e in all_cross_row_edges(side) if rng.random() < p]
+    n = side
+    doubled = [((i, j), (n + i, n + j))
+               for i in range(1, n + 1) for j in range(1, n + 1)]
+    for (i, j), (ip, jp) in edges:
+        doubled += [((i, j), (n + ip, n + jp)), ((ip, jp), (n + i, n + j))]
+    return (grid_from_edges(side, edges),
+            grid_from_edges(2 * side, doubled, kind="biclique"))
+
+
+@pytest.mark.parametrize("seed, clique, biclique", [
+    (0, None, None),
+    (3, (5, 4, 1, 3, 2, 4), (5, 4, 1, 3, 2, 4, 11, 10, 7, 9, 8, 10)),
+])
+def test_row_transversal_pinned_on_seeded_grids(seed, clique, biclique):
+    g, h = _seeded_grids(seed)
+    sel, bsel = solve_row_clique(g), solve_row_biclique(h)
+    assert (sel and sel.choice) == clique
+    assert (bsel and bsel.choice) == biclique
+
+
+# ---------------------------------------------------------------------------
+# solve_convenient on arity-6 certificates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("edges, meets", [
+    ([((1, 1), (2, 2))], True),
+    ([], False),
+])
+def test_convenient_perm6(edges, meets):
+    from permcsp.reductions import reduce_clique_to_perm6
+    from permcsp.solvers import solve_convenient
+    grid = grid_from_edges(2, edges)
+    cert = reduce_clique_to_perm6(grid, dummy_count=6)
+    res = solve_convenient(cert, grid)
+    assert res.nodes_explored == 4
+    assert evaluate(cert.instance, res.witness) == res.optimum
+    assert (res.optimum >= cert.target) == meets
+    assert res.optimum == cert.target - (0 if meets else 1)
+
+
+def test_convenient_rejects_a_different_grid():
+    from permcsp.core import InvalidInputError
+    from permcsp.reductions import reduce_clique_to_perm6
+    from permcsp.solvers import solve_convenient
+    cert = reduce_clique_to_perm6(grid_from_edges(2, [((1, 1), (2, 2))]),
+                                  dummy_count=6)
+    with pytest.raises(InvalidInputError, match="constraint set"):
+        solve_convenient(cert, grid_from_edges(2, [((1, 2), (2, 1))]))
+    swapped = replace(cert, row_vars=cert.row_vars[::-1])
+    with pytest.raises(InvalidInputError, match="role lines"):
+        solve_convenient(swapped, grid_from_edges(2, [((1, 1), (2, 2))]))
+    inflated = replace(cert, target=cert.target + 1)
+    with pytest.raises(InvalidInputError, match="target"):
+        solve_convenient(inflated, grid_from_edges(2, [((1, 1), (2, 2))]))
+    with pytest.raises(InvalidInputError, match="dimensions disagree"):
+        solve_convenient(cert, grid_from_edges(3, []))
+
+
+def test_dp3_checks_constraint_lengths_not_the_header():
+    # The header claims arity 3; the 4-element constraint must not be
+    # scored as if it had three.
+    inst = PermCspInstance(4, ((1, 2, 3, 4), (4, 1)), 3)
+    with pytest.raises(UnsupportedArityError):
+        solve_dp3(inst)
