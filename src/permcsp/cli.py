@@ -145,19 +145,27 @@ def cmd_gen(args):
 # reduce
 # ---------------------------------------------------------------------------
 
+def _dummy_policy(text):
+    """Parse --dummies: "paper", "sufficient" or an explicit count."""
+    if text in ("paper", "sufficient"):
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError("--dummies expects paper, sufficient or a "
+                                "count, got %r" % text)
+
+
 def _dummy_count(policy, kind, n, D, num_edges):
-    """Resolve the --dummies policy to an explicit count (None = default)."""
+    """Resolve a parsed --dummies policy to an explicit count (None =
+    default)."""
     if policy == "paper":
         return None
     if policy == "sufficient":
         if kind == "perm6":
             return reductions.sufficient_dummies_perm6(n)
         return reductions.sufficient_dummies_perm4(n, D, num_edges)
-    try:
-        return int(policy)
-    except ValueError:
-        raise InvalidInputError("--dummies expects paper, sufficient or a "
-                                "count, got %r" % policy)
+    return policy
 
 
 def _parse_steps(spec_text):
@@ -179,6 +187,7 @@ def _parse_steps(spec_text):
 
 def cmd_reduce(args):
     steps = _parse_steps(args.steps)
+    dummies = _dummy_policy(args.dummies)
     if args.stop_after:
         if args.stop_after not in steps:
             raise InvalidInputError("--stop-after names a step not in --steps")
@@ -216,7 +225,7 @@ def cmd_reduce(args):
             value = reductions.reduce_dcnnc_to_dcnnb(value)
         elif step == "clique2perm6":
             n = value.side
-            count = _dummy_count(args.dummies, "perm6", n, None, None)
+            count = _dummy_count(dummies, "perm6", n, None, None)
             value = reductions.reduce_clique_to_perm6(value, dummy_count=count)
             text = formats.write_certificate(value)
         else:  # biclique2perm4
@@ -225,7 +234,7 @@ def cmd_reduce(args):
             if D is None:
                 raise InvalidInputError(
                     "biclique grid carries no D; pass --degree-bound")
-            count = _dummy_count(args.dummies, "perm4", n, D,
+            count = _dummy_count(dummies, "perm4", n, D,
                                  value.num_edges())
             value = reductions.reduce_dcnnb_to_perm4(value, D=D,
                                                      dummy_count=count)

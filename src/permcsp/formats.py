@@ -191,6 +191,11 @@ def read_grid(text: str) -> GridGraph:
             if len(tokens) != 5:
                 raise lines.error(lineno, "edge line 'e i1 j1 i2 j2'", line)
             i1, j1, i2, j2 = _ints(lines, lineno, tokens[1:])
+            if not (0 < i1 <= side and 0 < j1 <= side
+                    and 0 < i2 <= side and 0 < j2 <= side):
+                raise lines.error(lineno, "vertices within 1..%d" % side, line)
+            if i1 == i2 and j1 == j2:
+                raise lines.error(lineno, "two distinct vertices", line)
             edges.append(((i1, j1), (i2, j2)))
         elif tokens[0] == "d":
             if len(tokens) != 4:

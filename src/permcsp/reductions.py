@@ -126,7 +126,7 @@ class GridGraph:
         return bool(self.adj[self.index(*a), self.index(*b)])
 
     def num_edges(self):
-        return int(self.adj.sum()) // 2
+        return int(np.count_nonzero(self.adj)) // 2
 
     def edges(self):
         """All edges as ((i,j),(i',j')) pairs, lexicographically sorted.

@@ -9,8 +9,8 @@
 - :func:`solve_sat`, :func:`solve_3coloring`: the auxiliary oracles for
   the first two links of the reduction chain.
 - :func:`solve_row_clique`, :func:`solve_row_biclique`: row-transversal
-  cliques and bicliques, two thin adapters over one arc-consistency
-  search (:func:`_row_transversal`).
+  cliques and bicliques, two thin adapters over one bit-parallel
+  arc-consistency search (:func:`_row_transversal`).
 """
 
 import itertools
@@ -346,13 +346,42 @@ def _row_transversal(width, neighbors, degree, block):
     row r.  Unconstrained pairs are compatible everywhere.  Returns the
     0-based columns.
 
-    Branch and bound with arc consistency: every row keeps the mask of its
-    candidate columns, and a wiped-out mask prunes.  Deterministic; on
-    fully compatible instances the lexicographically first selection is
-    returned.
+    Branch and bound with bit-parallel arc consistency (Lecoutre & Vion,
+    2008): every row keeps its candidate columns as an int bitmask, and a
+    wiped-out mask prunes.  Deterministic; on fully compatible instances
+    the lexicographically first selection is returned.
     """
     rows = len(neighbors)
     last_wipe = [-1]
+    nbytes = (width + 7) // 8
+
+    def table(row, src):
+        """Entry [c]: mask of the columns of ``row`` compatible with
+        column c of ``src``."""
+        packed = np.packbits(block(row, src).T, axis=1,
+                             bitorder="little").tobytes()
+        return [int.from_bytes(packed[c * nbytes:(c + 1) * nbytes], "little")
+                for c in range(width)]
+
+    nbr_rows = [[int(row) for row in nbrs] for nbrs in neighbors]
+    tables = [[table(row, src) for row in nbr_rows[src]]
+              for src in range(rows)]
+    memo = [{} for _ in range(rows)]
+
+    def supported(src, dom):
+        """Per neighbour of ``src``: the mask of its columns compatible
+        with some column in ``dom``; memoised per (src, dom)."""
+        found = memo[src].get(dom)
+        if found is None:
+            cols = _bits(dom)
+            found = []
+            for entries in tables[src]:
+                mask = 0
+                for c in cols:
+                    mask |= entries[c]
+                found.append(mask)
+            memo[src][dom] = found
+        return found
 
     def propagate(cand, dirty):
         """AC-3 along constrained row pairs; False on a wiped-out row,
@@ -362,14 +391,11 @@ def _row_transversal(width, neighbors, degree, block):
         while queue:
             src = queue.pop()
             in_queue.discard(src)
-            support = np.nonzero(cand[src])[0]
-            for row in neighbors[src]:
-                supported = block(row, src)[:, support].any(axis=1)
-                new = cand[row] & supported
-                count = int(new.sum())
-                if count != int(cand[row].sum()):
-                    if count == 0:
-                        last_wipe[0] = int(row)
+            for row, mask in zip(nbr_rows[src], supported(src, cand[src])):
+                new = cand[row] & mask
+                if new != cand[row]:
+                    if not new:
+                        last_wipe[0] = row
                         return False
                     cand[row] = new
                     if row not in in_queue:
@@ -377,19 +403,23 @@ def _row_transversal(width, neighbors, degree, block):
                         in_queue.add(row)
         return True
 
-    def split(cols):
-        """Partition candidate columns along the coarsest aligned block
+    def split(dom):
+        """Partition a candidate mask along the coarsest aligned block
         boundary (powers of 3, matching the ternary word layout of
-        Gray-coded grids; an arbitrary deterministic split elsewhere)."""
-        width = 1
-        while width * 3 <= int(cols[-1]):
-            width *= 3
-        while width >= 1:
-            groups = cols // width
-            if groups[0] != groups[-1]:
-                return [cols[groups == v] for v in np.unique(groups)]
-            width //= 3
-        return [cols]
+        Gray-coded grids; an arbitrary deterministic split elsewhere).
+        Parts come in ascending column order."""
+        cols = _bits(dom)
+        span = 1
+        while span * 3 <= cols[-1]:
+            span *= 3
+        while span >= 1:
+            if cols[0] // span != cols[-1] // span:
+                parts = {}
+                for c in cols:
+                    parts[c // span] = parts.get(c // span, 0) | 1 << c
+                return list(parts.values())
+            span //= 3
+        return [dom]
 
     def search(cand):
         """Branch by splitting the candidate set of the tightest open row;
@@ -403,32 +433,40 @@ def _row_transversal(width, neighbors, degree, block):
         index.  Lower blocks are tried first, keeping the selection
         lexicographically first on fully compatible instances.
         """
-        counts = cand.sum(axis=1)
-        open_rows = np.nonzero(counts > 1)[0]
-        if open_rows.size == 0:
+        counts = [dom.bit_count() for dom in cand]
+        open_rows = [k for k in range(rows) if counts[k] > 1]
+        if not open_rows:
             return cand
-        if last_wipe[0] in open_rows:
+        if last_wipe[0] >= 0 and counts[last_wipe[0]] > 1:
             row = last_wipe[0]
         else:
-            row = min(open_rows,
-                      key=lambda k: (counts[k], -int(degree[k]), k))
-        for part in split(np.nonzero(cand[row])[0]):
-            nxt = cand.copy()
-            nxt[row] = False
-            nxt[row, part] = True
+            row = min(open_rows, key=lambda k: (counts[k], -degree[k], k))
+        for part in split(cand[row]):
+            nxt = list(cand)
+            nxt[row] = part
             if propagate(nxt, [row]):
                 found = search(nxt)
                 if found is not None:
                     return found
         return None
 
-    cand = np.ones((rows, width), dtype=bool)
+    cand = [(1 << width) - 1] * rows
     if not propagate(cand, list(range(rows))):
         return None
     found = search(cand)
     if found is None:
         return None
-    return [int(np.nonzero(found[k])[0][0]) for k in range(rows)]
+    return [dom.bit_length() - 1 for dom in found]
+
+
+def _bits(mask):
+    """The set bit positions of ``mask``, ascending."""
+    cols = []
+    while mask:
+        low = mask & -mask
+        cols.append(low.bit_length() - 1)
+        mask ^= low
+    return cols
 
 
 def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:

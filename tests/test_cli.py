@@ -129,6 +129,17 @@ def test_reduce_dummies_must_be_a_count(tmp_path, capsys):
     assert "--dummies" in err and "'abc'" in err
 
 
+def test_reduce_checks_dummies_before_any_step(tmp_path, capsys):
+    src = tmp_path / "tri.graph"
+    src.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    out = tmp_path / "o"
+    code, _, err = run(capsys, ["reduce", str(src), "--steps",
+                                "col2clique,clique2perm6", "--dummies", "abc",
+                                "--out-dir", str(out)])
+    assert code == 2 and "'abc'" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_reduce_rejects_bad_step_composition(tmp_path, capsys):
     src = tmp_path / "x.graph"
     src.write_text("p edge 1 0\n")

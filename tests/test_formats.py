@@ -252,3 +252,17 @@ def test_grid_delta_rows_in_range():
     assert exc.value.line == 2
     with pytest.raises(FormatError):
         read_grid("p grid 2\nd 1 3 5\n")
+
+
+@pytest.mark.parametrize("edge, expected", [
+    ("e 1 1 3 1", "vertices within 1..2"),
+    ("e 0 1 2 2", "vertices within 1..2"),
+    ("e 1 1 1 1", "two distinct vertices"),
+])
+def test_grid_edge_errors_are_positioned(edge, expected):
+    head = "p grid 2\nc kind clique\n"
+    with pytest.raises(FormatError) as exc:
+        read_grid(head + edge + "\n")
+    assert (exc.value.line, exc.value.offset) == (3, len(head))
+    assert exc.value.expected == expected
+    assert exc.value.found == edge

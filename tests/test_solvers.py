@@ -339,6 +339,30 @@ def test_row_transversal_pinned_on_chain_grids(lit):
     assert solve_row_biclique(h).choice == clique + bottom
 
 
+# The satisfiable 5-variable formula whose 81-row chain needs the longest
+# search among the chain81 benchmark formulas; columns run past 64 bits.
+_CNF_81 = CnfFormula(5, ((-4, -2, -3), (4, 5, 2)), 3)
+_PINNED_81 = (
+    (70, 47, 24, 28, 24, 70, 47, 67, 47, 24, 72, 1, 70, 47, 22, 24, 70, 47,
+     28, 14, 1, 2, 1, 55) + (1,) * 57,
+    (151, 128, 105, 109, 105, 151, 128, 148, 128, 105, 153, 82, 151, 128,
+     103, 105, 151, 128, 109, 95, 82, 83, 82, 136) + (82,) * 57,
+)
+
+
+def test_row_transversal_pinned_on_an_81_row_chain():
+    from permcsp.reductions import (reduce_coloring_to_dcnnc,
+                                    reduce_dcnnc_to_dcnnb,
+                                    reduce_sat_to_coloring)
+    g, bound = reduce_sat_to_coloring(_CNF_81)
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+    assert grid.side == 81
+    clique, bottom = _PINNED_81
+    assert solve_row_clique(grid).choice == clique
+    h = reduce_dcnnc_to_dcnnb(grid)
+    assert solve_row_biclique(h).choice == clique + bottom
+
+
 def _seeded_grids(seed, side=6, p=0.5):
     """A random clique grid and its doubling (without condition checks)."""
     from conftest import all_cross_row_edges

@@ -119,6 +119,18 @@ def test_structure_rejects_asymmetric_cross():
     assert "symmetry partner missing" in str(report.violations[0])
 
 
+def test_structure_asymmetry_in_an_off_diagonal_tile():
+    # n = 17: the cross block is 289 x 289, more than one 256-wide tile,
+    # and (1,1)(34,34) sits at cross entry [0, 288].
+    h = reduce_dcnnc_to_dcnnb(GridGraph(17))
+    h.add_edge((1, 1), (34, 34))
+    report = check_biclique_structure(h)
+    assert report.violations == (
+        ((1, 1), (34, 34), "symmetry partner missing"),
+        ((17, 17), (18, 18), "symmetry partner missing"),
+    )
+
+
 def test_structure_rejects_odd_side():
     with pytest.raises(InvalidInputError):
         check_biclique_structure(GridGraph(3))
