@@ -361,30 +361,23 @@ def cmd_solve(args):
 def _perm4_conditions(grid, cert, D):
     """Print the three biclique-grid condition reports; the failures,
     including a delta sum that disagrees with the certificate's."""
+    structure = validate.check_biclique_structure(grid)
+    regularity, delta = validate.check_regularity(grid)
+    stability, _ = validate.check_stability(grid, D)
     failures = []
-    report = validate.check_biclique_structure(grid)
-    for line in report.lines():
-        print(line)
-    if not report.holds:
-        failures.append("biclique structure")
-    report, delta = validate.check_regularity(grid)
-    for line in report.lines():
-        print(line)
-    if not report.holds:
-        failures.append("regularity")
-    else:
-        # Sum over top-to-bottom row pairs only (the bottom-to-top
-        # half mirrors it and is not part of the count).
-        half = grid.side // 2
-        got = int(delta[:half, half:].sum())
-        if got != cert.delta_sum:
-            failures.append("delta-sum mismatch: grid %d, certificate %d"
-                            % (got, cert.delta_sum))
-    report, _ = validate.check_stability(grid, D)
-    for line in report.lines():
-        print(line)
-    if not report.holds:
-        failures.append("stability")
+    for name, report in [("biclique structure", structure),
+                         ("regularity", regularity), ("stability", stability)]:
+        print("\n".join(report.lines()))
+        if not report.holds:
+            failures.append(name)
+        elif report is regularity:
+            # Sum over top-to-bottom row pairs only (the bottom-to-top
+            # half mirrors it and is not part of the count).
+            half = grid.side // 2
+            got = int(delta[:half, half:].sum())
+            if got != cert.delta_sum:
+                failures.append("delta-sum mismatch: grid %d, certificate %d"
+                                % (got, cert.delta_sum))
     return failures
 
 
@@ -415,7 +408,8 @@ def cmd_verify(args):
     if not failures:
         sel = (solvers.solve_row_biclique if perm4
                else solvers.solve_row_clique)(grid)
-        result = solvers.solve_convenient(cert, grid, D=D)
+        # certificate_mismatch above already regenerated the certificate.
+        result = solvers._best_convenient(cert, grid)
         meets = result.optimum >= cert.target
         print("source row-%s: %s" % (kind, "found" if sel else "none"))
         print("%s %d target %d"

@@ -8,12 +8,13 @@ generation order.  The grammars are documented in docs/formats.md.
 """
 
 import io
-from typing import List, Optional, Tuple
+from typing import List
 
 import networkx as nx
 import numpy as np
 
 from permcsp.core import (
+    InvalidInputError,
     Ordering,
     PermCspError,
     PermCspInstance,
@@ -164,8 +165,10 @@ def write_graph(g: nx.Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def read_grid(text: str) -> GridGraph:
+    """Parse a grid file.  Every edge line is range-, self-loop- and (on a
+    biclique grid) placement-checked at once, on the whole edge array, when
+    the edges are set; the first offending line is then named."""
     lines = _Lines(text)
-    grid = None
     kind = "clique"
     side = D = None
     edges = []
@@ -184,37 +187,46 @@ def read_grid(text: str) -> GridGraph:
             vals = _ints(lines, lineno, tokens[2:])
             side = vals[0]
             D = vals[1] if len(vals) > 1 else None
+            header = lineno, line
             continue
         if side is None:
             raise lines.error(lineno, "the 'p grid' header first", line)
         if tokens[0] == "e":
             if len(tokens) != 5:
                 raise lines.error(lineno, "edge line 'e i1 j1 i2 j2'", line)
-            i1, j1, i2, j2 = _ints(lines, lineno, tokens[1:])
-            if not (0 < i1 <= side and 0 < j1 <= side
-                    and 0 < i2 <= side and 0 < j2 <= side):
-                raise lines.error(lineno, "vertices within 1..%d" % side, line)
-            if i1 == i2 and j1 == j2:
-                raise lines.error(lineno, "two distinct vertices", line)
-            edges.append(((i1, j1), (i2, j2)))
+            edges.append(_ints(lines, lineno, tokens[1:]))
         elif tokens[0] == "d":
             if len(tokens) != 4:
                 raise lines.error(lineno, "delta line 'd i k value'", line)
             i, k, val = _ints(lines, lineno, tokens[1:])
             if not (1 <= i <= side and 1 <= k <= side):
                 raise lines.error(lineno, "rows within 1..%d" % side, line)
+            if not -2 ** 63 <= val < 2 ** 63:
+                raise lines.error(lineno, "a 64-bit delta value", line)
             deltas.append((i, k, val))
         else:
             raise lines.error(lineno, "an 'e', 'd' or comment line", line)
     if side is None:
         raise FormatError(1, 0, "a 'p grid' header", "end of input")
-    delta_table = None
+    try:
+        grid = GridGraph(side, kind=kind, D=D)
+    except MemoryError:
+        raise lines.error(header[0], "a grid that fits in memory", header[1])
+    except ValueError as exc:          # InvalidInputError, or numpy's size cap
+        raise lines.error(header[0], "a valid %s grid header (%s)"
+                          % (kind, exc), header[1])
     if deltas:
-        delta_table = np.zeros((side, side), dtype=np.int64)
+        grid.delta_table = np.zeros((side, side), dtype=np.int64)
         for i, k, val in deltas:
-            delta_table[i - 1, k - 1] = val
-    return GridGraph.from_edges(side, edges, kind=kind, D=D,
-                                delta_table=delta_table)
+            grid.delta_table[i - 1, k - 1] = val
+    try:
+        grid.add_edges(edges)
+    except InvalidInputError:
+        k, expected = grid.misfit(edges)
+        lineno = [n for n, _, line in _Lines(text)
+                  if line.split()[0] == "e"][k]
+        raise lines.error(lineno, expected, lines.raw[lineno - 1].strip())
+    return grid
 
 
 def dump_grid(g: GridGraph, fh) -> None:

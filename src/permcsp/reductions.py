@@ -14,7 +14,7 @@ characterizes yes-instances.
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -71,13 +71,16 @@ class CnfFormula:
 
 
 class GridGraph:
-    """A graph on [side] x [side] backed by a dense boolean adjacency matrix.
+    """A graph on [side] x [side] backed by a boolean matrix.
 
-    Vertex (i, j) (1-based row, column) has flat index
-    (i-1)*side + (j-1), so a whole row occupies a contiguous slice of the
-    matrix.  ``kind`` is "clique" for n x n Clique instances and
-    "biclique" for 2n x 2n Biclique instances; condition checkers use it
-    to pick the ranges the conditions quantify over.
+    Vertex (i, j) (1-based row, column) has flat index (i-1)*side + (j-1).
+    ``kind`` is "clique" for n x n Clique instances, stored as the dense
+    (side^2) x (side^2) adjacency, or "biclique" for 2n x 2n Biclique
+    instances, stored as their n^2 x n^2 top-vs-bottom block (see
+    :meth:`cross_matrix`): every biclique edge joins a top vertex
+    (i, j <= n) to a bottom vertex (i, j > n), and an edge that does not
+    is rejected when it is added.  ``adj`` given to the constructor is
+    the stored matrix of the grid's kind.
     """
 
     def __init__(self, side, kind="clique", D=None, adj=None, delta_table=None,
@@ -91,21 +94,35 @@ class GridGraph:
         self.side = side
         self.kind = kind
         self.D = D
-        n = side * side
+        n = (side // 2) ** 2 if kind == "biclique" else side * side
         if adj is None:
             adj = np.zeros((n, n), dtype=bool)
         if adj.shape != (n, n):
             raise InvalidInputError("adjacency must be %d x %d" % (n, n))
-        self.adj = adj
+        self._matrix = np.ascontiguousarray(adj, dtype=bool)
         self.delta_table = delta_table
         self.meta = meta or {}
+
+    @property
+    def adj(self):
+        """The dense (side^2) x (side^2) adjacency matrix: a clique grid's
+        stored matrix, or a new matrix built from a biclique grid's cross
+        block on every access (nothing in this package reads that one)."""
+        if self.kind == "clique":
+            return self._matrix
+        side, n = self.side, self.side // 2
+        adj = np.zeros((side * side, side * side), dtype=bool)
+        adj4 = adj.reshape(side, side, side, side)   # [i, j, i', j'] view
+        cross = self._matrix.reshape(n, n, n, n)
+        adj4[:n, :n, n:, n:] = cross
+        adj4[n:, n:, :n, :n] = cross.transpose(2, 3, 0, 1)
+        return adj
 
     @classmethod
     def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None,
                    meta=None):
         g = cls(side, kind=kind, D=D, delta_table=delta_table, meta=meta)
-        for a, b in edges:
-            g.add_edge(a, b)
+        g.add_edges(edges)
         return g
 
     def index(self, i, j):
@@ -117,39 +134,110 @@ class GridGraph:
         return flat // self.side + 1, flat % self.side + 1
 
     def add_edge(self, a, b):
-        u, v = self.index(*a), self.index(*b)
-        if u == v:
-            raise InvalidInputError("self-loop at %r" % (a,))
-        self.adj[u, v] = self.adj[v, u] = True
+        self.add_edges([(a, b)])
+
+    def add_edges(self, edges):
+        """Add ((i, j), (i', j')) pairs, or flat (i, j, i', j') rows, with
+        one check on the whole edge array and one index assignment.  When
+        some edge does not fit (see :meth:`misfit`), raises
+        :class:`InvalidInputError` naming the first and adds none.
+        """
+        ends = _edge_rows(edges, self.side)
+        fault = self.misfit(ends)
+        if fault is not None:
+            k, expected = fault
+            raise InvalidInputError("edge (%d, %d)-(%d, %d): expected %s"
+                                    % (tuple(ends[k]) + (expected,)))
+        ends = ends - 1
+        flipped = ends[:, [2, 3, 0, 1]]
+        if self.kind == "clique":                       # both directions
+            ends = np.concatenate([ends, flipped])
+        else:                                           # top end first
+            ends = np.where(ends[:, :1] > ends[:, 2:3], flipped, ends)
+        _, offset, blocks = self.blocks()
+        blocks[ends[:, 0], ends[:, 1], ends[:, 2] - offset,
+               ends[:, 3] - offset] = True
+
+    def misfit(self, edges):
+        """(k, what was expected) for the first of ``edges`` (as taken by
+        :meth:`add_edges`) that cannot be an edge of this grid, or None.
+
+        An edge joins two distinct vertices within 1..side; on a biclique
+        grid, one top vertex and one bottom vertex.
+        """
+        side = self.side
+        ends = _edge_rows(edges, side)
+        i1, j1, i2, j2 = ends.T
+        faults = [(((ends < 1) | (ends > side)).any(axis=1),
+                   "vertices within 1..%d" % side),
+                  ((i1 == i2) & (j1 == j2), "two distinct vertices")]
+        if self.kind == "biclique":
+            n = side // 2
+            top1, top2 = (i1 <= n) & (j1 <= n), (i2 <= n) & (j2 <= n)
+            bottom1, bottom2 = (i1 > n) & (j1 > n), (i2 > n) & (j2 > n)
+            faults.append((~(top1 & bottom2 | bottom1 & top2),
+                           "a top vertex (i, j <= %d) joined to a bottom "
+                           "vertex (i, j > %d)" % (n, n)))
+        hits = [(int(np.argmax(bad)), expected) for bad, expected in faults
+                if bad.any()]
+        return min(hits, key=lambda hit: hit[0], default=None)
 
     def has_edge(self, a, b):
-        return bool(self.adj[self.index(*a), self.index(*b)])
+        self.index(*a), self.index(*b)          # range checks
+        r, offset, blocks = self.blocks()
+        (i, j), (k, l) = sorted((a, b))
+        if self.kind == "biclique" and (max(i, j) > r or min(k, l) <= r):
+            return False
+        return bool(blocks[i - 1, j - 1, k - offset - 1, l - offset - 1])
 
     def num_edges(self):
-        return int(np.count_nonzero(self.adj)) // 2
+        count = int(np.count_nonzero(self._matrix))
+        return count // 2 if self.kind == "clique" else count
 
     def edges(self):
         """All edges as ((i,j),(i',j')) pairs, lexicographically sorted.
 
-        A generator that scans one adjacency row at a time, so very large
-        grids can be streamed without materializing the edge list.
+        A generator that scans one row of the stored matrix at a time (of
+        a clique grid, its upper triangle), so very large grids can be
+        streamed without materializing the edge list.
         """
-        for u in range(self.side * self.side):
-            a = self.vertex(u)
-            for v in np.nonzero(self.adj[u, u + 1:])[0]:
-                yield a, self.vertex(u + 1 + int(v))
+        r, offset, _ = self.blocks()
+        for u in range(r * r):
+            a = (u // r + 1, u % r + 1)
+            start = u + 1 if self.kind == "clique" else 0
+            for v in (np.nonzero(self._matrix[u, start:])[0] + start).tolist():
+                yield a, (offset + v // r + 1, offset + v % r + 1)
+
+    def blocks(self):
+        """The stored matrix as blocks [i, j, k, l], with the row count r
+        of each axis and the row offset of the second pair of axes: for a
+        clique grid, rows i and k of the grid (offset 0); for a biclique
+        grid, top row i and bottom row n+k (offset n)."""
+        r = self.side if self.kind == "clique" else self.side // 2
+        return r, self.side - r, self._matrix.reshape(r, r, r, r)
 
     def cross_matrix(self):
-        """The n^2 x n^2 top-vs-bottom adjacency block of a biclique grid.
+        """The stored n^2 x n^2 top-vs-bottom block of a biclique grid.
 
         Entry [(i-1)*n + j-1, (i'-1)*n + j'-1] says whether
-        (i, j)(n+i', n+j') is an edge.
+        (i, j)(n+i', n+j') is an edge.  Not a copy.
         """
         if self.kind != "biclique":
             raise InvalidInputError("cross_matrix only applies to biclique grids")
-        n = self.side // 2
-        adj4 = self.adj.reshape(self.side, self.side, self.side, self.side)
-        return np.ascontiguousarray(adj4[:n, :n, n:, n:]).reshape(n * n, n * n)
+        return self._matrix
+
+
+def _edge_rows(edges, side):
+    """Edges as an (m, 4) int64 array of rows (i, j, i', j').  Coordinates
+    beyond int64 are clamped to just outside 1..side, which keeps every
+    verdict of :meth:`GridGraph.misfit`."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        return np.asarray(edges, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        rows = np.asarray(edges, dtype=object).reshape(-1, 4)
+        return np.clip(rows, 0, side + 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -435,11 +523,19 @@ def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
 
     report, computed = validate.check_regularity(grid)
     if not report.holds or not np.array_equal(computed, delta):
-        raise InvalidInputError("construction broke row-pair regularity")
+        raise InternalConsistencyError("construction broke row-pair regularity")
     report, _ = validate.check_stability(grid, degree_bound)
     if not report.holds:
-        raise InvalidInputError("construction broke consecutive-column stability")
+        raise InternalConsistencyError(
+            "construction broke consecutive-column stability")
     return grid
+
+
+def _require(report, what):
+    """Raise :class:`InvalidInputError` with the first violations of a
+    failed condition report."""
+    if not report.holds:
+        raise InvalidInputError("%s: %s" % (what, report.violations[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,51 +546,36 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
     """Double a clique grid into a biclique grid.
 
     (i,j)(n+i',n+j') is an edge of H iff (i,j)(i',j') is an edge of G or
-    i = i' and j = j'.  The delta table is recomputed from H, never copied.
+    i = i' and j = j', so H's cross block is G's adjacency plus the
+    identity.  The delta table is recomputed from H, never copied.  H is
+    row-pair regular exactly when G is, so only H is checked for it; G's
+    stability is checked on G, since H may hold at D + 1 where G fails
+    at D.
     """
     from permcsp import validate
 
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    report, _ = validate.check_regularity(g)
-    if not report.holds:
-        raise InvalidInputError("input violates row-pair regularity: %s"
-                                % (report.violations[:3],))
+    cross = g.adj.copy()
+    np.fill_diagonal(cross, True)
+    h = GridGraph(2 * g.side, kind="biclique", D=g.D, adj=cross,
+                  meta={"source_side": g.side})
+
+    _require(validate.check_biclique_structure(h),
+             "input adjacency is not symmetric")
+    report, h.delta_table = validate.check_regularity(h)
+    _require(report, "input violates row-pair regularity")
     if g.D is not None:
-        report, _ = validate.check_stability(g, g.D)
-        if not report.holds:
-            raise InvalidInputError("input violates stability: %s"
-                                    % (report.violations[:3],))
-
-    n = g.side
-    side = 2 * n
-    total = side * side
-    adj = np.zeros((total, total), dtype=bool)
-    h = GridGraph(side, kind="biclique", D=g.D, adj=adj,
-                  meta={"source_side": n})
-    cross = (g.adj | np.eye(n * n, dtype=bool)).reshape(n, n, n, n)
-    adj4 = adj.reshape(side, side, side, side)   # [i, j, i', j'] view
-    adj4[:n, :n, n:, n:] = cross
-    adj4[n:, n:, :n, :n] = cross.transpose(2, 3, 0, 1)
-
-    report = validate.check_biclique_structure(h)
-    if not report.holds:
-        raise InvalidInputError("doubling broke the biclique structure")
-    report, delta = validate.check_regularity(h)
-    if not report.holds:
-        raise InvalidInputError("doubling broke row-pair regularity")
-    h.delta_table = delta
-    if h.D is not None:
+        _require(validate.check_stability(g, g.D)[0],
+                 "input violates stability")
         # The diagonal pairing edges make row n+i differ between columns j
         # and j+1 for every top vertex (i, j), which can cost one extra
         # unstable row on top of what the source grid allowed.  Transfer D
         # unchanged when it still suffices, else bump it by one.
-        report, _ = validate.check_stability(h, h.D)
-        if not report.holds:
+        if not validate.check_stability(h, h.D)[0].holds:
             h.D += 1
-            report, _ = validate.check_stability(h, h.D)
-            if not report.holds:
-                raise InvalidInputError("doubling broke stability")
+            if not validate.check_stability(h, h.D)[0].holds:
+                raise InternalConsistencyError("doubling broke stability")
     return h
 
 
@@ -503,10 +584,9 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
 # ---------------------------------------------------------------------------
 
 def _check_no_row_edges(g: GridGraph):
-    side = g.side
-    block = g.adj.reshape(side, side, side, side)
+    side, _, blocks = g.blocks()
     for i in range(side):
-        if block[i, :, i, :].any():
+        if blocks[i, :, i, :].any():
             raise InvalidInputError("grid has an edge inside row %d" % (i + 1))
 
 
@@ -635,22 +715,16 @@ def reduce_dcnnb_to_perm4(h: GridGraph, D: Optional[int] = None,
 
     if h.kind != "biclique":
         raise InvalidInputError("input must be a 2n x 2n biclique grid")
-    report = validate.check_biclique_structure(h)
-    if not report.holds:
-        raise InvalidInputError("input violates the biclique structure: %s"
-                                % (report.violations[:3],))
+    _require(validate.check_biclique_structure(h),
+             "input violates the biclique structure")
     if D is None:
         D = h.D
     if D is None:
         raise InvalidInputError("degree-constraint parameter D is required")
     report, delta = validate.check_regularity(h)
-    if not report.holds:
-        raise InvalidInputError("input violates row-pair regularity: %s"
-                                % (report.violations[:3],))
-    report, _ = validate.check_stability(h, D)
-    if not report.holds:
-        raise InvalidInputError("input violates stability for D=%d: %s"
-                                % (D, (report.violations[:3],)))
+    _require(report, "input violates row-pair regularity")
+    _require(validate.check_stability(h, D)[0],
+             "input violates stability for D=%d" % D)
 
     n = h.side // 2
     if dummy_count is None:

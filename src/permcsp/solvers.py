@@ -474,8 +474,7 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
     :func:`_row_transversal`)."""
     if g.kind != "clique":
         raise InvalidInputError("row-clique search expects an n x n grid")
-    side = g.side
-    blocks = g.adj.reshape(side, side, side, side)
+    side, _, blocks = g.blocks()
     # Row pairs where every column pair is adjacent constrain nothing;
     # the search only propagates along the remaining pairs.
     full = blocks.all(axis=(1, 3))
@@ -489,17 +488,11 @@ def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
 def solve_row_biclique(h: GridGraph) -> Optional[RowSelection]:
     """One vertex per row forming a K_{n,n} across the two halves, or None.
 
-    The bipartite structure condition is checked first; the search (see
-    :func:`_row_transversal`) then constrains only top-vs-bottom row
-    pairs, on the cross adjacency.  Top rows select columns in [1, n],
-    bottom rows in [n+1, 2n].
+    The search (see :func:`_row_transversal`) constrains only
+    top-vs-bottom row pairs, on the cross block; it is exact on any cross
+    block, symmetric or not.  Top rows select columns in [1, n], bottom
+    rows in [n+1, 2n].
     """
-    from permcsp import validate
-
-    report = validate.check_biclique_structure(h)
-    if not report.holds:
-        raise InvalidInputError("input violates the biclique structure: "
-                                + "; ".join(map(str, report.violations[:3])))
     n = h.side // 2
     blocks = h.cross_matrix().reshape(n, n, n, n)   # [i, j, i', j']
     full = blocks.all(axis=(1, 3))                  # [i, i'] fully compatible
@@ -557,38 +550,51 @@ def solve_convenient(cert: ReductionCertificate, h: GridGraph,
 
     Works for both certificate kinds: ``h`` is the 2n x 2n biclique grid
     of an arity-4 certificate or the n x n clique grid of an arity-6 one,
-    and must regenerate the certificate (:func:`certificate_mismatch`).
-    Enumerates every row-to-interval assignment phi exhaustively (kept
-    dumb on purpose -- this is an oracle) and scores each with the closed
-    form: the target minus the edges of a full transversal (n^2 for
-    arity 4, C(n,2) for arity 6), plus the edges of H[V_phi].  For every phi the ordering is
-    materialized and the closed form re-checked against the evaluator;
-    any disagreement raises :class:`InternalConsistencyError`.  The first
-    maximizer wins.
+    and must regenerate the certificate (:func:`certificate_mismatch`);
+    the search itself is :func:`_best_convenient`.
     """
-    from permcsp import validate
-
     n = cert.n
-    if cert.kind == "perm4":
-        side, kind, full = 2 * n, "biclique", n * n
-        intervals = [range(1, n + 1)] * n + [range(n + 1, 2 * n + 1)] * n
-    else:
-        if n > 4:
-            raise InvalidInputError("phi enumeration is limited to n <= 4")
-        side, kind, full = n, "clique", math.comb(n, 2)
-        intervals = [range(1, n + 1)] * n
+    side, kind = (2 * n, "biclique") if cert.kind == "perm4" else (n, "clique")
     if h.kind != kind or h.side != side:
         raise InvalidInputError("certificate and grid dimensions disagree")
     mismatch = certificate_mismatch(cert, h, D)
     if mismatch is not None:
         raise InvalidInputError(mismatch)
+    return _best_convenient(cert, h)
 
-    base = cert.target - full
+
+def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
+    """The convenient-ordering optimum of ``cert`` on a grid that
+    regenerates it.
+
+    Enumerates every row-to-interval assignment phi exhaustively (kept
+    dumb on purpose -- this is an oracle) and scores each with the closed
+    form: the target minus the edges of a full transversal (n^2 for
+    arity 4, C(n,2) for arity 6), plus the edges of H[V_phi].  For every
+    phi the ordering is materialized and the closed form re-checked
+    against the evaluator; any disagreement raises
+    :class:`InternalConsistencyError`.  The first maximizer wins.
+    """
+    from permcsp import validate
+
+    n, perm4 = cert.n, cert.kind == "perm4"
+    if not perm4 and n > 4:
+        raise InvalidInputError("phi enumeration is limited to n <= 4")
+    r, offset, blocks = h.blocks()
+    rows = np.arange(r)
+    intervals = [range(1, r + 1)] * r
+    if perm4:
+        intervals += [range(offset + 1, offset + r + 1)] * r
+    base = cert.target - (n * n if perm4 else math.comb(n, 2))
     best, best_witness, nodes = -1, None, 0
     for choice in itertools.product(*intervals):
         nodes += 1
-        flat = [i * side + j - 1 for i, j in enumerate(choice)]
-        count = base + int(h.adj[np.ix_(flat, flat)].sum()) // 2
+        cols = np.array(choice) - 1
+        # Edges between the first r rows' choices and the last r rows'
+        # (the same rows, each edge twice, on a clique grid).
+        induced = int(blocks[rows[:, None], cols[:r, None], rows,
+                             cols[-r:] - offset].sum())
+        count = base + (induced if perm4 else induced // 2)
         ordering = validate.map_selection_to_ordering(RowSelection(choice),
                                                       cert)
         measured = evaluate(cert.instance, ordering)

@@ -4,7 +4,7 @@ The checkers recompute everything from adjacency; delta tables and
 stability metadata carried by a grid are advisory and never trusted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -43,47 +43,30 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
     """Constant row-pair degree: deg((i,j), R_k) independent of j.
 
     For clique grids every ordered row pair is checked; for biclique grids
-    the pairs crossing the halves are (only edges there can exist, given
-    the structure condition).  Returns the computed delta table when the
-    condition holds.
+    the pairs crossing the halves are (only edges there can exist), top
+    row first.  Returns the computed delta table when the condition holds.
     """
-    side = g.side
+    r, offset, blocks = g.blocks()
+    # deg[i, k, s, j]: s = 0 is vertex (i, j) into row offset+k; on a
+    # biclique grid s = 1 is vertex (n+k, n+j) into top row i.
+    deg = blocks.sum(axis=3).transpose(0, 2, 1)[:, :, None]
+    if g.kind == "biclique":
+        deg = np.concatenate([deg, blocks.sum(axis=1)[:, :, None]], axis=2)
     violations = []
-    delta = np.zeros((side, side), dtype=np.int64)
-    if g.kind == "clique":
-        deg = g.adj.reshape(side, side, side, side).sum(axis=3)   # (i, j, k)
-        for i in range(side):
-            for k in range(side):
-                col = deg[i, :, k]
-                if col.min() != col.max():
-                    j = int(np.argmax(col != col[0]))
-                    violations.append((i + 1, k + 1, j + 1,
-                                       "degree %d != %d" % (col[j], col[0])))
-                else:
-                    delta[i, k] = int(col[0])
-    else:
-        n = side // 2
-        cross = g.cross_matrix().reshape(n, n, n, n)
-        deg_top = cross.sum(axis=3)          # (i, j, i')
-        deg_bot = cross.sum(axis=1)          # (i, i', j') -> degree of bottom vertex
-        for i in range(n):
-            for k in range(n):
-                col = deg_top[i, :, k]
-                if col.min() != col.max():
-                    j = int(np.argmax(col != col[0]))
-                    violations.append((i + 1, n + k + 1, j + 1,
-                                       "degree %d != %d" % (col[j], col[0])))
-                else:
-                    delta[i, n + k] = int(col[0])
-                col = deg_bot[i, k, :]
-                if col.min() != col.max():
-                    j = int(np.argmax(col != col[0]))
-                    violations.append((n + k + 1, i + 1, j + 1,
-                                       "degree %d != %d" % (col[j], col[0])))
-                else:
-                    delta[n + k, i] = int(col[0])
+    for i, k, s in np.argwhere(deg.min(axis=3) != deg.max(axis=3)).tolist():
+        col = deg[i, k, s]
+        j = int(np.argmax(col != col[0]))
+        rows = (i + 1, offset + k + 1)
+        violations.append((rows[::-1] if s else rows) + (
+            j + 1, "degree %d != %d" % (col[j], col[0])))
     report = _report("regularity", violations)
-    return report, (delta if report.holds else None)
+    if not report.holds:
+        return report, None
+    delta = np.zeros((g.side, g.side), dtype=np.int64)
+    delta[:r, offset:offset + r] = deg[:, :, 0, 0]
+    if g.kind == "biclique":
+        delta[r:, :r] = deg[:, :, 1, 0].T
+    return report, delta
 
 
 def check_stability(g: GridGraph, D: int
@@ -92,116 +75,53 @@ def check_stability(g: GridGraph, D: int
 
     For each vertex (i, j) with a right neighbor column, counts the rows k
     where N(i,j) and N(i,j+1) differ inside R_k; the condition demands the
-    count never exceeds D.  Returns, when it holds, the boolean array
-    ``stable[i, j, k]`` of rows where the neighborhoods agree (the I_{i,j}
-    witness sets).
+    count never exceeds D.  On a biclique grid the top vertices are
+    checked, against the bottom rows.  Returns, when it holds, the boolean
+    array ``stable[i, j, k]`` of rows where the neighborhoods agree (the
+    I_{i,j} witness sets).
     """
-    side = g.side
+    r, _, blocks = g.blocks()
     violations = []
-    if g.kind == "clique":
-        stable = np.zeros((side, side - 1, side), dtype=bool)
-        for i in range(side):
-            rows = g.adj[i * side:(i + 1) * side].reshape(side, side, side)
-            diff = rows[:-1] != rows[1:]            # (j, k, column)
-            bad = diff.any(axis=2)                  # (j, k)
-            stable[i] = ~bad
-            counts = bad.sum(axis=1)
-            for j in np.nonzero(counts > D)[0]:
-                violations.append((i + 1, int(j) + 1,
-                                   "%d unstable rows > D=%d" % (counts[j], D)))
-    else:
-        n = side // 2
-        cross = g.cross_matrix().reshape(n, n, n, n)
-        stable = np.zeros((n, n - 1, n), dtype=bool) if n > 1 else \
-            np.zeros((n, 0, n), dtype=bool)
-        for i in range(n):
-            diff = cross[i, :-1] != cross[i, 1:]    # (j, i', j')
-            bad = diff.any(axis=2)
-            stable[i] = ~bad
-            counts = bad.sum(axis=1)
-            for j in np.nonzero(counts > D)[0]:
-                violations.append((i + 1, int(j) + 1,
-                                   "%d unstable rows > D=%d" % (counts[j], D)))
+    stable = np.zeros((r, r - 1, r), dtype=bool)
+    for i in range(r):
+        bad = (blocks[i, :-1] != blocks[i, 1:]).any(axis=2)    # (j, k)
+        stable[i] = ~bad
+        counts = bad.sum(axis=1)
+        for j in np.nonzero(counts > D)[0]:
+            violations.append((i + 1, int(j) + 1,
+                               "%d unstable rows > D=%d" % (counts[j], D)))
     report = _report("stability", violations)
     return report, (stable if report.holds else None)
-
-
-def check_biclique_structure(h: GridGraph) -> ConditionReport:
-    """Bipartite placement and symmetry of a 2n x 2n biclique grid.
-
-    Every edge must join a top vertex (i <= n, j <= n) to a bottom vertex
-    (i > n, j > n), and (i,j)(n+i',n+j') must be an edge exactly when
-    (i',j')(n+i,n+j) is.
-    """
-    if h.side % 2:
-        raise InvalidInputError("biclique grids need an even side")
-    side = h.side
-    n = side // 2
-    violations = []
-    in_top = np.zeros((side, side), dtype=bool)
-    in_bottom = np.zeros((side, side), dtype=bool)
-    in_top[:n, :n] = True
-    in_bottom[n:, n:] = True
-    in_top, in_bottom = in_top.ravel(), in_bottom.ravel()
-
-    # Fast path: every directed edge lies in the top-vs-bottom block iff
-    # the total degree equals twice the block's edge count.  Only when
-    # that fails is the full matrix scanned to name the offenders.
-    adj4 = h.adj.reshape(side, side, side, side)
-    cross = np.ascontiguousarray(adj4[:n, :n, n:, n:]).reshape(n * n, n * n)
-    if np.count_nonzero(h.adj) == 2 * np.count_nonzero(cross):
-        return _report("bipartite-symmetry", _symmetry_violations(cross, n))
-
-    chunk = 2048
-    total = side * side
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        block = h.adj[lo:hi]
-        local_top = in_top[lo:hi]
-        local_bottom = in_bottom[lo:hi]
-        misplaced = block.copy()
-        misplaced[local_top] &= ~in_bottom
-        misplaced[local_bottom] &= ~in_top
-        misplaced[~(local_top | local_bottom)] = block[~(local_top | local_bottom)]
-        for u, v in zip(*np.nonzero(misplaced)):
-            i1, j1 = (lo + int(u)) // side + 1, (lo + int(u)) % side + 1
-            i2, j2 = int(v) // side + 1, int(v) % side + 1
-            violations.append(((i1, j1), (i2, j2), "edge outside the bipartite blocks"))
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
-        if len(violations) >= _MAX_VIOLATIONS:
-            break
-
-    if not violations:
-        top = np.nonzero(in_top)[0]
-        bottom = np.nonzero(in_bottom)[0]
-        violations = _symmetry_violations(h.adj[np.ix_(top, bottom)], n)
-    return _report("bipartite-symmetry", violations)
 
 
 _TILE = 256
 
 
-def _symmetry_violations(cross, n):
-    """The pairs of an n^2 x n^2 cross block whose partner is missing.
+def check_biclique_structure(h: GridGraph) -> ConditionReport:
+    """Symmetry of a 2n x 2n biclique grid: (i,j)(n+i',n+j') must be an
+    edge exactly when (i',j')(n+i,n+j) is.
 
-    Compares cache-sized tiles cross[A, B] with cross[B, A].T first; only
-    when some tile differs is the full transpose compared, which keeps the
+    Bipartite placement needs no check: a biclique grid stores only its
+    top-vs-bottom block, so no other edge can exist.  Cache-sized tiles
+    cross[A, B] are compared with cross[B, A].T first; only when some
+    tile differs is the full transpose compared, which keeps the
     violations in row-major order.
     """
+    cross = h.cross_matrix()
+    n = h.side // 2
     size = cross.shape[0]
-    if all(np.array_equal(cross[a:a + _TILE, b:b + _TILE],
-                          cross[b:b + _TILE, a:a + _TILE].T)
-           for a in range(0, size, _TILE) for b in range(a, size, _TILE)):
-        return []
     violations = []
-    for a, b in zip(*np.nonzero(cross != cross.T)):
-        i, j = int(a) // n + 1, int(a) % n + 1
-        ip, jp = int(b) // n + 1, int(b) % n + 1
-        violations.append(((i, j), (n + ip, n + jp), "symmetry partner missing"))
-        if len(violations) >= _MAX_VIOLATIONS:
-            break
-    return violations
+    if not all(np.array_equal(cross[a:a + _TILE, b:b + _TILE],
+                              cross[b:b + _TILE, a:a + _TILE].T)
+               for a in range(0, size, _TILE) for b in range(a, size, _TILE)):
+        for a, b in zip(*np.nonzero(cross != cross.T)):
+            i, j = int(a) // n + 1, int(a) % n + 1
+            ip, jp = int(b) // n + 1, int(b) % n + 1
+            violations.append(((i, j), (n + ip, n + jp),
+                               "symmetry partner missing"))
+            if len(violations) >= _MAX_VIOLATIONS:
+                break
+    return _report("bipartite-symmetry", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +216,14 @@ def map_selection_to_ordering(sel: RowSelection,
     if len(sel.choice) != num_rows:
         raise InvalidInputError("selection has %d rows, certificate has %d"
                                 % (len(sel.choice), num_rows))
-    if cert.kind == "perm4":
-        n = cert.n
-        for i, k in enumerate(sel.choice, start=1):
+    n = cert.n
+    for i, k in enumerate(sel.choice, start=1):
+        lo, hi = 1, num_intervals
+        if cert.kind == "perm4":
             lo, hi = (1, n) if i <= n else (n + 1, 2 * n)
-            if not lo <= k <= hi:
-                raise InvalidInputError(
-                    "row %d assigned interval %d outside [%d, %d]" % (i, k, lo, hi)
-                )
-    else:
-        for i, k in enumerate(sel.choice, start=1):
-            if not 1 <= k <= num_intervals:
-                raise InvalidInputError(
-                    "row %d assigned interval %d outside [1, %d]"
-                    % (i, k, num_intervals)
-                )
+        if not lo <= k <= hi:
+            raise InvalidInputError(
+                "row %d assigned interval %d outside [%d, %d]" % (i, k, lo, hi))
     seq = list(cert.dummy_vars)
     for k in range(1, num_intervals + 1):
         seq.append(cert.col_vars[k - 1])

@@ -386,3 +386,81 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p cnf 3 2")
+
+
+# ---------------------------------------------------------------------------
+# validation policy and header errors
+# ---------------------------------------------------------------------------
+
+def _count_checks(monkeypatch):
+    """Wrap the three grid-condition checkers with call counters."""
+    from permcsp import validate
+    counts = {}
+    for name in ("check_biclique_structure", "check_regularity",
+                 "check_stability"):
+        def counted(*args, _name=name, _check=getattr(validate, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _check(*args)
+        monkeypatch.setattr(validate, name, counted)
+    return counts
+
+
+def test_each_grid_condition_is_checked_once_per_entry_point(
+        tmp_path, capsys, monkeypatch):
+    src = tmp_path / "tri.graph"
+    src.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    out = tmp_path / "chain"
+    counts = _count_checks(monkeypatch)
+    code, _, _ = run(capsys, [
+        "reduce", str(src), "--steps",
+        "col2clique,clique2biclique,biclique2perm4", "--out-dir", str(out)])
+    assert code == 0
+    # G: regularity and stability once, by col2clique.  H: structure,
+    # regularity and stability (at D, then D + 1) by clique2biclique; G's
+    # stability there too; the three again by biclique2perm4.
+    assert counts == {"check_biclique_structure": 2, "check_regularity": 3,
+                      "check_stability": 5}
+    counts.clear()
+    code, stdout, _ = run(capsys, [
+        "verify", str(out / "step3-biclique2perm4.pcsp"),
+        str(out / "step2-clique2biclique.grid")])
+    assert code == 0 and stdout.rstrip().endswith("PASS")
+    # Once by verify itself, once by the regeneration it compares with.
+    assert counts == {"check_biclique_structure": 2, "check_regularity": 2,
+                      "check_stability": 2}
+
+
+@pytest.mark.parametrize("text, why", [
+    ("p grid 0\n", "side must be positive"),
+    ("p grid 3\nc kind biclique\n", "biclique grids need an even side"),
+    ("c made by hand\np grid -1 2\n", "side must be positive"),
+])
+def test_bad_grid_header_names_its_line(tmp_path, capsys, text, why):
+    path = tmp_path / "bad.grid"
+    path.write_text(text)
+    code, _, err = run(capsys, ["solve", str(path)])
+    lineno = text.count("\n", 0, text.index("p grid")) + 1
+    assert code == 2
+    assert err.startswith("error: line %d (byte %d)"
+                          % (lineno, text.index("p grid")))
+    assert why in err
+
+
+def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path):
+    import resource
+
+    path = tmp_path / "big.grid"
+    path.write_text("p grid 300\nc kind clique\n")   # a 7.5 GiB matrix
+
+    def cap_address_space():
+        limit = 1500 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "permcsp.cli", "solve", str(path)],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: line 1 (byte 0): expected a grid "
+                                  "that fits in memory")

@@ -3,6 +3,7 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import grid_from_edges
 from permcsp.core import Ordering, PermCspInstance
@@ -266,3 +267,75 @@ def test_grid_edge_errors_are_positioned(edge, expected):
     assert (exc.value.line, exc.value.offset) == (3, len(head))
     assert exc.value.expected == expected
     assert exc.value.found == edge
+
+
+def test_grid_edge_beyond_int64_is_positioned():
+    head = "p grid 2\n"
+    with pytest.raises(FormatError) as exc:
+        read_grid(head + "e 1 1 2 99999999999999999999\n")
+    assert (exc.value.line, exc.value.offset) == (2, len(head))
+    assert exc.value.expected == "vertices within 1..2"
+
+
+def test_grid_edges_keep_their_first_fault_line():
+    # Ranges are checked before self-loops, but the first faulty line (4,
+    # a self-loop) is the one named, not line 5 (out of range).
+    text = "p grid 4\nc kind biclique\ne 1 1 3 3\ne 1 1 1 1\ne 9 1 3 3\n"
+    with pytest.raises(FormatError) as exc:
+        read_grid(text)
+    assert exc.value.line == 4
+    assert exc.value.expected == "two distinct vertices"
+
+
+@pytest.mark.parametrize("text, lineno, why", [
+    ("p grid 0\n", 1, "side must be positive"),
+    ("c x\np grid 3 1\nc kind biclique\n", 2, "need an even side"),
+])
+def test_grid_header_errors_are_positioned(text, lineno, why):
+    with pytest.raises(FormatError) as exc:
+        read_grid(text)
+    assert exc.value.line == lineno
+    assert exc.value.offset == text.index("p grid")
+    assert why in exc.value.expected
+
+
+@st.composite
+def _grid_texts(draw):
+    """Grid-file text over a small alphabet: sides -1..6, both kinds,
+    edge, delta and comment lines, some lines malformed."""
+    side = draw(st.integers(-1, 6))
+    n = max(side, 2) // 2
+    coord = st.integers(1, max(side, 1))
+    odd = st.sampled_from(["-1", "0", "7", "99999999999999999999", "x"])
+    placed = st.builds("e {} {} {} {}".format, st.integers(1, n),
+                       st.integers(1, n), st.integers(n + 1, 2 * n),
+                       st.integers(n + 1, 2 * n))
+    line = st.one_of(
+        st.builds("e {} {} {} {}".format, coord, coord, coord, coord),
+        placed, placed.map(lambda e: "e " + " ".join(e.split()[3::-1])),
+        st.builds("d {} {} {}".format, coord, coord, st.integers(-3, 3)),
+        st.sampled_from(["c any comment", ""]),
+    )
+    bad = st.one_of(
+        st.sampled_from(["x 1", "c kind torus", "p grid 3 x", "p grid 2"]),
+        st.builds("e {} {} {} {}".format, odd, coord, coord, coord),
+        st.builds("d {} 1 {}".format, coord, odd),
+    )
+    head = [draw(st.sampled_from(["p grid %d" % side, "p grid %d 2" % side]
+                                 * 3 + ["c no header"]))]
+    head += draw(st.sampled_from([[], ["c kind clique"], ["c kind biclique"]]))
+    body = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(bad))
+    return "\n".join(head + body) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_texts())
+def test_read_grid_fuzz_rejects_or_round_trips(text):
+    try:
+        g = read_grid(text)
+    except FormatError:
+        return
+    once = write_grid(g)
+    assert write_grid(read_grid(once)) == once

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import all_cross_row_edges, edges_among, grid_from_edges
-from permcsp.core import InvalidInputError, SizeLimitError, evaluate
+from permcsp.core import (
+    InternalConsistencyError,
+    InvalidInputError,
+    SizeLimitError,
+    evaluate,
+)
 from permcsp.reductions import (
     CnfFormula,
     GridGraph,
@@ -79,6 +84,34 @@ def test_grid_rejects_self_loop_and_out_of_range():
         g.index(0, 1)
     with pytest.raises(InvalidInputError):
         g.index(1, 3)
+
+
+@pytest.mark.parametrize("kind, side", [("clique", 3), ("biclique", 4),
+                                        ("biclique", 6)])
+def test_grid_from_edges_matches_a_loop_reference(kind, side):
+    # Random edges, repeated and in both orientations, against a dense
+    # matrix and an edge list built one edge at a time in Python.
+    rng = random.Random(side)
+    n = side // 2
+    for _ in range(10):
+        edges = []
+        for _ in range(rng.randint(0, 12)):
+            if kind == "clique":
+                a, b = rng.sample([(i, j) for i in range(1, side + 1)
+                                   for j in range(1, side + 1)], 2)
+            else:
+                a = (rng.randint(1, n), rng.randint(1, n))
+                b = (rng.randint(n + 1, side), rng.randint(n + 1, side))
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        g = GridGraph.from_edges(side, edges, kind=kind)
+        dense = np.zeros((side * side, side * side), dtype=bool)
+        for (i, j), (k, l) in edges:
+            u, v = (i - 1) * side + j - 1, (k - 1) * side + l - 1
+            dense[u, v] = dense[v, u] = True
+        assert np.array_equal(g.adj, dense)
+        assert list(g.edges()) == sorted({tuple(sorted(e)) for e in edges})
+        assert g.num_edges() == len(set(g.edges()))
+        assert all(g.has_edge(a, b) and g.has_edge(b, a) for a, b in edges)
 
 
 def test_grid_cross_matrix_layout():
@@ -341,8 +374,45 @@ def test_doubling_may_bump_D_for_stability():
 
 def test_doubling_rejects_irregular_input():
     g = grid_from_edges(2, [((1, 1), (2, 2))], D=1)   # degree not constant
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match="input violates row-pair regularity"):
         reduce_dcnnc_to_dcnnb(g)
+
+
+def test_doubling_rejects_unstable_input():
+    # Regular (every row-pair degree is 1) but columns 1 and 2 of row 1
+    # differ in rows 2 and 3: unstable at D = 1, fine at D = 2.
+    edges = [((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3)),
+             ((1, 1), (3, 1)), ((1, 2), (3, 2)), ((1, 3), (3, 3)),
+             ((2, 1), (3, 1)), ((2, 2), (3, 2)), ((2, 3), (3, 3))]
+    with pytest.raises(InvalidInputError, match="input violates stability"):
+        reduce_dcnnc_to_dcnnb(grid_from_edges(3, edges, D=1))
+    assert reduce_dcnnc_to_dcnnb(grid_from_edges(3, edges, D=2)).D in (2, 3)
+
+
+def test_doubling_stores_only_the_cross_block():
+    import tracemalloc
+
+    g, bound = reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3))
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+    assert grid.side == 27
+    tracemalloc.start()
+    try:
+        h = reduce_dcnnc_to_dcnnb(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A dense 54-row biclique matrix alone would be 16 * 27**4 bytes.
+    assert peak < 4 * 27 ** 4
+    assert h.cross_matrix().shape == (27 ** 2, 27 ** 2)
+
+
+@pytest.mark.parametrize("check", ["check_regularity", "check_stability"])
+def test_coloring_construction_failure_is_internal(monkeypatch, check):
+    failing = validate.ConditionReport(check, False, (("made up",),))
+    monkeypatch.setattr(validate, check, lambda *args: (failing, None))
+    with pytest.raises(InternalConsistencyError, match="construction broke"):
+        reduce_coloring_to_dcnnc(nx.path_graph(range(1, 4)), degree_bound=2)
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,19 @@ def test_row_biclique_n2_pairing():
 
 
 def test_row_biclique_rejects_misplaced_edges():
+    # The grid type refuses a misplaced edge, from a caller or from a file,
+    # so the search never sees one.
     from permcsp.core import InvalidInputError
-    h = grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
+    from permcsp.formats import FormatError, read_grid
     with pytest.raises(InvalidInputError):
-        solve_row_biclique(h)
+        grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
+    head = "p grid 2\nc kind biclique\ne 1 1 2 2\n"
+    with pytest.raises(FormatError) as exc:
+        read_grid(head + "e 1 1 1 2\n")
+    assert (exc.value.line, exc.value.offset) == (4, len(head))
+    assert exc.value.found == "e 1 1 1 2"
+    assert "joined to a bottom vertex" in exc.value.expected
+    assert solve_row_biclique(read_grid(head)) == RowSelection((1, 2))
 
 
 def test_row_biclique_matches_exhaustive(rng):

@@ -105,10 +105,17 @@ def test_structure_accepts_doubled_grid():
 
 
 def test_structure_rejects_misplaced_edge():
-    h = grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
-    report = check_biclique_structure(h)
-    assert not report.holds
-    assert "outside the bipartite blocks" in str(report.violations[0])
+    # A biclique grid holds only top-vs-bottom edges: a misplaced one is
+    # refused by add_edge, before any structure check could see it.
+    h = GridGraph(4, kind="biclique")
+    for a, b in [((1, 1), (1, 2)), ((3, 3), (4, 4)), ((1, 1), (3, 2)),
+                 ((1, 3), (3, 3))]:
+        with pytest.raises(InvalidInputError, match="joined to a bottom"):
+            h.add_edge(a, b)
+    h.add_edge((3, 3), (1, 2))          # bottom-to-top is the same edge
+    assert list(h.edges()) == [((1, 2), (3, 3))]
+    assert h.has_edge((1, 2), (3, 3)) and not h.has_edge((1, 1), (1, 2))
+    assert not check_biclique_structure(h).holds
 
 
 def test_structure_rejects_asymmetric_cross():
@@ -137,10 +144,13 @@ def test_structure_rejects_odd_side():
 
 
 def test_report_lines_format():
-    h = grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
+    with pytest.raises(InvalidInputError, match="joined to a bottom"):
+        grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
+    h = grid_from_edges(4, [((1, 2), (3, 3))], kind="biclique")
     lines = check_biclique_structure(h).lines()
-    assert lines[0] == "check bipartite-symmetry fail"
-    assert lines[1].startswith("  violation ")
+    assert lines == ["check bipartite-symmetry fail",
+                     "  violation ((1, 1), (3, 4), 'symmetry partner missing')",
+                     "  violation ((1, 2), (3, 3), 'symmetry partner missing')"]
     ok = check_biclique_structure(reduce_dcnnc_to_dcnnb(GridGraph(1)))
     assert ok.lines() == ["check bipartite-symmetry pass"]
 
