@@ -182,6 +182,8 @@ def read_grid(text: str) -> GridGraph:
                 kind = tokens[2]
             continue
         if tokens[0] == "p":
+            if side is not None:
+                raise lines.error(lineno, "one 'p grid' header", line)
             if len(tokens) not in (3, 4) or tokens[1] != "grid":
                 raise lines.error(lineno, "header 'p grid <side> [D]'", line)
             vals = _ints(lines, lineno, tokens[2:])

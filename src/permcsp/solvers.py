@@ -296,41 +296,38 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
 # ---------------------------------------------------------------------------
 
 def solve_3coloring(g: nx.Graph) -> Optional[Dict[int, int]]:
-    """Proper 3-coloring by backtracking with forward checking.
+    """Proper 3-coloring by backtracking with arc consistency.
 
-    Vertices are tried in degree-descending order (ties by label); the
-    first vertex is fixed to color 0 for symmetry breaking.
+    Vertices are tried in degree-descending order (ties by label), colors
+    ascending; the first vertex is fixed to color 0 for symmetry breaking.
+    Candidate colors are 3-bit masks, and a mask left with one color
+    removes it from the neighbors' masks.  That prunes only colors no
+    completion can use, so the result is the first coloring in this order.
     """
     order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
-    if not order:
-        return {}
-    domains = {v: {0, 1, 2} for v in order}
-    domains[order[0]] = {0}
-    coloring: Dict[int, int] = {}
+    pos = {v: k for k, v in enumerate(order)}
+    nbrs = [[pos[u] for u in g[v] if u != v] for v in order]
 
-    def assign(k):
+    def assign(k, masks):
         if k == len(order):
-            return True
-        v = order[k]
-        for color in sorted(domains[v]):
-            coloring[v] = color
-            removed = []
-            ok = True
-            for u in g[v]:
-                if u not in coloring and color in domains[u]:
-                    domains[u].discard(color)
-                    removed.append(u)
-                    if not domains[u]:
-                        ok = False
-                        break
-            if ok and assign(k + 1):
-                return True
-            for u in removed:
-                domains[u].add(color)
-            del coloring[v]
-        return False
+            return {v: masks[i].bit_length() - 1 for i, v in enumerate(order)}
+        for bit in (1, 2, 4):
+            if masks[k] & bit:
+                trial, stack = masks[:], [k]
+                trial[k] = bit
+                while stack:
+                    v = stack.pop()
+                    for u in nbrs[v]:
+                        if trial[u] & trial[v]:
+                            trial[u] &= ~trial[v]
+                            if not trial[u] & (trial[u] - 1):
+                                stack.append(u)
+                found = assign(k + 1, trial) if all(trial) else None
+                if found is not None:
+                    return found
+        return None
 
-    return dict(coloring) if assign(0) else None
+    return assign(0, [1] + [7] * (len(order) - 1))
 
 
 # ---------------------------------------------------------------------------

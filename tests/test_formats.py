@@ -255,6 +255,13 @@ def test_grid_delta_rows_in_range():
         read_grid("p grid 2\nd 1 3 5\n")
 
 
+def test_grid_second_header_rejected():
+    # Delta and edge lines are checked against the header above them.
+    with pytest.raises(FormatError) as exc:
+        read_grid("p grid 3\nd 1 3 0\np grid 2\n")
+    assert exc.value.line == 3
+
+
 @pytest.mark.parametrize("edge, expected", [
     ("e 1 1 3 1", "vertices within 1..2"),
     ("e 0 1 2 2", "vertices within 1..2"),

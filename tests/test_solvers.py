@@ -202,6 +202,22 @@ def test_coloring_is_proper_on_random_graphs(rng):
             assert all(col[u] != col[v] for u, v in g.edges())
 
 
+def test_coloring_is_first_in_search_order(rng):
+    """Propagation only prunes: the answer is the first proper coloring
+    with vertices in degree-descending order (ties by label), colors
+    ascending and the first vertex at 0, as plain backtracking finds it."""
+    import networkx as nx
+    for _ in range(30):
+        g = nx.gnp_random_graph(rng.randint(1, 8), 0.45,
+                                seed=rng.randint(0, 10 ** 6))
+        order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+        first = next((col for col in (
+            dict(zip(order, (0,) + rest))
+            for rest in itertools.product(range(3), repeat=len(order) - 1))
+            if all(col[u] != col[v] for u, v in g.edges())), None)
+        assert solve_3coloring(g) == first
+
+
 # ---------------------------------------------------------------------------
 # solve_row_clique / solve_row_biclique
 # ---------------------------------------------------------------------------
