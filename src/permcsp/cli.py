@@ -48,6 +48,8 @@ _STEPS = {
 _EXT = {"cnf": "cnf", "graph": "graph", "grid-clique": "grid",
         "grid-biclique": "grid", "cert": "pcsp"}
 
+_KINDS = {"cnf": "cnf", "edge": "graph", "grid": "grid", "pcsp": "pcsp"}
+
 
 def _write(path, text):
     with open(path, "w") as fh:
@@ -61,19 +63,6 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise InvalidInputError("cannot read %s: %s" % (path, exc))
-
-
-def _sniff(text):
-    """File kind from the problem line."""
-    for line in text.split("\n"):
-        if line.startswith("c") or not line.strip():
-            continue
-        tokens = line.split()
-        if tokens[0] == "p" and len(tokens) > 1:
-            return {"cnf": "cnf", "edge": "graph", "grid": "grid",
-                    "pcsp": "pcsp"}.get(tokens[1])
-        break
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +183,7 @@ def cmd_reduce(args):
         steps = steps[:steps.index(args.stop_after) + 1]
 
     text = _read(args.input)
-    kind = _sniff(text)
+    kind = _KINDS.get(formats.header_word(text))
     if kind == "grid":
         value = formats.read_grid(text)
         kind = "grid-biclique" if value.kind == "biclique" else "grid-clique"
@@ -276,7 +265,7 @@ def _report_result(instance, result, target):
 
 def cmd_solve(args):
     text = _read(args.instance)
-    kind = _sniff(text)
+    kind = _KINDS.get(formats.header_word(text))
     method = args.method
 
     if kind == "cnf":

@@ -8,7 +8,8 @@ generation order.  The grammars are documented in docs/formats.md.
 """
 
 import io
-from typing import List
+import itertools
+from typing import List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -37,42 +38,107 @@ class FormatError(PermCspError):
         )
 
 
-class _Lines:
-    """Line iterator that tracks byte offsets for error reporting."""
+_CHUNK = 1 << 16          # characters split into lines at a time
 
-    def __init__(self, text: str):
-        self.raw = text.split("\n")
-        self.offsets = []
-        pos = 0
-        for line in self.raw:
-            self.offsets.append(pos)
-            pos += len(line) + 1
-        self.idx = 0
+
+def _lines(text: str):
+    """(line number, stripped text) of each non-blank LF-terminated line,
+    splitting one chunk of the text at a time."""
+    lineno = start = 0
+    while start <= len(text):
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        for line in text[start:end].split("\n"):
+            lineno += 1
+            line = line.strip()
+            if line:
+                yield lineno, line
+        start = end + 1
+
+
+class _Scanner:
+    """One pass over a text in any of these formats, yielding (line
+    number, tokens) for each body line.
+
+    A line starting with ``c`` is a comment, kept in :attr:`comments`.  A
+    ``p <word>`` line is the header, at most one per text.  Given a header
+    grammar such as ``p grid <side> [D]`` (``[D]`` marks an optional
+    field), the header must match it and come before any body line, and
+    its integers are :attr:`fields`.  Without a grammar, any header word
+    is taken (see :func:`header_word`).
+    """
+
+    def __init__(self, text: str, grammar: Optional[str] = None):
+        self.text = text
+        self.grammar = grammar
+        self.word = grammar and grammar.split()[1]
+        self.header: Optional[int] = None           # its line number
+        self.fields: Optional[List[int]] = None
+        self.comments: List[Tuple[int, List[str]]] = []
 
     def __iter__(self):
-        return self
+        grammar = self.grammar
+        for lineno, line in _lines(self.text):
+            tokens = line.split()
+            if line[0] == "c":
+                self.comments.append((lineno, tokens))
+            elif tokens[0] != "p":
+                if grammar and self.header is None:
+                    raise self.error(lineno,
+                                     "the 'p %s' header first" % self.word)
+                yield lineno, tokens
+            elif self.header is not None:
+                raise self.error(lineno, "one 'p %s' header" % self.word)
+            elif grammar is None:
+                self.header, self.word = lineno, (tokens + [""])[1]
+            else:
+                self.header = lineno
+                size = len(grammar.split())
+                if (tokens[1:2] != [self.word] or not
+                        size - grammar.count("[") <= len(tokens) <= size):
+                    raise self.error(lineno, "header '%s'" % grammar)
+                self.fields = self.ints(lineno, tokens[2:])
+        if grammar and self.header is None:
+            raise FormatError(1, 0, "a 'p %s' header" % self.word,
+                              "end of input")
 
-    def __next__(self):
-        while self.idx < len(self.raw):
-            i = self.idx
-            self.idx += 1
-            line = self.raw[i].strip()
-            if line:
-                return i + 1, self.offsets[i], line
-        raise StopIteration
-
-    def error(self, lineno: int, expected: str, found: str) -> FormatError:
-        return FormatError(lineno, self.offsets[lineno - 1], expected, found)
-
-
-def _ints(lines: "_Lines", lineno: int, tokens: List[str]) -> List[int]:
-    out = []
-    for tok in tokens:
+    def ints(self, lineno: int, tokens: List[str]) -> List[int]:
+        """The tokens as integers; the first that is not one is named."""
         try:
-            out.append(int(tok))
+            return list(map(int, tokens))
         except ValueError:
-            raise lines.error(lineno, "an integer", tok)
-    return out
+            for tok in tokens:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise self.error(lineno, "an integer", tok) from None
+            raise
+
+    def error(self, lineno: int, expected: str,
+              found: Optional[str] = None) -> FormatError:
+        """A FormatError at the start of line ``lineno``; ``found``
+        defaults to the line's stripped text."""
+        offset = 0
+        for _ in range(lineno - 1):
+            offset = self.text.index("\n", offset) + 1
+        if found is None:
+            end = self.text.find("\n", offset)
+            found = self.text[offset:end if end >= 0 else None].strip()
+        return FormatError(lineno, offset, expected, found)
+
+    def end_error(self, expected: str, found: str) -> FormatError:
+        """A FormatError at the start of the text's last line."""
+        return FormatError(self.text.count("\n") + 1,
+                           self.text.rfind("\n") + 1, expected, found)
+
+
+def header_word(text: str) -> Optional[str]:
+    """The word of the ``p <word>`` header that opens ``text`` (after
+    comments and blank lines), or None when a body line comes first."""
+    scan = _Scanner(text)
+    next(iter(scan), None)              # stop at the first body line
+    return scan.word
 
 
 # ---------------------------------------------------------------------------
@@ -80,38 +146,26 @@ def _ints(lines: "_Lines", lineno: int, tokens: List[str]) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def read_dimacs(text: str) -> CnfFormula:
-    lines = _Lines(text)
-    num_vars = num_clauses = None
+    scan = _Scanner(text, "p cnf <vars> <clauses>")
     clauses = []
     pending: List[int] = []
-    for lineno, _, line in lines:
-        if line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise lines.error(lineno, "header 'p cnf <vars> <clauses>'", line)
-            num_vars, num_clauses = _ints(lines, lineno, tokens[2:])
-            continue
-        if num_vars is None:
-            raise lines.error(lineno, "the 'p cnf' header first", line)
-        for lit in _ints(lines, lineno, tokens):
+    for lineno, tokens in scan:
+        num_vars = scan.fields[0]
+        for lit in scan.ints(lineno, tokens):
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
             elif abs(lit) > num_vars:
-                raise lines.error(lineno, "literal within 1..%d" % num_vars,
-                                  str(lit))
+                raise scan.error(lineno, "literal within 1..%d" % num_vars,
+                                 str(lit))
             else:
                 pending.append(lit)
-    if num_vars is None:
-        raise FormatError(1, 0, "a 'p cnf' header", "end of input")
+    num_vars, num_clauses = scan.fields
     if pending:
-        raise FormatError(len(lines.raw), lines.offsets[-1],
-                          "clause terminated by 0", "end of input")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise FormatError(len(lines.raw), lines.offsets[-1],
-                          "%d clauses" % num_clauses, "%d clauses" % len(clauses))
+        raise scan.end_error("clause terminated by 0", "end of input")
+    if len(clauses) != num_clauses:
+        raise scan.end_error("%d clauses" % num_clauses,
+                             "%d clauses" % len(clauses))
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
@@ -126,30 +180,20 @@ def write_dimacs(cnf: CnfFormula) -> str:
 # ---------------------------------------------------------------------------
 
 def read_graph(text: str) -> nx.Graph:
-    lines = _Lines(text)
-    g = None
-    for lineno, _, line in lines:
-        if line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise lines.error(lineno, "header 'p edge <vertices> <edges>'", line)
-            n, _m = _ints(lines, lineno, tokens[2:])
-            g = nx.Graph()
-            g.add_nodes_from(range(1, n + 1))
-            continue
-        if g is None:
-            raise lines.error(lineno, "the 'p edge' header first", line)
+    scan = _Scanner(text, "p edge <vertices> <edges>")
+    edges = []
+    for lineno, tokens in scan:
+        n = max(scan.fields[0], 0)
         if tokens[0] != "e" or len(tokens) != 3:
-            raise lines.error(lineno, "edge line 'e <u> <v>'", line)
-        u, v = _ints(lines, lineno, tokens[1:])
-        if not (1 <= u <= g.number_of_nodes() and 1 <= v <= g.number_of_nodes()):
-            raise lines.error(lineno, "endpoints within 1..%d" % g.number_of_nodes(),
-                              line)
-        g.add_edge(u, v)
-    if g is None:
-        raise FormatError(1, 0, "a 'p edge' header", "end of input")
+            raise scan.error(lineno, "edge line 'e <u> <v>'")
+        u, v = scan.ints(lineno, tokens[1:])
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise scan.error(lineno, "endpoints within 1..%d" % n)
+        if u == v:
+            raise scan.error(lineno, "two distinct vertices")
+        edges.append((u, v))
+    g = nx.empty_graph(range(1, scan.fields[0] + 1))
+    g.add_edges_from(edges)
     return g
 
 
@@ -168,66 +212,50 @@ def read_grid(text: str) -> GridGraph:
     """Parse a grid file.  Every edge line is range-, self-loop- and (on a
     biclique grid) placement-checked at once, on the whole edge array, when
     the edges are set; the first offending line is then named."""
-    lines = _Lines(text)
-    kind = "clique"
-    side = D = None
-    edges = []
+    scan = _Scanner(text, "p grid <side> [D]")
+    coords: List[int] = []          # i1, j1, i2, j2 of each edge line
     deltas = []
-    for lineno, _, line in lines:
-        tokens = line.split()
-        if tokens[0] == "c":
-            if len(tokens) == 3 and tokens[1] == "kind":
-                if tokens[2] not in ("clique", "biclique"):
-                    raise lines.error(lineno, "kind clique|biclique", tokens[2])
-                kind = tokens[2]
-            continue
-        if tokens[0] == "p":
-            if side is not None:
-                raise lines.error(lineno, "one 'p grid' header", line)
-            if len(tokens) not in (3, 4) or tokens[1] != "grid":
-                raise lines.error(lineno, "header 'p grid <side> [D]'", line)
-            vals = _ints(lines, lineno, tokens[2:])
-            side = vals[0]
-            D = vals[1] if len(vals) > 1 else None
-            header = lineno, line
-            continue
-        if side is None:
-            raise lines.error(lineno, "the 'p grid' header first", line)
+    for lineno, tokens in scan:
         if tokens[0] == "e":
             if len(tokens) != 5:
-                raise lines.error(lineno, "edge line 'e i1 j1 i2 j2'", line)
-            edges.append(_ints(lines, lineno, tokens[1:]))
+                raise scan.error(lineno, "edge line 'e i1 j1 i2 j2'")
+            coords += scan.ints(lineno, tokens[1:])
         elif tokens[0] == "d":
             if len(tokens) != 4:
-                raise lines.error(lineno, "delta line 'd i k value'", line)
-            i, k, val = _ints(lines, lineno, tokens[1:])
+                raise scan.error(lineno, "delta line 'd i k value'")
+            side = scan.fields[0]
+            i, k, val = scan.ints(lineno, tokens[1:])
             if not (1 <= i <= side and 1 <= k <= side):
-                raise lines.error(lineno, "rows within 1..%d" % side, line)
+                raise scan.error(lineno, "rows within 1..%d" % side)
             if not -2 ** 63 <= val < 2 ** 63:
-                raise lines.error(lineno, "a 64-bit delta value", line)
+                raise scan.error(lineno, "a 64-bit delta value")
             deltas.append((i, k, val))
         else:
-            raise lines.error(lineno, "an 'e', 'd' or comment line", line)
-    if side is None:
-        raise FormatError(1, 0, "a 'p grid' header", "end of input")
+            raise scan.error(lineno, "an 'e', 'd' or comment line")
+    kind = "clique"
+    for lineno, tokens in scan.comments:
+        if len(tokens) == 3 and tokens[1] == "kind":
+            if tokens[2] not in ("clique", "biclique"):
+                raise scan.error(lineno, "kind clique|biclique", tokens[2])
+            kind = tokens[2]
+    side, D = (scan.fields + [None])[:2]
     try:
         grid = GridGraph(side, kind=kind, D=D)
     except MemoryError:
-        raise lines.error(header[0], "a grid that fits in memory", header[1])
+        raise scan.error(scan.header, "a grid that fits in memory")
     except ValueError as exc:          # InvalidInputError, or numpy's size cap
-        raise lines.error(header[0], "a valid %s grid header (%s)"
-                          % (kind, exc), header[1])
+        raise scan.error(scan.header, "a valid %s grid header (%s)"
+                         % (kind, exc))
     if deltas:
         grid.delta_table = np.zeros((side, side), dtype=np.int64)
         for i, k, val in deltas:
             grid.delta_table[i - 1, k - 1] = val
     try:
-        grid.add_edges(edges)
+        grid.add_edges(coords)
     except InvalidInputError:
-        k, expected = grid.misfit(edges)
-        lineno = [n for n, _, line in _Lines(text)
-                  if line.split()[0] == "e"][k]
-        raise lines.error(lineno, expected, lines.raw[lineno - 1].strip())
+        k, expected = grid.misfit(coords)
+        edge_lines = (n for n, tokens in _Scanner(text) if tokens[0] == "e")
+        raise scan.error(next(itertools.islice(edge_lines, k, None)), expected)
     return grid
 
 
@@ -262,44 +290,27 @@ def write_grid(g: GridGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_pcsp(text: str):
-    """The instance, its comment lines as (line number, text), and the
-    line iterator for positioned errors."""
-    lines = _Lines(text)
-    header = None
+    """The instance and the scanner that read it (for its comment lines
+    and positioned errors)."""
+    scan = _Scanner(text, "p pcsp <vars> <constraints> <arity>")
     constraints = []
     linenos = []
-    comments = []
-    for lineno, _, line in lines:
-        if line.startswith("c"):
-            comments.append((lineno, line))
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if len(tokens) != 5 or tokens[1] != "pcsp":
-                raise lines.error(
-                    lineno, "header 'p pcsp <vars> <constraints> <arity>'", line)
-            header = _ints(lines, lineno, tokens[2:])
-            header_lineno = lineno
-            continue
-        if header is None:
-            raise lines.error(lineno, "the 'p pcsp' header first", line)
-        vals = _ints(lines, lineno, tokens)
+    for lineno, tokens in scan:
+        num_vars = scan.fields[0]
+        vals = scan.ints(lineno, tokens)
         if vals[-1] != 0:
-            raise lines.error(lineno, "constraint terminated by 0", line)
+            raise scan.error(lineno, "constraint terminated by 0")
         body = vals[:-1]
         if 0 in body:
-            raise lines.error(lineno, "one constraint per line", line)
-        if any(not 1 <= v <= header[0] for v in body):
-            raise lines.error(lineno, "indices within 1..%d" % header[0], line)
+            raise scan.error(lineno, "one constraint per line")
+        if any(not 1 <= v <= num_vars for v in body):
+            raise scan.error(lineno, "indices within 1..%d" % num_vars)
         constraints.append(tuple(body))
         linenos.append(lineno)
-    if header is None:
-        raise FormatError(1, 0, "a 'p pcsp' header", "end of input")
-    num_vars, num_constraints, arity = header
+    num_vars, num_constraints, arity = scan.fields
     if len(constraints) != num_constraints:
-        raise FormatError(len(lines.raw), lines.offsets[-1],
-                          "%d constraints" % num_constraints,
-                          "%d constraints" % len(constraints))
+        raise scan.end_error("%d constraints" % num_constraints,
+                             "%d constraints" % len(constraints))
     instance = PermCspInstance(num_vars=num_vars,
                                constraints=tuple(constraints), arity=arity)
     if validate_instance(instance):
@@ -307,11 +318,10 @@ def _parse_pcsp(text: str):
         # that the solvers rely on.
         for lineno, c in zip(linenos, constraints):
             if validate_instance(PermCspInstance(num_vars, (c,), arity)):
-                raise lines.error(lineno, "1..%d distinct variables" % arity,
-                                  lines.raw[lineno - 1].strip())
-        raise lines.error(header_lineno, "a positive variable count",
-                          str(num_vars))
-    return instance, comments, lines
+                raise scan.error(lineno, "1..%d distinct variables" % arity)
+        raise scan.error(scan.header, "a positive variable count",
+                         str(num_vars))
+    return instance, scan
 
 
 def read_instance(text: str) -> PermCspInstance:
@@ -326,11 +336,13 @@ def write_instance(instance: PermCspInstance) -> str:
 
 
 def read_ordering(text: str) -> Ordering:
-    lines = _Lines(text)
-    for lineno, _, line in lines:
-        seq = _ints(lines, lineno, line.split())
-        return Ordering.from_sequence(seq)
-    raise FormatError(1, 0, "one line of variable indices", "end of input")
+    scan = _Scanner(text)
+    lineno, tokens = next(iter(scan), (None, None))
+    if scan.header is not None:         # an ordering has no header
+        raise scan.error(scan.header, "an integer", "p")
+    if tokens is None:
+        raise FormatError(1, 0, "one line of variable indices", "end of input")
+    return Ordering.from_sequence(scan.ints(lineno, tokens))
 
 
 def write_ordering(ordering: Ordering) -> str:
@@ -342,34 +354,32 @@ _INT_PARAMS = ("n", "D", "source-edges", "delta-sum")
 
 
 def read_certificate(text: str) -> ReductionCertificate:
-    instance, comments, lines = _parse_pcsp(text)
+    instance, scan = _parse_pcsp(text)
     target = None
     params = {}
     roles = {}
-    for lineno, line in comments:
-        tokens = line.split()
+    for lineno, tokens in scan.comments:
         if len(tokens) >= 3 and tokens[1] == "target":
-            target, = _ints(lines, lineno, tokens[2:3])
+            target, = scan.ints(lineno, tokens[2:3])
         elif len(tokens) >= 4 and tokens[1] == "param":
             key, value = tokens[2], tokens[3]
             if key in _INT_PARAMS:
-                value, = _ints(lines, lineno, [value])
+                value, = scan.ints(lineno, [value])
             elif key == "kind" and value not in ("perm4", "perm6"):
-                raise lines.error(lineno, "kind perm4|perm6", value)
+                raise scan.error(lineno, "kind perm4|perm6", value)
             params[key] = value
         elif len(tokens) >= 4 and tokens[1] == "role":
             if len(tokens) != 5:
-                raise lines.error(lineno, "role line 'c role <var> r|c|d "
-                                  "<index>'", line)
-            var, idx = _ints(lines, lineno, [tokens[2], tokens[4]])
+                raise scan.error(lineno, "role line 'c role <var> r|c|d "
+                                 "<index>'")
+            var, idx = scan.ints(lineno, [tokens[2], tokens[4]])
             if tokens[3] not in _ROLE_CODES:
-                raise lines.error(lineno, "role code r|c|d", tokens[3])
+                raise scan.error(lineno, "role code r|c|d", tokens[3])
             roles[var] = (tokens[3], idx)
     required = ["kind", "n"] + (["D"] if params.get("kind") == "perm4" else [])
     if target is None or any(key not in params for key in required):
-        raise FormatError(len(lines.raw), lines.offsets[-1],
-                          "certificate trailer with target/%s"
-                          % "/".join(required), "missing trailer")
+        raise scan.end_error("certificate trailer with target/%s"
+                             % "/".join(required), "missing trailer")
 
     def by_role(code):
         picked = sorted(((idx, var) for var, (c, idx) in roles.items()

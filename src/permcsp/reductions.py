@@ -440,6 +440,9 @@ def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
     n0 = len(nodes)
     if nodes != list(range(1, n0 + 1)):
         raise InvalidInputError("graph vertices must be 1..n")
+    loops = list(nx.nodes_with_selfloops(g))
+    if loops:
+        raise InvalidInputError("graph has a self-loop at vertex %d" % loops[0])
     x = coloring_grid_digits(n0, degree_bound)
     nprime = 3 ** x
     if nprime > row_cap:

@@ -76,32 +76,7 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
             "instance has %d variables, above the brute-force limit %d "
             "(raise the limit explicitly to override)" % (n, limit)
         )
-    if n <= 6:
-        return _brute_small(instance)
     return _brute_batched(instance, threads)
-
-
-def _brute_small(instance):
-    pos = [0] * (instance.num_vars + 1)
-    cons = instance.constraints
-    best, best_seq, nodes = -1, None, 0
-    for seq in itertools.permutations(range(1, instance.num_vars + 1)):
-        nodes += 1
-        for p, v in enumerate(seq):
-            pos[v] = p
-        count = 0
-        for c in cons:
-            prev = -1
-            for v in c:
-                p = pos[v]
-                if p <= prev:
-                    break
-                prev = p
-            else:
-                count += 1
-        if count > best:
-            best, best_seq = count, seq
-    return SolveResult(best, Ordering.from_sequence(best_seq), nodes)
 
 
 def _brute_batched(instance, threads):
@@ -306,7 +281,7 @@ def solve_3coloring(g: nx.Graph) -> Optional[Dict[int, int]]:
     """
     order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
     pos = {v: k for k, v in enumerate(order)}
-    nbrs = [[pos[u] for u in g[v] if u != v] for v in order]
+    nbrs = [[pos[u] for u in g[v]] for v in order]
 
     def assign(k, masks):
         if k == len(order):

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from permcsp.core import InvalidInputError, Ordering
-from permcsp.reductions import GridGraph, ReductionCertificate
+from permcsp.reductions import GridGraph, ReductionCertificate, ternary_gray
 from permcsp.solvers import RowSelection
 
 _MAX_VIOLATIONS = 20
@@ -161,8 +161,6 @@ def map_coloring_to_selection(coloring: Dict[int, int],
     Padding vertices (absent from the coloring) default to color 0; their
     color never matters because they are isolated.
     """
-    from permcsp.reductions import ternary_gray
-
     blocks = grid.meta.get("blocks")
     x = grid.meta.get("x")
     if blocks is None or x is None:
@@ -178,8 +176,6 @@ def map_coloring_to_selection(coloring: Dict[int, int],
 def map_selection_to_coloring(sel: RowSelection,
                               grid: GridGraph) -> Dict[int, int]:
     """Row selection of the grid -> coloring of the original vertices."""
-    from permcsp.reductions import ternary_gray
-
     blocks = grid.meta.get("blocks")
     x = grid.meta.get("x")
     num_original = grid.meta.get("num_original")

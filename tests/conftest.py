@@ -53,6 +53,17 @@ def cross_edges_among(h, selection):
     return count
 
 
+def assert_error_at(err, text, line):
+    """Assert that FormatError ``err`` points at the start of the one line
+    of ``text`` that reads ``line``: its 1-based number and the offset of
+    its first character."""
+    lines = text.split("\n")
+    assert lines.count(line) == 1
+    k = lines.index(line)
+    offset = sum(len(l) + 1 for l in lines[:k])
+    assert (err.line, err.offset) == (k + 1, offset)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0)

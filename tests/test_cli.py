@@ -158,6 +158,21 @@ def test_reduce_rejects_wrong_input_kind(tmp_path, capsys):
     assert code == 2
 
 
+def test_graph_self_loop_is_usage_error(tmp_path, capsys):
+    # No proper coloring exists, so neither a coloring nor a grid may come
+    # out: the reader names the loop's line.
+    src = tmp_path / "loop.graph"
+    src.write_text("p edge 3 2\ne 1 2\ne 3 3\n")
+    for argv in (["solve", str(src)],
+                 ["reduce", str(src), "--steps", "col2clique", "--out-dir",
+                  str(tmp_path / "o")]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3 (byte 17): expected two "
+                              "distinct vertices")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

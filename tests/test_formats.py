@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import grid_from_edges
+from conftest import assert_error_at, grid_from_edges
 from permcsp.core import Ordering, PermCspInstance
 from permcsp.formats import (
     FormatError,
@@ -92,6 +92,14 @@ def test_graph_round_trip():
 def test_graph_zero_edges():
     g = read_graph("p edge 3 0\n")
     assert g.number_of_nodes() == 3 and g.number_of_edges() == 0
+
+
+def test_graph_rejects_self_loop():
+    text = "p edge 3 2\ne 1 2\ne 3 3\n"
+    with pytest.raises(FormatError) as exc:
+        read_graph(text)
+    assert_error_at(exc.value, text, "e 3 3")
+    assert exc.value.expected == "two distinct vertices"
 
 
 def test_graph_errors():
@@ -247,6 +255,21 @@ def test_certificate_trailer_errors_are_positioned(old, new, expected):
     assert expected in exc.value.expected
 
 
+@pytest.mark.parametrize("reader, text, second", [
+    (read_dimacs, "p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "p cnf 1 1"),
+    (read_graph, "p edge 3 1\ne 1 2\np edge 3 0\n", "p edge 3 0"),
+    (read_instance, "p pcsp 3 2 2\n1 2 0\np pcsp 5 2 3\n3 4 5 0\n",
+     "p pcsp 5 2 3"),
+    (read_certificate, "p pcsp 2 1 2\n1 2 0\nc target 1\nc param kind perm6\n"
+     "c param n 1\np pcsp 3 1 2\n", "p pcsp 3 1 2"),
+], ids=["dimacs", "graph", "instance", "certificate"])
+def test_second_header_rejected_at_its_line(reader, text, second):
+    with pytest.raises(FormatError) as exc:
+        reader(text)
+    assert_error_at(exc.value, text, second)
+    assert exc.value.expected == "one '%s' header" % second[:6].strip()
+
+
 def test_grid_delta_rows_in_range():
     with pytest.raises(FormatError) as exc:
         read_grid("p grid 2\nd 0 1 5\n")
@@ -346,3 +369,102 @@ def test_read_grid_fuzz_rejects_or_round_trips(text):
         return
     once = write_grid(g)
     assert write_grid(read_grid(once)) == once
+
+
+@st.composite
+def _texts(draw, valid, bad):
+    """Text over a small alphabet: the lines of a valid file, with comment
+    and blank lines put anywhere, sometimes no header, and sometimes one
+    ``bad`` line (a malformed one or a second header) put anywhere."""
+    lines = draw(valid)
+    if draw(st.integers(0, 9)) == 0:
+        lines[0] = "c no header"
+    for extra in draw(st.lists(st.sampled_from(["c any", "", "  "]),
+                               max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    return "\n".join(lines) + "\n"
+
+
+def _joined(vals, end=""):
+    return " ".join(map(str, vals)) + end
+
+
+@st.composite
+def _cnf_lines(draw):
+    v = draw(st.integers(0, 3))
+    lit = st.integers(1, v).flatmap(lambda x: st.sampled_from([x, -x]))
+    clauses = draw(st.lists(st.lists(lit, max_size=3) if v else st.just([]),
+                            max_size=3))
+    return (["p cnf %d %d" % (v, len(clauses))]
+            + [_joined(c, " 0").strip() for c in clauses])
+
+
+@st.composite
+def _graph_lines(draw):
+    n = draw(st.integers(0, 4))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return (["p edge %d %d" % (n, len(edges))]
+            + ["e %d %d" % (e if draw(st.booleans()) else e[::-1])
+               for e in edges])
+
+
+@st.composite
+def _pcsp_lines(draw):
+    v, arity = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cons = draw(st.lists(st.lists(st.integers(1, v), min_size=1,
+                                  max_size=min(v, arity), unique=True),
+                         max_size=3))
+    return (["p pcsp %d %d %d" % (v, len(cons), arity)]
+            + [_joined(c, " 0") for c in cons])
+
+
+@st.composite
+def _cert_lines(draw):
+    lines = draw(_pcsp_lines())
+    v = int(lines[0].split()[2])
+    kind = draw(st.sampled_from(["perm4", "perm6"]))
+    trailer = ["c target %d" % draw(st.integers(0, 9)), "c param kind " + kind,
+               "c param n %d" % draw(st.integers(1, 3))]
+    trailer += draw(st.lists(st.sampled_from(
+        ["c param D 1", "c param source-edges 2", "c param delta-sum 3"]),
+        unique=True))
+    if kind == "perm4" and draw(st.integers(0, 3)):
+        trailer.append("c param D 2")
+    trailer += ["c role %d %s %d" % (var, draw(st.sampled_from("rcd")), k)
+                for k, var in enumerate(draw(st.permutations(
+                    range(1, v + 1))), start=1)]
+    return lines + draw(st.permutations(trailer))
+
+
+_pcsp_bad = ["x", "1 2", "1 0 2 0", "0", "5 0", "1 1 0", "p pcsp 3 1 2",
+             "p pcsp x 1 2", "p cnf 1 1"]
+_FUZZ = {
+    "dimacs": (read_dimacs, write_dimacs, _texts(_cnf_lines(), st.sampled_from(
+        ["x 1", "1 y 0", "4 0", "1", "p cnf 1 1", "p cnf x 1", "p edge 2 1",
+         "p", "p cnf 1"]))),
+    "graph": (read_graph, write_graph, _texts(_graph_lines(), st.sampled_from(
+        ["x 1 2", "e 1", "e 1 x", "e 0 1", "e 1 9", "e 2 2", "p edge 2 0",
+         "p grid 2", "p edge"]))),
+    "instance": (read_instance, write_instance,
+                 _texts(_pcsp_lines(), st.sampled_from(_pcsp_bad))),
+    "certificate": (read_certificate, write_certificate, _texts(
+        _cert_lines(), st.sampled_from(_pcsp_bad + [
+            "c role 1 d", "c role 1 z 1", "c role x d 1", "c target x",
+            "c param n x", "c param kind perm5"]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_fuzz_rejects_or_round_trips(name, data):
+    read, write, texts = _FUZZ[name]
+    try:
+        value = read(data.draw(texts))
+    except FormatError:
+        return
+    once = write(value)
+    assert write(read(once)) == once

@@ -281,6 +281,12 @@ def test_col2clique_small_graph_round_trip():
     assert all(back[u] != back[v] for u, v in g.edges())
 
 
+def test_col2clique_rejects_self_loop():
+    g = nx.Graph([(1, 2), (3, 3)])
+    with pytest.raises(InvalidInputError, match="self-loop at vertex 3"):
+        reduce_coloring_to_dcnnc(g, degree_bound=2)
+
+
 def test_col2clique_iff_with_3coloring(rng):
     for _ in range(6):
         g = nx.gnp_random_graph(rng.randint(2, 7), 0.5,

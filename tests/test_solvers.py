@@ -59,8 +59,8 @@ def test_brute_witness_is_lex_first():
 
 
 def test_brute_batched_matches_small():
-    # num_vars > 6 takes the vectorized path; compare against the pure
-    # Python path on a padded copy of the same constraints.
+    # A padded copy of the same constraints (one free variable more) has
+    # the same optimum.
     rng = random.Random(5)
     for _ in range(5):
         cons = [tuple(rng.sample(range(1, 7), rng.randint(1, 3)))
@@ -70,6 +70,31 @@ def test_brute_batched_matches_small():
         assert padded.optimum == small.optimum
         assert evaluate(PermCspInstance.make(7, cons), padded.witness) \
             == padded.optimum
+
+
+def _enumerated_optimum(instance):
+    """(optimum, first maximizing sequence, orderings tried) by plain
+    enumeration in lexicographic order."""
+    best, best_seq, nodes = -1, None, 0
+    for seq in itertools.permutations(range(1, instance.num_vars + 1)):
+        nodes += 1
+        count = evaluate(instance, Ordering.from_sequence(seq))
+        if count > best:
+            best, best_seq = count, seq
+    return best, best_seq, nodes
+
+
+@pytest.mark.parametrize("instance", [
+    PermCspInstance.make(1, []),
+    PermCspInstance.make(1, [(1,)]),
+    PermCspInstance.make(5, []),
+    PermCspInstance.make(6, [(2, 1), (3, 2), (1, 3, 4), (6, 5, 4), (5,)]),
+] + [random_instance(random.Random(seed), seed % 6 + 1, 6)
+     for seed in range(12)])
+def test_brute_matches_enumeration(instance):
+    res = solve_brute(instance)
+    assert (res.optimum, res.witness.sequence(), res.nodes_explored) \
+        == _enumerated_optimum(instance)
 
 
 def test_brute_thread_count_does_not_change_result(rng):
@@ -181,6 +206,12 @@ def test_coloring_triangle():
 def test_coloring_k4_impossible():
     import networkx as nx
     assert solve_3coloring(nx.complete_graph(range(1, 5))) is None
+
+
+def test_coloring_self_loop_has_none():
+    import networkx as nx
+    g = nx.Graph([(1, 2), (3, 3)])
+    assert solve_3coloring(g) is None
 
 
 def test_coloring_is_proper_on_random_graphs(rng):
