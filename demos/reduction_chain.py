@@ -11,9 +11,8 @@ stay tiny (3 x 3) and the final instance is printable.
 Run:  python3 demos/reduction_chain.py
 """
 
-import networkx as nx
-
 from permcsp import validate
+from permcsp.core import Graph
 from permcsp.reductions import (
     CnfFormula,
     reduce_coloring_to_dcnnc,
@@ -39,12 +38,12 @@ def main():
     g, bound = reduce_sat_to_coloring(cnf)
     col = solve_3coloring(g)
     print("coloring graph: %d vertices, %d edges, degree bound %d, "
-          "3-colorable: %s" % (g.number_of_nodes(), g.number_of_edges(),
+          "3-colorable: %s" % (g.num_vertices, len(g.edges()),
                                bound, col is not None))
     assert (sat is None) == (col is None)
 
     print("\n-- triangle to grid clique (kept tiny on purpose) --")
-    tri = nx.cycle_graph(range(1, 4))
+    tri = Graph(3, [(1, 2), (2, 3), (1, 3)])
     grid = reduce_coloring_to_dcnnc(tri, degree_bound=2)
     print("grid: side %d, %d edges, D=%d" % (grid.side, grid.num_edges(),
                                              grid.D))

@@ -2,7 +2,8 @@
 
 The package is organized as:
 
-- :mod:`permcsp.core` -- instances, orderings, the constraint evaluator
+- :mod:`permcsp.core` -- instances, orderings, the constraint evaluator,
+  simple graphs
 - :mod:`permcsp.solvers` -- brute force, subset DP, DPLL, coloring and
   row-transversal clique/biclique search, convenient-ordering search
 - :mod:`permcsp.reductions` -- the reduction chain
@@ -17,6 +18,7 @@ The package is organized as:
 
 from permcsp.core import (
     Constraint,
+    Graph,
     Ordering,
     PermCspInstance,
     evaluate,
@@ -29,6 +31,7 @@ from permcsp.core import (
 
 __all__ = [
     "Constraint",
+    "Graph",
     "Ordering",
     "PermCspInstance",
     "evaluate",

@@ -19,10 +19,9 @@ import os
 import random
 import sys
 
-import networkx as nx
-
 from permcsp import formats, reductions, solvers, validate
 from permcsp.core import (
+    Graph,
     InternalConsistencyError,
     InvalidInputError,
     PermCspError,
@@ -96,23 +95,22 @@ def gen_graph(num_vertices, num_edges, max_degree, seed):
     if num_vertices < 1 or num_edges < 0 or max_degree < 1:
         raise InvalidInputError("need vertices >= 1, edges >= 0, degree >= 1")
     rng = random.Random(seed)
-    g = nx.Graph()
-    g.add_nodes_from(range(1, num_vertices + 1))
+    edges, degree = set(), [0] * (num_vertices + 1)
     attempts = 0
-    while g.number_of_edges() < num_edges:
+    while len(edges) < num_edges:
         attempts += 1
-        if attempts > 200 * (num_edges + 1):
+        if attempts > 200 * (num_edges + 1) or num_vertices < 2:
             raise InvalidInputError(
                 "cannot reach %d edges with %d vertices at degree bound %d"
                 % (num_edges, num_vertices, max_degree)
             )
-        u, v = rng.sample(range(1, num_vertices + 1), 2)
-        if g.has_edge(u, v):
+        u, v = sorted(rng.sample(range(1, num_vertices + 1), 2))
+        if (u, v) in edges or max(degree[u], degree[v]) >= max_degree:
             continue
-        if g.degree(u) >= max_degree or g.degree(v) >= max_degree:
-            continue
-        g.add_edge(u, v)
-    return g
+        edges.add((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    return Graph(num_vertices, edges)
 
 
 def cmd_gen(args):

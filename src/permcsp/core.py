@@ -1,4 +1,5 @@
-"""Core types for Permutation CSP: instances, orderings, the evaluator.
+"""Core types for Permutation CSP: instances, orderings, the evaluator,
+and the simple graphs of the reduction chain.
 
 An instance is a set of variables 1..num_vars together with a multiset of
 ordered constraints.  A constraint (v1, v2, ..., vk) is satisfied by an
@@ -6,7 +7,7 @@ ordering pi exactly when pi(v1) < pi(v2) < ... < pi(vk).  Everything else
 in the package is ultimately tested against :func:`evaluate`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 
@@ -92,6 +93,68 @@ class Ordering:
 
     def position(self, v: int) -> int:
         return self.positions[v - 1]
+
+
+@dataclass(frozen=True)
+class Graph:
+    """A simple undirected graph on the vertices 1..num_vertices.
+
+    Each edge is stored once, as (u, v) with u < v, and ``edge_list`` is
+    sorted.  Construction refuses a negative vertex count, an endpoint
+    outside 1..num_vertices, a self-loop and a repeated edge (in either
+    orientation), so code that takes a Graph need not check for them.
+    """
+
+    num_vertices: int
+    edge_list: Tuple[Tuple[int, int], ...] = ()
+    _adj: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges = [tuple(e) for e in self.edge_list]
+        fault = self.misfit(self.num_vertices, edges)
+        if fault is not None:
+            k, expected = fault
+            raise InvalidInputError("%s: expected %s" % (
+                "graph" if k is None else "edge %r" % (edges[k],), expected))
+        edges = sorted((u, v) if u < v else (v, u) for u, v in edges)
+        adj = [[] for _ in range(self.num_vertices + 1)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "edge_list", tuple(edges))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+
+    @staticmethod
+    def misfit(num_vertices: int, edges: Sequence[Tuple[int, int]]):
+        """(k, what was expected) for the first of ``edges`` unfit for a
+        simple graph on 1..num_vertices (k None: a negative count), or None."""
+        if num_vertices < 0:
+            return None, "a vertex count >= 0"
+        seen = set()
+        for k, (u, v) in enumerate(edges):
+            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
+                return k, "endpoints within 1..%d" % num_vertices
+            if u == v:
+                return k, "two distinct vertices"
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                return k, "an edge not listed before"
+            seen.add(pair)
+        return None
+
+    def nodes(self) -> range:
+        return range(1, self.num_vertices + 1)
+
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return self.edge_list
+
+    def degree(self):
+        """(v, degree of v) for every vertex v."""
+        return [(v, len(self._adj[v])) for v in self.nodes()]
+
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """The neighbors of vertex v, ascending."""
+        return self._adj[v]
 
 
 def evaluate(instance: PermCspInstance, ordering: Ordering) -> int:

@@ -11,10 +11,10 @@ import io
 import itertools
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from permcsp.core import (
+    Graph,
     InvalidInputError,
     Ordering,
     PermCspError,
@@ -161,6 +161,8 @@ def read_dimacs(text: str) -> CnfFormula:
             else:
                 pending.append(lit)
     num_vars, num_clauses = scan.fields
+    if num_vars < 0:
+        raise scan.error(scan.header, "a variable count >= 0", str(num_vars))
     if pending:
         raise scan.end_error("clause terminated by 0", "end of input")
     if len(clauses) != num_clauses:
@@ -179,28 +181,29 @@ def write_dimacs(cnf: CnfFormula) -> str:
 # Simple graphs (DIMACS-style edge lists)
 # ---------------------------------------------------------------------------
 
-def read_graph(text: str) -> nx.Graph:
+def read_graph(text: str) -> Graph:
     scan = _Scanner(text, "p edge <vertices> <edges>")
     edges = []
+    linenos = []
     for lineno, tokens in scan:
-        n = max(scan.fields[0], 0)
         if tokens[0] != "e" or len(tokens) != 3:
             raise scan.error(lineno, "edge line 'e <u> <v>'")
-        u, v = scan.ints(lineno, tokens[1:])
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise scan.error(lineno, "endpoints within 1..%d" % n)
-        if u == v:
-            raise scan.error(lineno, "two distinct vertices")
-        edges.append((u, v))
-    g = nx.empty_graph(range(1, scan.fields[0] + 1))
-    g.add_edges_from(edges)
+        edges.append(tuple(scan.ints(lineno, tokens[1:])))
+        linenos.append(lineno)
+    num_vertices, num_edges = scan.fields
+    try:
+        g = Graph(num_vertices, edges)
+    except InvalidInputError:
+        k, expected = Graph.misfit(num_vertices, edges)
+        raise scan.error(scan.header if k is None else linenos[k], expected)
+    if len(edges) != num_edges:
+        raise scan.end_error("%d edges" % num_edges, "%d edges" % len(edges))
     return g
 
 
-def write_graph(g: nx.Graph) -> str:
-    edges = sorted(tuple(sorted(e)) for e in g.edges())
-    out = ["p edge %d %d" % (g.number_of_nodes(), len(edges))]
-    out.extend("e %d %d" % e for e in edges)
+def write_graph(g: Graph) -> str:
+    out = ["p edge %d %d" % (g.num_vertices, len(g.edges()))]
+    out.extend("e %d %d" % e for e in g.edges())
     return "\n".join(out) + "\n"
 
 
@@ -337,12 +340,19 @@ def write_instance(instance: PermCspInstance) -> str:
 
 def read_ordering(text: str) -> Ordering:
     scan = _Scanner(text)
-    lineno, tokens = next(iter(scan), (None, None))
+    lines = list(scan)
     if scan.header is not None:         # an ordering has no header
         raise scan.error(scan.header, "an integer", "p")
-    if tokens is None:
+    if not lines:
         raise FormatError(1, 0, "one line of variable indices", "end of input")
-    return Ordering.from_sequence(scan.ints(lineno, tokens))
+    if len(lines) > 1:
+        raise scan.error(lines[1][0], "one line of variable indices")
+    lineno, tokens = lines[0]
+    seq = scan.ints(lineno, tokens)
+    try:
+        return Ordering.from_sequence(seq)
+    except InvalidInputError:
+        raise scan.error(lineno, "a permutation of 1..%d" % len(seq)) from None
 
 
 def write_ordering(ordering: Ordering) -> str:

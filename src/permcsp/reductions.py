@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from permcsp.core import (
+    Graph,
     InternalConsistencyError,
     InvalidInputError,
     PermCspInstance,
@@ -299,7 +299,7 @@ def ternary_gray(x: int, cap: int = 12) -> GrayCode:
     return GrayCode(digits=x, words=tuple(words))
 
 
-def distance3_partition(g: nx.Graph, degree_bound: int) -> List[List[int]]:
+def distance3_partition(g: Graph, degree_bound: int) -> List[List[int]]:
     """Partition V(g) into classes pairwise at distance >= 3.
 
     Greedily colors the square graph (adjacent iff distance <= 2), which
@@ -308,23 +308,14 @@ def distance3_partition(g: nx.Graph, degree_bound: int) -> List[List[int]]:
     """
     if any(d > degree_bound for _, d in g.degree()):
         raise InvalidInputError("graph has a vertex of degree above %d" % degree_bound)
-    color = {}
-    for v in sorted(g.nodes()):
-        seen = set()
-        for u in g[v]:
-            if u in color:
-                seen.add(color[u])
-            for w in g[u]:
-                if w in color and w != v:
-                    seen.add(color[w])
-        c = 0
-        while c in seen:
-            c += 1
-        color[v] = c
-    num_classes = max(color.values(), default=0) + 1 if color else 1
-    classes = [[] for _ in range(num_classes)]
-    for v in sorted(color):
-        classes[color[v]].append(v)
+    color = {}                          # filled in ascending vertex order
+    for v in g.nodes():
+        near = set(g.neighbors(v)).union(*map(g.neighbors, g.neighbors(v)))
+        seen = {color[u] for u in near if u in color}
+        color[v] = min(set(range(len(seen) + 1)) - seen)
+    classes = [[] for _ in range(max(color.values(), default=0) + 1)]
+    for v, c in color.items():
+        classes[c].append(v)
     if len(classes) > degree_bound * degree_bound + 1:
         raise InternalConsistencyError("greedy coloring used %d classes"
                                        % len(classes))
@@ -335,7 +326,7 @@ def distance3_partition(g: nx.Graph, degree_bound: int) -> List[List[int]]:
 # 3-SAT -> bounded-degree 3-Coloring
 # ---------------------------------------------------------------------------
 
-def reduce_sat_to_coloring(cnf: CnfFormula) -> Tuple[nx.Graph, int]:
+def reduce_sat_to_coloring(cnf: CnfFormula) -> Tuple[Graph, int]:
     """Build a graph that is 3-colorable iff ``cnf`` is satisfiable.
 
     The classic coloring reduction, with the single T/F/N triangle
@@ -358,13 +349,8 @@ def reduce_sat_to_coloring(cnf: CnfFormula) -> Tuple[nx.Graph, int]:
             raise InvalidInputError("clause size %d outside [1, 3]" % len(clause))
     nv, m = cnf.num_vars, len(cnf.clauses)
     ladder_len = 3 * (2 * nv + 4 * m + 1)
-    g = nx.Graph()
-    g.add_nodes_from(range(1, ladder_len + 2 * nv + 6 * m + 1))
-
-    for t in range(1, ladder_len):
-        g.add_edge(t, t + 1)
-    for t in range(1, ladder_len - 1):
-        g.add_edge(t, t + 2)
+    edges = [(t, t + 1) for t in range(1, ladder_len)]
+    edges += [(t, t + 2) for t in range(1, ladder_len - 1)]
 
     # Dedicated attachment points, handed out in construction order.
     n_role = iter(range(1, ladder_len + 1, 3))
@@ -376,20 +362,15 @@ def reduce_sat_to_coloring(cnf: CnfFormula) -> Tuple[nx.Graph, int]:
 
     for i in range(1, nv + 1):
         pos, neg = lit_vertex(i), lit_vertex(-i)
-        g.add_edge(pos, neg)
-        g.add_edge(pos, next(n_role))
-        g.add_edge(neg, next(n_role))
+        edges += [(pos, neg), (pos, next(n_role)), (neg, next(n_role))]
 
-    next_pad = ladder_len + 2 * nv + 6 * m + 1
+    pads = itertools.count(ladder_len + 2 * nv + 6 * m + 1)
 
     def pad_vertex():
         # Fresh vertex adjacent to dedicated N and T ladder vertices, so
         # any proper coloring gives it the F role: a constant-false input.
-        nonlocal next_pad
-        w = next_pad
-        next_pad += 1
-        g.add_edge(w, next(n_role))
-        g.add_edge(w, next(t_role))
+        w = next(pads)
+        edges.extend([(w, next(n_role)), (w, next(t_role))])
         return w
 
     for j, clause in enumerate(cnf.clauses):
@@ -398,15 +379,12 @@ def reduce_sat_to_coloring(cnf: CnfFormula) -> Tuple[nx.Graph, int]:
             inputs.append(pad_vertex())
         base = ladder_len + 2 * nv + 6 * j
         p1, q1, o1, p2, q2, out = range(base + 1, base + 7)
-        g.add_edges_from([(p1, q1), (p1, o1), (q1, o1),
-                          (p2, q2), (p2, out), (q2, out), (o1, p2)])
-        g.add_edge(inputs[0], p1)
-        g.add_edge(inputs[1], q1)
-        g.add_edge(inputs[2], q2)
-        g.add_edge(out, next(n_role))
-        g.add_edge(out, next(f_role))
+        edges += [(p1, q1), (p1, o1), (q1, o1),
+                  (p2, q2), (p2, out), (q2, out), (o1, p2),
+                  (inputs[0], p1), (inputs[1], q1), (inputs[2], q2),
+                  (out, next(n_role)), (out, next(f_role))]
 
-    return g, max(cnf.freq_bound + 2, 5)
+    return Graph(next(pads) - 1, edges), max(cnf.freq_bound + 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +400,7 @@ def coloring_grid_digits(num_vertices: int, degree_bound: int) -> int:
     return x
 
 
-def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
+def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
                              row_cap: int = 81) -> GridGraph:
     """Encode a bounded-degree 3-Coloring instance as D-DCnnC with
     D = degree_bound.
@@ -436,13 +414,7 @@ def reduce_coloring_to_dcnnc(g: nx.Graph, degree_bound: int,
     """
     from permcsp import validate
 
-    nodes = sorted(g.nodes())
-    n0 = len(nodes)
-    if nodes != list(range(1, n0 + 1)):
-        raise InvalidInputError("graph vertices must be 1..n")
-    loops = list(nx.nodes_with_selfloops(g))
-    if loops:
-        raise InvalidInputError("graph has a self-loop at vertex %d" % loops[0])
+    n0 = g.num_vertices
     x = coloring_grid_digits(n0, degree_bound)
     nprime = 3 ** x
     if nprime > row_cap:
@@ -586,13 +558,6 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
 # n x n Clique -> arity-6 Permutation CSP
 # ---------------------------------------------------------------------------
 
-def _check_no_row_edges(g: GridGraph):
-    side, _, blocks = g.blocks()
-    for i in range(side):
-        if blocks[i, :, i, :].any():
-            raise InvalidInputError("grid has an edge inside row %d" % (i + 1))
-
-
 def sufficient_dummies_perm6(n: int) -> int:
     """Dummy count making the arity-6 structure argument airtight at size n.
 
@@ -626,8 +591,10 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
     """
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    _check_no_row_edges(g)
-    n = g.side
+    n, _, blocks = g.blocks()
+    for i in range(n):
+        if blocks[i, :, i, :].any():
+            raise InvalidInputError("grid has an edge inside row %d" % (i + 1))
     if dummy_count is None:
         dummy_count = 2 * n
     if dummy_count < 2 * n:
@@ -648,7 +615,11 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
         constraints.append((c(1), r(i), c(n + 1)))
     num_structural = len(constraints)
 
-    for (i, j), (ip, jp) in _sorted_by_column(g.edges()):
+    # Each edge oriented by (column, row): the constraint shapes depend on
+    # the column gap of the oriented edge.
+    by_column = sorted(tuple(sorted(e, key=lambda v: v[::-1]))
+                       for e in g.edges())
+    for (i, j), (ip, jp) in by_column:
         if j + 2 <= jp:
             constraints.append((c(j), r(i), c(j + 1), c(jp), r(ip), c(jp + 1)))
         elif jp == j + 1:
@@ -668,18 +639,6 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
         col_vars=tuple(c(j) for j in range(1, n + 2)),
         source_edges=g.num_edges(),
     )
-
-
-def _sorted_by_column(edges):
-    """Orient each edge by (column, row) and sort; the constraint shapes
-    for the arity-6 reduction depend on the column gap of the oriented
-    edge."""
-    oriented = []
-    for (i, j), (ip, jp) in edges:
-        if (j, i) > (jp, ip):
-            (i, j), (ip, jp) = (ip, jp), (i, j)
-        oriented.append(((i, j), (ip, jp)))
-    return sorted(oriented)
 
 
 # ---------------------------------------------------------------------------

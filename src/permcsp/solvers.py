@@ -19,11 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from permcsp import reductions
 from permcsp.core import (
+    Graph,
     InternalConsistencyError,
     InvalidInputError,
     Ordering,
@@ -270,7 +270,7 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
 # 3-coloring
 # ---------------------------------------------------------------------------
 
-def solve_3coloring(g: nx.Graph) -> Optional[Dict[int, int]]:
+def solve_3coloring(g: Graph) -> Optional[Dict[int, int]]:
     """Proper 3-coloring by backtracking with arc consistency.
 
     Vertices are tried in degree-descending order (ties by label), colors
@@ -279,9 +279,9 @@ def solve_3coloring(g: nx.Graph) -> Optional[Dict[int, int]]:
     removes it from the neighbors' masks.  That prunes only colors no
     completion can use, so the result is the first coloring in this order.
     """
-    order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+    order = sorted(g.nodes(), key=lambda v: (-len(g.neighbors(v)), v))
     pos = {v: k for k, v in enumerate(order)}
-    nbrs = [[pos[u] for u in g[v]] for v in order]
+    nbrs = [[pos[u] for u in g.neighbors(v)] for v in order]
 
     def assign(k, masks):
         if k == len(order):

@@ -9,13 +9,21 @@ import random
 import numpy as np
 import pytest
 
-from permcsp.core import PermCspInstance
+from permcsp.core import Graph, PermCspInstance
 from permcsp.reductions import GridGraph
 
 
 def grid_from_edges(side, edges, kind="clique", D=None):
     """GridGraph from ((i, j), (i', j')) pairs with 1-based coordinates."""
     return GridGraph.from_edges(side, edges, kind=kind, D=D)
+
+
+def graph_from_nx(g):
+    """The :class:`Graph` of a networkx graph on the vertices 1..n, or on
+    0..n-1 with every label shifted up by one."""
+    shift = 1 if 0 in g else 0
+    return Graph(g.number_of_nodes(),
+                 [(u + shift, v + shift) for u, v in g.edges()])
 
 
 def all_cross_row_edges(side):

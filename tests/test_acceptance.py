@@ -13,7 +13,6 @@ import sys
 import time
 from math import comb
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,7 +23,7 @@ from conftest import (
     grid_from_edges,
 )
 from permcsp import cli, formats, validate
-from permcsp.core import Ordering, PermCspInstance, evaluate
+from permcsp.core import Graph, Ordering, PermCspInstance, evaluate
 from permcsp.reductions import (
     CnfFormula,
     GridGraph,
@@ -217,7 +216,7 @@ def test_criterion_5_perm4_count_identity(capsys):
         ok = False
     # Extra case beyond the n <= 2 sweep: the smallest reduction-chain H
     # (triangle -> coloring grid -> doubling) at n = 3.
-    grid = reduce_coloring_to_dcnnc(nx.cycle_graph(range(1, 4)),
+    grid = reduce_coloring_to_dcnnc(Graph(3, [(1, 2), (2, 3), (1, 3)]),
                                     degree_bound=2)
     h = reduce_dcnnc_to_dcnnb(grid)
     n, D = h.side // 2, h.D
@@ -370,9 +369,7 @@ def test_criterion_10_round_trips_and_golden(capsys):
     # Round trips on one artifact of every format.
     cnf = CnfFormula(3, ((1, -2, 3), (-1,)))
     ok &= formats.read_dimacs(formats.write_dimacs(cnf)) == cnf
-    g = nx.Graph()
-    g.add_nodes_from(range(1, 4))
-    g.add_edge(1, 3)
+    g = Graph(3, [(1, 3)])
     ok &= formats.write_graph(formats.read_graph(formats.write_graph(g))) \
         == formats.write_graph(g)
     grid = grid_from_edges(2, [((1, 1), (2, 2))], D=1)

@@ -49,7 +49,7 @@ def test_gen_graph_degree_bound(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     g = formats.read_graph(out.read_text())
-    assert g.number_of_edges() == 10
+    assert len(g.edges()) == 10
     assert max(d for _, d in g.degree()) <= 3
 
 
@@ -57,6 +57,10 @@ def test_gen_graph_infeasible(capsys):
     code, _, err = run(capsys, ["gen", "graph", "--num-vertices", "3",
                                 "--num-edges", "9", "--max-degree", "2"])
     assert code == 2
+    # A single vertex has no pair to draw an edge from.
+    code, _, err = run(capsys, ["gen", "graph", "--num-vertices", "1",
+                                "--num-edges", "1"])
+    assert code == 2 and "cannot reach 1 edges" in err
 
 
 # ---------------------------------------------------------------------------

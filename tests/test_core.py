@@ -1,10 +1,11 @@
-"""Instances, orderings, and the evaluator."""
+"""Instances, orderings, the evaluator, and graphs."""
 
 import random
 
 import pytest
 
 from permcsp.core import (
+    Graph,
     InvalidInputError,
     Ordering,
     PermCspInstance,
@@ -141,3 +142,28 @@ def test_validate_instance_flags_duplicates_on_request():
 def test_validate_instance_bad_num_vars():
     inst = PermCspInstance(num_vars=0, constraints=(), arity=1)
     assert any("num_vars" in p for p in validate_instance(inst))
+
+
+def test_graph_stores_each_edge_once_sorted():
+    g = Graph(4, [(3, 1), (4, 2), (1, 2)])
+    assert g.edges() == ((1, 2), (1, 3), (2, 4))
+    assert g == Graph(4, [(1, 2), (1, 3), (2, 4)])
+    assert list(g.nodes()) == [1, 2, 3, 4]
+    assert g.degree() == [(1, 2), (2, 2), (3, 1), (4, 1)]
+    assert g.neighbors(1) == (2, 3) and g.neighbors(4) == (2,)
+    assert Graph(0).edges() == () and list(Graph(2).degree()) == [(1, 0),
+                                                                 (2, 0)]
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (-1, [(1, 2)], "graph: expected a vertex count >= 0"),
+    (3, [(1, 2), (0, 3)], r"\(0, 3\): expected endpoints within 1..3"),
+    (3, [(1, 4)], "endpoints within 1..3"),
+    (3, [(2, 2)], "two distinct vertices"),
+    (3, [(1, 2), (2, 3), (2, 1)], r"\(2, 1\): expected an edge not listed"),
+])
+def test_graph_refuses_what_is_not_simple(n, edges, expected):
+    with pytest.raises(InvalidInputError, match=expected):
+        Graph(n, edges)
+    k, _ = Graph.misfit(n, edges)
+    assert k == (len(edges) - 1 if n >= 0 else None)

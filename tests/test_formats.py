@@ -1,12 +1,11 @@
 """Text formats: round-trips, canonical bytes, parse errors."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_error_at, grid_from_edges
-from permcsp.core import Ordering, PermCspInstance
+from permcsp.core import Graph, Ordering, PermCspInstance
 from permcsp.formats import (
     FormatError,
     read_certificate,
@@ -74,24 +73,33 @@ def test_dimacs_errors_carry_position():
         read_dimacs("p cnf 1 2\n1 0\n")  # clause count mismatch
 
 
+@pytest.mark.parametrize("reader, text, header", [
+    (read_dimacs, "c negative\np cnf -2 0\n", "p cnf -2 0"),
+    (read_graph, "c negative\np edge -1 0\n", "p edge -1 0"),
+], ids=["dimacs", "graph"])
+def test_negative_count_rejected_at_header(reader, text, header):
+    with pytest.raises(FormatError) as exc:
+        reader(text)
+    assert_error_at(exc.value, text, header)
+
+
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
 
 def test_graph_round_trip():
-    g = nx.Graph()
-    g.add_nodes_from(range(1, 5))
-    g.add_edges_from([(3, 1), (2, 4)])
+    g = Graph(4, [(3, 1), (2, 4)])
     text = write_graph(g)
     assert text == "p edge 4 2\ne 1 3\ne 2 4\n"
     back = read_graph(text)
-    assert sorted(back.nodes()) == [1, 2, 3, 4]
-    assert sorted(tuple(sorted(e)) for e in back.edges()) == [(1, 3), (2, 4)]
+    assert back == g
+    assert list(back.nodes()) == [1, 2, 3, 4]
+    assert back.edges() == ((1, 3), (2, 4))
 
 
 def test_graph_zero_edges():
     g = read_graph("p edge 3 0\n")
-    assert g.number_of_nodes() == 3 and g.number_of_edges() == 0
+    assert g.num_vertices == 3 and g.edges() == ()
 
 
 def test_graph_rejects_self_loop():
@@ -100,6 +108,25 @@ def test_graph_rejects_self_loop():
         read_graph(text)
     assert_error_at(exc.value, text, "e 3 3")
     assert exc.value.expected == "two distinct vertices"
+
+
+def test_graph_edge_count_is_enforced():
+    text = "p edge 3 5\ne 1 2\n"
+    with pytest.raises(FormatError) as exc:
+        read_graph(text)
+    assert (exc.value.line, exc.value.offset) == (3, len(text))
+    assert (exc.value.expected, exc.value.found) == ("5 edges", "1 edges")
+
+
+@pytest.mark.parametrize("repeat", ["e 2 1", "e 1 2"])
+def test_graph_repeated_edge_rejected_at_its_line(repeat):
+    text = "p edge 3 3\ne 1 2\ne 2 3\n%s\n" % repeat
+    with pytest.raises(FormatError) as exc:
+        read_graph(text)
+    lines = text.split("\n")
+    assert (exc.value.line, exc.value.offset) == (
+        4, sum(len(l) + 1 for l in lines[:3]))
+    assert exc.value.expected == "an edge not listed before"
 
 
 def test_graph_errors():
@@ -181,6 +208,22 @@ def test_ordering_errors():
         read_ordering("")
     with pytest.raises(FormatError):
         read_ordering("1 a 2\n")
+
+
+def test_ordering_is_one_line():
+    text = "c an ordering\n2 1\n1 2 3\n"
+    with pytest.raises(FormatError) as exc:
+        read_ordering(text)
+    assert_error_at(exc.value, text, "1 2 3")
+    assert exc.value.expected == "one line of variable indices"
+
+
+def test_ordering_must_be_a_permutation():
+    text = "2 2\n"
+    with pytest.raises(FormatError) as exc:
+        read_ordering(text)
+    assert (exc.value.line, exc.value.offset) == (1, 0)
+    assert exc.value.expected == "a permutation of 1..2"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import all_cross_row_edges, edges_among, grid_from_edges
+from conftest import (
+    all_cross_row_edges,
+    edges_among,
+    graph_from_nx,
+    grid_from_edges,
+)
 from permcsp.core import (
+    Graph,
     InternalConsistencyError,
     InvalidInputError,
     SizeLimitError,
@@ -163,12 +169,12 @@ def test_gray_cap():
 # ---------------------------------------------------------------------------
 
 def test_distance3_edgeless_single_class():
-    g = nx.empty_graph(range(1, 6))
+    g = Graph(5)
     assert distance3_partition(g, 2) == [[1, 2, 3, 4, 5]]
 
 
 def test_distance3_path_three_singletons():
-    g = nx.path_graph(range(1, 4))
+    g = Graph(3, [(1, 2), (2, 3)])
     classes = distance3_partition(g, 2)
     assert sorted(map(sorted, classes)) == [[1], [2], [3]]
 
@@ -179,7 +185,7 @@ def test_distance3_classes_pairwise_far(rng):
                                 seed=rng.randint(0, 10 ** 6))
         g = nx.relabel_nodes(g, {v: v + 1 for v in g.nodes()})
         bound = max((d for _, d in g.degree()), default=1)
-        classes = distance3_partition(g, bound)
+        classes = distance3_partition(graph_from_nx(g), bound)
         assert sorted(v for cls in classes for v in cls) == sorted(g.nodes())
         assert len(classes) <= bound * bound + 1
         lengths = dict(nx.all_pairs_shortest_path_length(g))
@@ -189,7 +195,7 @@ def test_distance3_classes_pairwise_far(rng):
 
 
 def test_distance3_rejects_degree_violation():
-    g = nx.star_graph(3)
+    g = Graph(4, [(1, 2), (1, 3), (1, 4)])
     with pytest.raises(InvalidInputError):
         distance3_partition(g, 2)
 
@@ -270,7 +276,7 @@ def test_coloring_grid_digits_reference_point():
 
 
 def test_col2clique_small_graph_round_trip():
-    g = nx.path_graph(range(1, 4))
+    g = Graph(3, [(1, 2), (2, 3)])
     grid = reduce_coloring_to_dcnnc(g, degree_bound=2)
     assert grid.side == 3 ** grid.meta["x"]
     col = solve_3coloring(g)
@@ -282,16 +288,16 @@ def test_col2clique_small_graph_round_trip():
 
 
 def test_col2clique_rejects_self_loop():
-    g = nx.Graph([(1, 2), (3, 3)])
-    with pytest.raises(InvalidInputError, match="self-loop at vertex 3"):
-        reduce_coloring_to_dcnnc(g, degree_bound=2)
+    # The graph type refuses it, so no reduction ever sees one.
+    with pytest.raises(InvalidInputError, match=r"\(3, 3\): expected two "
+                       "distinct vertices"):
+        Graph(3, [(1, 2), (3, 3)])
 
 
 def test_col2clique_iff_with_3coloring(rng):
     for _ in range(6):
-        g = nx.gnp_random_graph(rng.randint(2, 7), 0.5,
-                                seed=rng.randint(0, 10 ** 6))
-        g = nx.relabel_nodes(g, {v: v + 1 for v in g.nodes()})
+        g = graph_from_nx(nx.gnp_random_graph(rng.randint(2, 7), 0.5,
+                                              seed=rng.randint(0, 10 ** 6)))
         bound = max(max((d for _, d in g.degree()), default=1), 1)
         grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
         col = solve_3coloring(g)
@@ -303,20 +309,20 @@ def test_col2clique_iff_with_3coloring(rng):
 
 
 def test_col2clique_row_cap():
-    g = nx.empty_graph(range(1, 200))
+    g = Graph(199)
     with pytest.raises(SizeLimitError):
         reduce_coloring_to_dcnnc(g, degree_bound=5, row_cap=27)
 
 
 def test_col2clique_requires_contiguous_labels():
-    g = nx.Graph()
-    g.add_nodes_from([1, 3])
-    with pytest.raises(InvalidInputError):
-        reduce_coloring_to_dcnnc(g, degree_bound=2)
+    # A graph's vertices are 1..n by construction: a label beyond n is
+    # refused where the graph is built.
+    with pytest.raises(InvalidInputError, match="endpoints within 1..2"):
+        Graph(2, [(1, 3)])
 
 
 def test_col2clique_conditions_hold():
-    g = nx.cycle_graph(range(1, 5))
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     grid = reduce_coloring_to_dcnnc(g, degree_bound=2)
     report, delta = validate.check_regularity(grid)
     assert report.holds
@@ -338,7 +344,7 @@ def test_doubling_edge_rule():
 
 
 def test_doubling_preserves_selections():
-    g = nx.path_graph(range(1, 4))
+    g = Graph(3, [(1, 2), (2, 3)])
     grid = reduce_coloring_to_dcnnc(g, degree_bound=2)
     h = reduce_dcnnc_to_dcnnb(grid)
     n = grid.side
@@ -361,7 +367,7 @@ def test_doubling_preserves_selections():
 
 
 def test_doubling_recomputes_delta():
-    grid = reduce_coloring_to_dcnnc(nx.path_graph(range(1, 4)),
+    grid = reduce_coloring_to_dcnnc(Graph(3, [(1, 2), (2, 3)]),
                                     degree_bound=2)
     h = reduce_dcnnc_to_dcnnb(grid)
     report, delta = validate.check_regularity(h)
@@ -370,7 +376,7 @@ def test_doubling_recomputes_delta():
 
 
 def test_doubling_may_bump_D_for_stability():
-    grid = reduce_coloring_to_dcnnc(nx.path_graph(range(1, 4)),
+    grid = reduce_coloring_to_dcnnc(Graph(3, [(1, 2), (2, 3)]),
                                     degree_bound=2)
     h = reduce_dcnnc_to_dcnnb(grid)
     report, _ = validate.check_stability(h, h.D)
@@ -418,7 +424,7 @@ def test_coloring_construction_failure_is_internal(monkeypatch, check):
     failing = validate.ConditionReport(check, False, (("made up",),))
     monkeypatch.setattr(validate, check, lambda *args: (failing, None))
     with pytest.raises(InternalConsistencyError, match="construction broke"):
-        reduce_coloring_to_dcnnc(nx.path_graph(range(1, 4)), degree_bound=2)
+        reduce_coloring_to_dcnnc(Graph(3, [(1, 2), (2, 3)]), degree_bound=2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +493,7 @@ def test_sufficient_dummies_perm4_reference_values():
 
 
 def test_perm4_paper_default_sizes():
-    grid = reduce_coloring_to_dcnnc(nx.path_graph(range(1, 4)),
+    grid = reduce_coloring_to_dcnnc(Graph(3, [(1, 2), (2, 3)]),
                                     degree_bound=2)
     h = reduce_dcnnc_to_dcnnb(grid)
     cert = reduce_dcnnb_to_perm4(h)
@@ -534,7 +540,7 @@ def test_construction_invariant_raises_without_assert(monkeypatch):
     # with InternalConsistencyError, also under python -O.
     from permcsp import reductions
     from permcsp.core import InternalConsistencyError
-    g = nx.Graph([(1, 2), (3, 4)])
+    g = Graph(4, [(1, 2), (3, 4)])
     monkeypatch.setattr(reductions, "distance3_partition",
                         lambda graph, bound: [[1, 2], [3, 4]])
     with pytest.raises(InternalConsistencyError, match="independent set"):

@@ -4,11 +4,14 @@ import itertools
 import random
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import grid_from_edges, random_instance
+from conftest import graph_from_nx, grid_from_edges, random_instance
 from permcsp.core import (
+    Graph,
+    InvalidInputError,
     Ordering,
     PermCspInstance,
     SizeLimitError,
@@ -197,32 +200,31 @@ def test_sat_matches_truth_table(rng):
 # ---------------------------------------------------------------------------
 
 def test_coloring_triangle():
-    import networkx as nx
-    col = solve_3coloring(nx.complete_graph(range(1, 4)))
+    col = solve_3coloring(Graph(3, [(1, 2), (1, 3), (2, 3)]))
     assert col is not None
     assert sorted(col.values()) == [0, 1, 2]
 
 
 def test_coloring_k4_impossible():
-    import networkx as nx
-    assert solve_3coloring(nx.complete_graph(range(1, 5))) is None
+    k4 = Graph(4, itertools.combinations(range(1, 5), 2))
+    assert solve_3coloring(k4) is None
 
 
 def test_coloring_self_loop_has_none():
-    import networkx as nx
-    g = nx.Graph([(1, 2), (3, 3)])
-    assert solve_3coloring(g) is None
+    # A self-looped graph has no proper coloring; the graph type refuses
+    # it, so the solver never sees one.
+    with pytest.raises(InvalidInputError, match="two distinct vertices"):
+        Graph(3, [(1, 2), (3, 3)])
 
 
 def test_coloring_is_proper_on_random_graphs(rng):
-    import networkx as nx
     for _ in range(20):
-        g = nx.gnp_random_graph(rng.randint(1, 9), 0.4,
-                                seed=rng.randint(0, 10 ** 6))
+        g = graph_from_nx(nx.gnp_random_graph(rng.randint(1, 9), 0.4,
+                                              seed=rng.randint(0, 10 ** 6)))
         col = solve_3coloring(g)
         if col is None:
             # Confirm by exhaustive search over all 3^n colorings.
-            nodes = sorted(g.nodes())
+            nodes = list(g.nodes())
             ok = any(
                 all(assign[u] != assign[v] for u, v in g.edges())
                 for assign in ({n: c[i] for i, n in enumerate(nodes)}
@@ -237,11 +239,11 @@ def test_coloring_is_first_in_search_order(rng):
     """Propagation only prunes: the answer is the first proper coloring
     with vertices in degree-descending order (ties by label), colors
     ascending and the first vertex at 0, as plain backtracking finds it."""
-    import networkx as nx
     for _ in range(30):
-        g = nx.gnp_random_graph(rng.randint(1, 8), 0.45,
-                                seed=rng.randint(0, 10 ** 6))
-        order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+        g = graph_from_nx(nx.gnp_random_graph(rng.randint(1, 8), 0.45,
+                                              seed=rng.randint(0, 10 ** 6)))
+        degree = dict(g.degree())
+        order = sorted(g.nodes(), key=lambda v: (-degree[v], v))
         first = next((col for col in (
             dict(zip(order, (0,) + rest))
             for rest in itertools.product(range(3), repeat=len(order) - 1))
@@ -335,7 +337,6 @@ def test_row_biclique_n2_pairing():
 def test_row_biclique_rejects_misplaced_edges():
     # The grid type refuses a misplaced edge, from a caller or from a file,
     # so the search never sees one.
-    from permcsp.core import InvalidInputError
     from permcsp.formats import FormatError, read_grid
     with pytest.raises(InvalidInputError):
         grid_from_edges(2, [((1, 1), (1, 2))], kind="biclique")
@@ -465,7 +466,6 @@ def test_convenient_perm6(edges, meets):
 
 
 def test_convenient_rejects_a_different_grid():
-    from permcsp.core import InvalidInputError
     from permcsp.reductions import reduce_clique_to_perm6
     from permcsp.solvers import solve_convenient
     cert = reduce_clique_to_perm6(grid_from_edges(2, [((1, 1), (2, 2))]),

@@ -1,7 +1,10 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import permcsp
 
@@ -19,3 +22,13 @@ def test_package_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_leaves_networkx_out():
+    # Every CLI process pays for what the package imports; graphs are the
+    # package's own type, and networkx is only a test oracle.
+    code = "import permcsp.cli, sys; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -3,12 +3,11 @@
 import itertools
 from math import comb
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from conftest import grid_from_edges
-from permcsp.core import InvalidInputError
+from permcsp.core import Graph, InvalidInputError
 from permcsp.reductions import (
     GridGraph,
     reduce_clique_to_perm6,
@@ -187,7 +186,7 @@ def test_target_perm4_values():
 # ---------------------------------------------------------------------------
 
 def test_coloring_selection_round_trip():
-    g = nx.cycle_graph(range(1, 6))
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     grid = reduce_coloring_to_dcnnc(g, degree_bound=2)
     col = solve_3coloring(g)
     sel = map_coloring_to_selection(col, grid)
