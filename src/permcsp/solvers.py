@@ -1,9 +1,9 @@
 """Exact solvers and decision oracles.
 
-- :func:`solve_brute`: exhaustive search over all orderings, vectorized in
-  batches so 11-element instances stay in minutes territory.
+- :func:`solve_brute`: exhaustive search over all orderings; every prefix
+  reuses one numpy table of the 9! suffix orders, built once per solve.
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
-  the dichotomy.
+  the dichotomy, vectorized over each popcount layer of subsets.
 - :func:`solve_convenient`: optimum over convenient orderings of an
   arity-4 or arity-6 reduction certificate, via the closed-form count.
 - :func:`solve_sat`, :func:`solve_3coloring`: the auxiliary oracles for
@@ -17,6 +17,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ class RowSelection:
 # ---------------------------------------------------------------------------
 
 # Batch size for the vectorized path: permutations of the last 9 positions
-# are enumerated as one numpy block.
+# are enumerated as one numpy block, shared by every prefix.
 _BATCH_SUFFIX = 9
 
 
@@ -65,10 +66,16 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
                 threads: int = 1) -> SolveResult:
     """Exact optimum by exhaustive enumeration of all n! orderings.
 
+    Each prefix of the first n - 9 positions shares one table of the 9!
+    suffix orders, built once per solve in lexicographic order, and
+    ``before[a, b]``: the orders in which suffix slot a precedes slot b.
+    Under a prefix each constraint is constant, dead, or an AND of
+    ``before`` columns, so no ordering is materialized.
+
     The witness is the lexicographically first maximizer, in terms of the
     sequence of variables listed in position order.  Enumeration order and
-    the reduction over batches are fixed, so results are bit-identical for
-    any thread count.
+    the reduction over prefixes are fixed, so results are bit-identical
+    for any thread count.
     """
     n = instance.num_vars
     if n > limit:
@@ -79,38 +86,49 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
     return _brute_batched(instance, threads)
 
 
+def _lex_permutations(m):
+    """The permutations of range(m) as int8 rows, in lexicographic order."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        # First element f, then the shorter table relabelled to skip f.
+        first = np.repeat(np.arange(k, dtype=np.int8), len(table))[:, None]
+        rest = np.tile(table, (k, 1))
+        table = np.hstack([first, rest + (rest >= first)])
+    return table
+
+
 def _brute_batched(instance, threads):
     n = instance.num_vars
-    cons_pairs = [tuple((c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1))
-                  for c in instance.constraints]
-    always = sum(1 for pairs in cons_pairs if not pairs)
-    cons_pairs = [pairs for pairs in cons_pairs if pairs]
-    pair_list = sorted({pr for pairs in cons_pairs for pr in pairs})
-
     plen = max(0, n - _BATCH_SUFFIX)
-    rest = np.array(list(itertools.permutations(range(n - plen))), dtype=np.int8)
-    batch = rest.shape[0]
-    rows = np.arange(batch)[:, None]
-    positions = np.arange(n, dtype=np.int8)[None, :]
+    rest = _lex_permutations(n - plen)
+    slot_pos = np.empty((n - plen, len(rest)), dtype=np.int8)
+    slot_pos[rest.T, np.arange(len(rest))] = np.arange(n - plen)[:, None]
+    before = slot_pos[:, None, :] < slot_pos[None, :, :]
+    chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
+              for c in instance.constraints]
+    count_type = np.min_scalar_type(len(chains))   # no count exceeds it
 
     def eval_prefix(prefix):
-        remaining = np.array([v for v in range(n) if v not in prefix],
-                             dtype=np.int8)
-        orders = np.empty((batch, n), dtype=np.int8)
-        if plen:
-            orders[:, :plen] = np.array(prefix, dtype=np.int8)
-        orders[:, plen:] = remaining[rest]
-        pos = np.empty((batch, n), dtype=np.int8)
-        pos[rows, orders] = positions
-        cache = {pr: pos[:, pr[0]] < pos[:, pr[1]] for pr in pair_list}
-        counts = np.zeros(batch, dtype=np.int32)
-        for pairs in cons_pairs:
-            mask = cache[pairs[0]]
-            for pr in pairs[1:]:
-                mask = mask & cache[pr]
-            counts += mask
+        remaining = [v for v in range(n) if v not in prefix]
+        # Prefix variables rank by position; suffix variables tie at plen.
+        rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
+        slot = {v: k for k, v in enumerate(remaining)}
+        sure, counts = 0, np.zeros(len(rest), dtype=count_type)
+        for chain in chains:
+            lookups = []
+            for u, w in chain:
+                if rank[u] > rank[w]:            # dead under this prefix
+                    break
+                if rank[u] == rank[w]:
+                    lookups.append(before[slot[u], slot[w]])
+            else:
+                if lookups:
+                    counts += reduce(np.logical_and, lookups).view(np.uint8)
+                else:
+                    sure += 1
         idx = int(np.argmax(counts))            # first maximizer in the batch
-        return int(counts[idx]), tuple(int(v) + 1 for v in orders[idx])
+        seq = prefix + tuple(remaining[s] for s in rest[idx])
+        return sure + int(counts[idx]), tuple(v + 1 for v in seq)
 
     prefixes = list(itertools.permutations(range(n), plen))
     if threads > 1:
@@ -123,7 +141,7 @@ def _brute_batched(instance, threads):
     for count, seq in results:                   # reduce in lexicographic order
         if count > best:
             best, best_seq = count, seq
-    return SolveResult(best + always, Ordering.from_sequence(best_seq),
+    return SolveResult(best, Ordering.from_sequence(best_seq),
                        math.factorial(n))
 
 
@@ -147,6 +165,10 @@ def solve_dp3(instance: PermCspInstance, max_vars: int = 24) -> SolveResult:
     middle element is placed, the first element is in the prefix and the
     last is not -- so each constraint is credited exactly once, and the
     final value f(V) is the true optimum.
+
+    Subsets are processed one popcount layer at a time, as int32 numpy
+    mask arrays.  Candidates v are tried in ascending order and replace
+    the best only on a strict gain, so ties go to the smallest v.
     """
     # The header arity is a claim; the constraints themselves decide.
     arity = max([instance.arity] + [len(c) for c in instance.constraints])
@@ -173,37 +195,34 @@ def solve_dp3(instance: PermCspInstance, max_vars: int = 24) -> SolveResult:
             trips[c[1] - 1].append((c[0] - 1, c[2] - 1))
 
     full = (1 << n) - 1
-    f = [-1] * (full + 1)
-    back = [0] * (full + 1)
-    f[0] = 0
-    for t in range(1, full + 1):
-        best, bestv = -1, -1
+    f = np.zeros(full + 1, dtype=np.int32)
+    back = np.zeros(full + 1, dtype=np.int8)
+    popcount = np.bitwise_count(np.arange(full + 1, dtype=np.int32))
+    for k in range(1, n + 1):
+        layer = (popcount == k).nonzero()[0].astype(np.int32)
+        best = np.full(len(layer), -1, dtype=np.int32)
+        bestv = np.zeros(len(layer), dtype=np.int8)
         for v in range(n):
-            bit = 1 << v
-            if not t & bit:
-                continue
-            s = t ^ bit
-            g = gain1[v]
+            s = layer ^ (1 << v)                 # T minus v, if v is in T
+            val = f[s] + gain1[v]
             for a in pairs2[v]:
-                if s >> a & 1:
-                    g += 1
+                val += s >> a & 1
             for a, cc in trips[v]:
-                if s >> a & 1 and not s >> cc & 1:
-                    g += 1
-            val = f[s] + g
-            if val > best:                       # ties go to the smallest v
-                best, bestv = val, v
-        f[t] = best
-        back[t] = bestv
+                val += s >> a & ~(s >> cc) & 1
+            better = (val > best) & (s < layer)  # ties go to the smallest v
+            best = np.where(better, val, best)
+            bestv[better] = v
+        f[layer] = best
+        back[layer] = bestv
 
     seq_rev = []
     t = full
     while t:
-        v = back[t]
+        v = int(back[t])
         seq_rev.append(v + 1)
         t ^= 1 << v
     witness = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return SolveResult(f[full], witness, full + 1)
+    return SolveResult(int(f[full]), witness, full + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line interface, driven through cli.main plus one subprocess."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from permcsp import cli, formats
+from permcsp.core import Ordering, PermCspInstance, evaluate
 from permcsp.reductions import GridGraph, reduce_dcnnc_to_dcnnb
 
 
@@ -221,6 +223,39 @@ def test_solve_pcsp_dp3_and_brute(tmp_path, capsys):
     assert "optimum 1" in out
     code, out, _ = run(capsys, ["solve", str(f), "--method", "brute"])
     assert code == 0 and "optimum 1" in out
+
+
+def _random_pcsp(path, seed, n, arities, count):
+    rng = random.Random(seed)
+    inst = PermCspInstance.make(n, [tuple(rng.sample(range(1, n + 1),
+                                                     rng.choice(arities)))
+                                    for _ in range(count)])
+    path.write_text(formats.write_instance(inst))
+    return inst
+
+
+def test_solve_brute_stdout_is_thread_independent(tmp_path, capsys):
+    # Ten variables: one 9! suffix table under each of 10 prefixes.
+    f = tmp_path / "i.pcsp"
+    _random_pcsp(f, 4, 10, (2, 3, 4), 16)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, ["solve", str(f), "--method", "brute",
+                                    "--threads", threads])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].startswith("optimum ")
+
+
+def test_solve_dp3_on_twenty_variables(tmp_path, capsys):
+    f = tmp_path / "i.pcsp"
+    inst = _random_pcsp(f, 20, 20, (2, 3), 60)
+    code, out, _ = run(capsys, ["solve", str(f)])
+    assert code == 0
+    optimum, witness = out.splitlines()
+    seq = tuple(int(v) for v in witness.split()[1:])
+    assert optimum == "optimum %d" % evaluate(inst,
+                                              Ordering.from_sequence(seq))
 
 
 def test_solve_pcsp_no_applicable_method(tmp_path, capsys):

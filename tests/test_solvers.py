@@ -1,6 +1,7 @@
 """Solvers and decision oracles, cross-checked against each other."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -107,6 +108,79 @@ def test_brute_thread_count_does_not_change_result(rng):
         four = solve_brute(inst, threads=4)
         assert one.optimum == four.optimum
         assert one.witness == four.witness
+        assert one.nodes_explored == four.nodes_explored
+
+
+def _brute_reference(instance):
+    """(optimum, first maximizing sequence, orderings tried) by the
+    per-prefix kernel that materializes every ordering: the last 9
+    positions are enumerated as one block under each prefix, and each
+    block's position table is scattered from its orderings."""
+    n = instance.num_vars
+    cons_pairs = [tuple((c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1))
+                  for c in instance.constraints]
+    always = sum(1 for pairs in cons_pairs if not pairs)
+    cons_pairs = [pairs for pairs in cons_pairs if pairs]
+    pair_list = sorted({pr for pairs in cons_pairs for pr in pairs})
+
+    plen = max(0, n - 9)
+    rest = np.array(list(itertools.permutations(range(n - plen))),
+                    dtype=np.int8)
+    batch = rest.shape[0]
+    rows = np.arange(batch)[:, None]
+    positions = np.arange(n, dtype=np.int8)[None, :]
+
+    def eval_prefix(prefix):
+        remaining = np.array([v for v in range(n) if v not in prefix],
+                             dtype=np.int8)
+        orders = np.empty((batch, n), dtype=np.int8)
+        if plen:
+            orders[:, :plen] = np.array(prefix, dtype=np.int8)
+        orders[:, plen:] = remaining[rest]
+        pos = np.empty((batch, n), dtype=np.int8)
+        pos[rows, orders] = positions
+        cache = {pr: pos[:, pr[0]] < pos[:, pr[1]] for pr in pair_list}
+        counts = np.zeros(batch, dtype=np.int32)
+        for pairs in cons_pairs:
+            mask = cache[pairs[0]]
+            for pr in pairs[1:]:
+                mask = mask & cache[pr]
+            counts += mask
+        idx = int(np.argmax(counts))            # first maximizer in the batch
+        return int(counts[idx]), tuple(int(v) + 1 for v in orders[idx])
+
+    best, best_seq = -1, None
+    for count, seq in map(eval_prefix,
+                          itertools.permutations(range(n), plen)):
+        if count > best:
+            best, best_seq = count, seq
+    return best + always, best_seq, math.factorial(n)
+
+
+def _low_variable_instance(seed, n):
+    """Arity-1..5 constraints, most of them on variables 1..4, so that
+    under the first prefixes some are constant and some are dead."""
+    rng = random.Random(seed)
+    constraints = []
+    for _ in range(rng.randint(8, 14)):
+        arity = rng.randint(1, 5)
+        low = rng.sample(range(1, 5), rng.randint(1, min(arity, 4)))
+        high = rng.sample(range(5, n + 1), arity - len(low))
+        cons = low + high
+        rng.shuffle(cons)
+        constraints.append(tuple(cons))
+    constraints += constraints[:2]                 # duplicates count twice
+    return PermCspInstance.make(n, constraints)
+
+
+@pytest.mark.parametrize("seed,n", [(1, 10), (2, 10), (3, 10), (4, 11)])
+def test_brute_prefix_path_matches_reference(seed, n):
+    inst = _low_variable_instance(seed, n)
+    expected = _brute_reference(inst)
+    for threads in (1, 3):
+        res = solve_brute(inst, threads=threads)
+        assert (res.optimum, res.witness.sequence(), res.nodes_explored) \
+            == expected
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +215,69 @@ def test_dp3_duplicates_count_multiply():
     res = solve_dp3(inst)
     assert res.optimum == 2
     assert evaluate(inst, res.witness) == 2
+
+
+def _dp3_reference(instance):
+    """(optimum, witness sequence, states) by the scalar subset loop: the
+    subsets in increasing order, the candidates v ascending, and a
+    replacement only on a strict gain."""
+    n = instance.num_vars
+    gain1 = [0] * n
+    pairs2 = [[] for _ in range(n)]
+    trips = [[] for _ in range(n)]
+    for c in instance.constraints:
+        if len(c) == 1:
+            gain1[c[0] - 1] += 1
+        elif len(c) == 2:
+            pairs2[c[1] - 1].append(c[0] - 1)
+        else:
+            trips[c[1] - 1].append((c[0] - 1, c[2] - 1))
+
+    full = (1 << n) - 1
+    f = [-1] * (full + 1)
+    back = [0] * (full + 1)
+    f[0] = 0
+    for t in range(1, full + 1):
+        best, bestv = -1, -1
+        for v in range(n):
+            bit = 1 << v
+            if not t & bit:
+                continue
+            s = t ^ bit
+            g = gain1[v]
+            for a in pairs2[v]:
+                if s >> a & 1:
+                    g += 1
+            for a, cc in trips[v]:
+                if s >> a & 1 and not s >> cc & 1:
+                    g += 1
+            val = f[s] + g
+            if val > best:                       # ties go to the smallest v
+                best, bestv = val, v
+        f[t] = best
+        back[t] = bestv
+
+    seq_rev = []
+    t = full
+    while t:
+        v = back[t]
+        seq_rev.append(v + 1)
+        t ^= 1 << v
+    return f[full], tuple(reversed(seq_rev)), full + 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dp3_matches_reference(n):
+    # 17 seeded instances per n: sparse ones (many tied optima), dense
+    # ones, arity-1 constraints, and explicit duplicates.
+    rng = random.Random(1000 + n)
+    for k in range(17):
+        inst = random_instance(rng, n, (1, n, 3 * n)[k % 3])
+        cons = inst.constraints + inst.constraints[:k % 3]
+        inst = PermCspInstance.make(n, cons)
+        res = solve_dp3(inst)
+        assert (res.optimum, res.witness.sequence(), res.nodes_explored) \
+            == _dp3_reference(inst)
 
 
 def test_dp3_matches_brute_randomly(rng):
