@@ -302,8 +302,7 @@ def cmd_solve(args):
         raise InvalidInputError("unrecognized input format in %s"
                                 % args.instance)
 
-    cert = formats.read_certificate(text) if "c target" in text else None
-    instance = cert.instance if cert else formats.read_instance(text)
+    instance, cert = formats.read_pcsp(text)
 
     if method == "auto":
         if cert is not None and (cert.kind == "perm6"
@@ -345,29 +344,6 @@ def cmd_solve(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _perm4_conditions(grid, cert, D):
-    """Print the three biclique-grid condition reports; the failures,
-    including a delta sum that disagrees with the certificate's."""
-    structure = validate.check_biclique_structure(grid)
-    regularity, delta = validate.check_regularity(grid)
-    stability, _ = validate.check_stability(grid, D)
-    failures = []
-    for name, report in [("biclique structure", structure),
-                         ("regularity", regularity), ("stability", stability)]:
-        print("\n".join(report.lines()))
-        if not report.holds:
-            failures.append(name)
-        elif report is regularity:
-            # Sum over top-to-bottom row pairs only (the bottom-to-top
-            # half mirrors it and is not part of the count).
-            half = grid.side // 2
-            got = int(delta[:half, half:].sum())
-            if got != cert.delta_sum:
-                failures.append("delta-sum mismatch: grid %d, certificate %d"
-                                % (got, cert.delta_sum))
-    return failures
-
-
 def cmd_verify(args):
     cert = formats.read_certificate(_read(args.certificate))
     grid = formats.read_grid(_read(args.source))
@@ -377,17 +353,16 @@ def cmd_verify(args):
         raise InvalidInputError("an arity-%s certificate needs a %s source "
                                 "grid" % (cert.kind[-1], kind))
     failures = []
-    m = len(cert.dummy_vars)
+    D = None
     if perm4:
         D = grid.D if grid.D is not None else cert.D
-        failures += _perm4_conditions(grid, cert, D)
-        want = validate.target_perm4(grid.side // 2, D, m, cert.delta_sum)
-    else:
-        D = None
-        want = validate.target_perm6(grid.side, m)
-    if want != cert.target:
-        failures.append("target mismatch: recomputed %d, stated %d"
-                        % (want, cert.target))
+        for name, report in [
+                ("biclique structure", validate.check_biclique_structure(grid)),
+                ("regularity", validate.check_regularity(grid)[0]),
+                ("stability", validate.check_stability(grid, D)[0])]:
+            print("\n".join(report.lines()))
+            if not report.holds:
+                failures.append(name)
     if not failures:
         mismatch = solvers.certificate_mismatch(cert, grid, D)
         if mismatch is not None:

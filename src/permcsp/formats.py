@@ -212,9 +212,9 @@ def write_graph(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def read_grid(text: str) -> GridGraph:
-    """Parse a grid file.  Every edge line is range-, self-loop- and (on a
-    biclique grid) placement-checked at once, on the whole edge array, when
-    the edges are set; the first offending line is then named."""
+    """Parse a grid file.  :meth:`GridGraph.from_edges` checks every edge
+    line at once, on the whole edge array; the first offending line is
+    then named."""
     scan = _Scanner(text, "p grid <side> [D]")
     coords: List[int] = []          # i1, j1, i2, j2 of each edge line
     deltas = []
@@ -243,23 +243,20 @@ def read_grid(text: str) -> GridGraph:
             kind = tokens[2]
     side, D = (scan.fields + [None])[:2]
     try:
-        grid = GridGraph(side, kind=kind, D=D)
+        delta_table = np.zeros((side, side), dtype=np.int64) if deltas else None
+        for i, k, val in deltas:
+            delta_table[i - 1, k - 1] = val
+        return GridGraph.from_edges(side, coords, kind=kind, D=D,
+                                    delta_table=delta_table)
     except MemoryError:
         raise scan.error(scan.header, "a grid that fits in memory")
     except ValueError as exc:          # InvalidInputError, or numpy's size cap
-        raise scan.error(scan.header, "a valid %s grid header (%s)"
-                         % (kind, exc))
-    if deltas:
-        grid.delta_table = np.zeros((side, side), dtype=np.int64)
-        for i, k, val in deltas:
-            grid.delta_table[i - 1, k - 1] = val
-    try:
-        grid.add_edges(coords)
-    except InvalidInputError:
-        k, expected = grid.misfit(coords)
+        k, expected = GridGraph.misfit(side, kind, coords) or (None, exc)
+        if k is None:
+            raise scan.error(scan.header, "a valid %s grid header (%s)"
+                             % (kind, expected))
         edge_lines = (n for n, tokens in _Scanner(text) if tokens[0] == "e")
         raise scan.error(next(itertools.islice(edge_lines, k, None)), expected)
-    return grid
 
 
 def dump_grid(g: GridGraph, fh) -> None:
@@ -276,10 +273,8 @@ def dump_grid(g: GridGraph, fh) -> None:
     for (i1, j1), (i2, j2) in g.edges():
         fh.write("e %d %d %d %d\n" % (i1, j1, i2, j2))
     if g.delta_table is not None:
-        for i in range(g.side):
-            for k in range(g.side):
-                if g.delta_table[i, k]:
-                    fh.write("d %d %d %d\n" % (i + 1, k + 1, g.delta_table[i, k]))
+        for i, k in zip(*np.nonzero(g.delta_table)):
+            fh.write("d %d %d %d\n" % (i + 1, k + 1, g.delta_table[i, k]))
 
 
 def write_grid(g: GridGraph) -> str:
@@ -363,8 +358,20 @@ _ROLE_CODES = {"d": "dummy", "r": "row", "c": "column"}
 _INT_PARAMS = ("n", "D", "source-edges", "delta-sum")
 
 
-def read_certificate(text: str) -> ReductionCertificate:
+def read_pcsp(text: str
+              ) -> Tuple[PermCspInstance, Optional[ReductionCertificate]]:
+    """The instance of a pcsp file, and the certificate it is when a
+    comment's second token is exactly ``target`` (else None)."""
     instance, scan = _parse_pcsp(text)
+    marked = any(tokens[1:2] == ["target"] for _, tokens in scan.comments)
+    return instance, (_certificate(instance, scan) if marked else None)
+
+
+def read_certificate(text: str) -> ReductionCertificate:
+    return _certificate(*_parse_pcsp(text))
+
+
+def _certificate(instance, scan) -> ReductionCertificate:
     target = None
     params = {}
     roles = {}

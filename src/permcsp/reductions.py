@@ -71,43 +71,46 @@ class CnfFormula:
 
 
 class GridGraph:
-    """A graph on [side] x [side] backed by a boolean matrix.
+    """A graph on [side] x [side] backed by a read-only boolean matrix.
 
     Vertex (i, j) (1-based row, column) has flat index (i-1)*side + (j-1).
     ``kind`` is "clique" for n x n Clique instances, stored as the dense
     (side^2) x (side^2) adjacency, or "biclique" for 2n x 2n Biclique
     instances, stored as their n^2 x n^2 top-vs-bottom block (see
     :meth:`cross_matrix`): every biclique edge joins a top vertex
-    (i, j <= n) to a bottom vertex (i, j > n), and an edge that does not
-    is rejected when it is added.  ``adj`` given to the constructor is
-    the stored matrix of the grid's kind.
+    (i, j <= n) to a bottom vertex (i, j > n).
+
+    The adjacency is fixed at construction, through ``adj`` (the stored
+    matrix of the grid's kind; taken over, not copied, when it owns its
+    data) or :meth:`from_edges`, and every array a grid hands out is
+    read-only.  So :mod:`permcsp.validate` decides each condition once.
     """
 
     def __init__(self, side, kind="clique", D=None, adj=None, delta_table=None,
                  meta=None):
-        if side < 1:
-            raise InvalidInputError("side must be positive")
-        if kind not in ("clique", "biclique"):
-            raise InvalidInputError("unknown grid kind %r" % (kind,))
-        if kind == "biclique" and side % 2:
-            raise InvalidInputError("biclique grids need an even side")
-        self.side = side
-        self.kind = kind
-        self.D = D
+        fault = self.misfit(side, kind, ())
+        if fault is not None:
+            raise InvalidInputError(fault[1])
+        self.side, self.kind, self.D = side, kind, D
         n = (side // 2) ** 2 if kind == "biclique" else side * side
-        if adj is None:
-            adj = np.zeros((n, n), dtype=bool)
-        if adj.shape != (n, n):
+        matrix = (np.zeros((n, n), dtype=bool) if adj is None
+                  else np.ascontiguousarray(adj, dtype=bool))
+        if matrix.shape != (n, n):
             raise InvalidInputError("adjacency must be %d x %d" % (n, n))
-        self._matrix = np.ascontiguousarray(adj, dtype=bool)
+        if matrix.base is not None:     # a view: its base could still change
+            matrix = matrix.copy()
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._conditions = {}           # written by permcsp.validate only
         self.delta_table = delta_table
         self.meta = meta or {}
 
     @property
     def adj(self):
-        """The dense (side^2) x (side^2) adjacency matrix: a clique grid's
-        stored matrix, or a new matrix built from a biclique grid's cross
-        block on every access (nothing in this package reads that one)."""
+        """The dense (side^2) x (side^2) adjacency matrix, read-only: a
+        clique grid's stored matrix, or a new one built from a biclique
+        grid's cross block on every access (nothing in this package reads
+        that one)."""
         if self.kind == "clique":
             return self._matrix
         side, n = self.side, self.side // 2
@@ -116,14 +119,34 @@ class GridGraph:
         cross = self._matrix.reshape(n, n, n, n)
         adj4[:n, :n, n:, n:] = cross
         adj4[n:, n:, :n, :n] = cross.transpose(2, 3, 0, 1)
+        adj.flags.writeable = False
         return adj
 
     @classmethod
     def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None,
                    meta=None):
-        g = cls(side, kind=kind, D=D, delta_table=delta_table, meta=meta)
-        g.add_edges(edges)
-        return g
+        """The grid with ``edges``, ((i, j), (i', j')) pairs or flat
+        (i, j, i', j') rows in any orientation, checked as one array and
+        set by one index assignment.  Raises :class:`InvalidInputError`
+        naming the first fault :meth:`misfit` finds."""
+        ends = _edge_rows(edges, side)
+        fault = cls.misfit(side, kind, ends)
+        if fault is not None:
+            k, expected = fault
+            raise InvalidInputError(expected if k is None else
+                                    "edge (%d, %d)-(%d, %d): expected %s"
+                                    % (tuple(ends[k]) + (expected,)))
+        flipped = ends[:, [2, 3, 0, 1]]
+        if kind == "clique":                            # both directions
+            ends = np.concatenate([ends, flipped])
+        else:                                           # top end first
+            ends = np.where(ends[:, :1] > ends[:, 2:3], flipped, ends)
+        r = side // 2 if kind == "biclique" else side
+        i, j, k, l = (ends - [1, 1, side - r + 1, side - r + 1]).T
+        adj = np.zeros((r * r, r * r), dtype=bool)
+        adj.reshape(r, r, r, r)[i, j, k, l] = True
+        return cls(side, kind=kind, D=D, adj=adj, delta_table=delta_table,
+                   meta=meta)
 
     def index(self, i, j):
         if not (1 <= i <= self.side and 1 <= j <= self.side):
@@ -133,45 +156,27 @@ class GridGraph:
     def vertex(self, flat):
         return flat // self.side + 1, flat % self.side + 1
 
-    def add_edge(self, a, b):
-        self.add_edges([(a, b)])
-
-    def add_edges(self, edges):
-        """Add ((i, j), (i', j')) pairs, or flat (i, j, i', j') rows, with
-        one check on the whole edge array and one index assignment.  When
-        some edge does not fit (see :meth:`misfit`), raises
-        :class:`InvalidInputError` naming the first and adds none.
-        """
-        ends = _edge_rows(edges, self.side)
-        fault = self.misfit(ends)
-        if fault is not None:
-            k, expected = fault
-            raise InvalidInputError("edge (%d, %d)-(%d, %d): expected %s"
-                                    % (tuple(ends[k]) + (expected,)))
-        ends = ends - 1
-        flipped = ends[:, [2, 3, 0, 1]]
-        if self.kind == "clique":                       # both directions
-            ends = np.concatenate([ends, flipped])
-        else:                                           # top end first
-            ends = np.where(ends[:, :1] > ends[:, 2:3], flipped, ends)
-        _, offset, blocks = self.blocks()
-        blocks[ends[:, 0], ends[:, 1], ends[:, 2] - offset,
-               ends[:, 3] - offset] = True
-
-    def misfit(self, edges):
+    @staticmethod
+    def misfit(side, kind, edges):
         """(k, what was expected) for the first of ``edges`` (as taken by
-        :meth:`add_edges`) that cannot be an edge of this grid, or None.
+        :meth:`from_edges`) that cannot be an edge of a ``kind`` grid of
+        this side (k None: the side or kind is invalid), or None.
 
         An edge joins two distinct vertices within 1..side; on a biclique
         grid, one top vertex and one bottom vertex.
         """
-        side = self.side
+        if side < 1:
+            return None, "side must be positive"
+        if kind not in ("clique", "biclique"):
+            return None, "unknown grid kind %r" % (kind,)
+        if kind == "biclique" and side % 2:
+            return None, "biclique grids need an even side"
         ends = _edge_rows(edges, side)
         i1, j1, i2, j2 = ends.T
         faults = [(((ends < 1) | (ends > side)).any(axis=1),
                    "vertices within 1..%d" % side),
                   ((i1 == i2) & (j1 == j2), "two distinct vertices")]
-        if self.kind == "biclique":
+        if kind == "biclique":
             n = side // 2
             top1, top2 = (i1 <= n) & (j1 <= n), (i2 <= n) & (j2 <= n)
             bottom1, bottom2 = (i1 > n) & (j1 > n), (i2 > n) & (j2 > n)
@@ -212,7 +217,7 @@ class GridGraph:
         """The stored matrix as blocks [i, j, k, l], with the row count r
         of each axis and the row offset of the second pair of axes: for a
         clique grid, rows i and k of the grid (offset 0); for a biclique
-        grid, top row i and bottom row n+k (offset n)."""
+        grid, top row i and bottom row n+k (offset n).  A read-only view."""
         r = self.side if self.kind == "clique" else self.side // 2
         return r, self.side - r, self._matrix.reshape(r, r, r, r)
 
@@ -220,7 +225,7 @@ class GridGraph:
         """The stored n^2 x n^2 top-vs-bottom block of a biclique grid.
 
         Entry [(i-1)*n + j-1, (i'-1)*n + j'-1] says whether
-        (i, j)(n+i', n+j') is an edge.  Not a copy.
+        (i, j)(n+i', n+j') is an edge.  Not a copy, and read-only.
         """
         if self.kind != "biclique":
             raise InvalidInputError("cross_matrix only applies to biclique grids")
@@ -246,9 +251,6 @@ class GrayCode:
 
     digits: int
     words: Tuple[Tuple[int, ...], ...]
-
-    def array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.int8)
 
     def rank(self, word) -> int:
         """Index of a word in the sequence."""
@@ -445,7 +447,7 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
         raise InternalConsistencyError("blocks hold %d padding vertices"
                                        % len(padding))
 
-    words = ternary_gray(x).array()        # (nprime, x), shared by every row
+    words = np.array(ternary_gray(x).words, dtype=np.int8)    # (nprime, x)
 
     where = {}
     for bi, block in enumerate(blocks):
@@ -461,38 +463,31 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
             (bu, ku), (bv, kv) = (bv, kv), (bu, ku)
         pair_edges[(bu, bv)].append((ku, kv))
     for (bu, bv), matched in pair_edges.items():
-        firsts = [a for a, _ in matched]
-        seconds = [b for _, b in matched]
-        if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
+        if any(len(set(ends)) != len(matched) for ends in zip(*matched)):
             raise InternalConsistencyError(
                 "blocks %d and %d do not induce a matching" % (bu + 1, bv + 1))
 
-    total = nprime * nprime
-    adj = np.ones((total, total), dtype=bool)
+    adj = np.ones((nprime ** 2, nprime ** 2), dtype=bool)
+    adj4 = adj.reshape(nprime, nprime, nprime, nprime)      # [i, j, k, l]
     for i in range(nprime):
-        sl = slice(i * nprime, (i + 1) * nprime)
-        adj[sl, sl] = False
+        adj4[i, :, i, :] = False
     for (bu, bv), matched in pair_edges.items():
         compat = np.ones((nprime, nprime), dtype=bool)
         for ku, kv in matched:
             compat &= words[:, ku][:, None] != words[:, kv][None, :]
-        adj[bu * nprime:(bu + 1) * nprime, bv * nprime:(bv + 1) * nprime] = compat
-        adj[bv * nprime:(bv + 1) * nprime, bu * nprime:(bu + 1) * nprime] = compat.T
+        adj4[bu, :, bv, :] = compat
+        adj4[bv, :, bu, :] = compat.T
 
-    delta = np.zeros((nprime, nprime), dtype=np.int64)
-    for i in range(nprime):
-        for k in range(nprime):
-            if i == k:
-                continue
-            pair = (i, k) if i < k else (k, i)
-            mm = len(pair_edges.get(pair, ()))
-            delta[i, k] = (2 ** mm) * (3 ** (x - mm))
+    mm = np.zeros((nprime, nprime), dtype=np.int64)    # edges per row pair
+    for (bu, bv), matched in pair_edges.items():
+        mm[bu, bv] = mm[bv, bu] = len(matched)
+    delta = 2 ** mm * 3 ** (x - mm)
+    np.fill_diagonal(delta, 0)
 
     grid = GridGraph(nprime, kind="clique", D=degree_bound, adj=adj,
                      delta_table=delta,
                      meta={"blocks": [tuple(b) for b in blocks],
                            "x": x,
-                           "gray_digits": x,
                            "num_original": n0,
                            "padding": tuple(padding)})
 
@@ -544,13 +539,12 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
         _require(validate.check_stability(g, g.D)[0],
                  "input violates stability")
         # The diagonal pairing edges make row n+i differ between columns j
-        # and j+1 for every top vertex (i, j), which can cost one extra
-        # unstable row on top of what the source grid allowed.  Transfer D
-        # unchanged when it still suffices, else bump it by one.
-        if not validate.check_stability(h, h.D)[0].holds:
-            h.D += 1
-            if not validate.check_stability(h, h.D)[0].holds:
-                raise InternalConsistencyError("doubling broke stability")
+        # and j+1 for every top vertex (i, j): one more unstable row than
+        # G allowed, at most.  Keep D when it suffices, else take D + 1.
+        report, stable = validate.check_stability(h, g.D + 1)
+        if not report.holds:
+            raise InternalConsistencyError("doubling broke stability")
+        h.D += int((~stable).sum(axis=2).max(initial=0) > g.D)
     return h
 
 
@@ -679,8 +673,7 @@ def reduce_dcnnb_to_perm4(h: GridGraph, D: Optional[int] = None,
         raise InvalidInputError("input must be a 2n x 2n biclique grid")
     _require(validate.check_biclique_structure(h),
              "input violates the biclique structure")
-    if D is None:
-        D = h.D
+    D = h.D if D is None else D
     if D is None:
         raise InvalidInputError("degree-constraint parameter D is required")
     report, delta = validate.check_regularity(h)

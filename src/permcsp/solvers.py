@@ -513,8 +513,9 @@ def certificate_mismatch(cert: ReductionCertificate, grid: GridGraph,
                          D: Optional[int] = None) -> Optional[str]:
     """Rerun the reduction that made ``cert`` on its source grid, with the
     certificate's dummy count and (arity 4 only) ``D``, defaulting to the
-    certificate's; what differs from ``cert``, or None.  A grid that
-    breaks the reduction's preconditions raises
+    certificate's; the first field that differs (constraint multiset,
+    role lines, kind, n, D, source-edges, delta-sum, target), or None.  A
+    grid that breaks the reduction's preconditions raises
     :class:`InvalidInputError`."""
     m = len(cert.dummy_vars)
     if cert.kind == "perm4":
@@ -529,9 +530,10 @@ def certificate_mismatch(cert: ReductionCertificate, grid: GridGraph,
     if (regen.dummy_vars, regen.row_vars, regen.col_vars) != \
             (cert.dummy_vars, cert.row_vars, cert.col_vars):
         return "role lines do not match the source grid"
-    if regen.target != cert.target:
-        return ("target does not match the source grid: regenerated %d, "
-                "stated %d" % (regen.target, cert.target))
+    for field in ("kind", "n", "D", "source-edges", "delta-sum", "target"):
+        want, got = (getattr(c, field.replace("-", "_")) for c in (regen, cert))
+        if want != got:
+            return "%s mismatch: regenerated %s, stated %s" % (field, want, got)
     return None
 
 

@@ -1,7 +1,11 @@
 """Condition checkers, closed-form counts, and witness mappers.
 
-The checkers recompute everything from adjacency; delta tables and
-stability metadata carried by a grid are advisory and never trusted.
+One validation policy for grids: a grid's adjacency is immutable after
+construction, so each condition is computed once per grid, from that
+adjacency, and stored on the grid (by this module only, with read-only
+arrays); every later request, whoever makes it, reads the stored result.
+Stability is stored without D.  Delta tables carried by a grid, such as
+those read from files, are advisory and never trusted.
 """
 
 from dataclasses import dataclass
@@ -39,6 +43,13 @@ def _report(condition, violations):
 # Condition checkers
 # ---------------------------------------------------------------------------
 
+def _stored(g: GridGraph, condition: str, compute):
+    """``compute(g)``, computed once per grid and ``condition``."""
+    if condition not in g._conditions:
+        g._conditions[condition] = compute(g)
+    return g._conditions[condition]
+
+
 def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray]]:
     """Constant row-pair degree: deg((i,j), R_k) independent of j.
 
@@ -46,6 +57,10 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
     the pairs crossing the halves are (only edges there can exist), top
     row first.  Returns the computed delta table when the condition holds.
     """
+    return _stored(g, "regularity", _regularity)
+
+
+def _regularity(g):
     r, offset, blocks = g.blocks()
     # deg[i, k, s, j]: s = 0 is vertex (i, j) into row offset+k; on a
     # biclique grid s = 1 is vertex (n+k, n+j) into top row i.
@@ -66,6 +81,7 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
     delta[:r, offset:offset + r] = deg[:, :, 0, 0]
     if g.kind == "biclique":
         delta[r:, :r] = deg[:, :, 1, 0].T
+    delta.setflags(write=False)
     return report, delta
 
 
@@ -78,20 +94,23 @@ def check_stability(g: GridGraph, D: int
     count never exceeds D.  On a biclique grid the top vertices are
     checked, against the bottom rows.  Returns, when it holds, the boolean
     array ``stable[i, j, k]`` of rows where the neighborhoods agree (the
-    I_{i,j} witness sets).
+    I_{i,j} witness sets), which is stored without D.
     """
-    r, _, blocks = g.blocks()
-    violations = []
-    stable = np.zeros((r, r - 1, r), dtype=bool)
-    for i in range(r):
-        bad = (blocks[i, :-1] != blocks[i, 1:]).any(axis=2)    # (j, k)
-        stable[i] = ~bad
-        counts = bad.sum(axis=1)
-        for j in np.nonzero(counts > D)[0]:
-            violations.append((i + 1, int(j) + 1,
-                               "%d unstable rows > D=%d" % (counts[j], D)))
+    stable = _stored(g, "stability", _stability)
+    counts = stable.shape[2] - stable.sum(axis=2)
+    violations = [(i + 1, j + 1, "%d unstable rows > D=%d" % (counts[i, j], D))
+                  for i, j in np.argwhere(counts > D).tolist()]
     report = _report("stability", violations)
     return report, (stable if report.holds else None)
+
+
+def _stability(g):
+    r, _, blocks = g.blocks()
+    stable = np.zeros((r, r - 1, r), dtype=bool)
+    for i in range(r):
+        stable[i] = (blocks[i, :-1] == blocks[i, 1:]).all(axis=2)  # (j, k)
+    stable.setflags(write=False)
+    return stable
 
 
 _TILE = 256
@@ -107,6 +126,10 @@ def check_biclique_structure(h: GridGraph) -> ConditionReport:
     tile differs is the full transpose compared, which keeps the
     violations in row-major order.
     """
+    return _stored(h, "structure", _structure)
+
+
+def _structure(h):
     cross = h.cross_matrix()
     n = h.side // 2
     size = cross.shape[0]

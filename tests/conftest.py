@@ -75,3 +75,21 @@ def assert_error_at(err, text, line):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    """Counts, by checker name, of the grid-condition computations: a
+    condition asked again of the same grid reads the result stored on it
+    and is not counted."""
+    from permcsp import validate
+    counts = {}
+    for name, compute in [("check_biclique_structure", "_structure"),
+                          ("check_regularity", "_regularity"),
+                          ("check_stability", "_stability")]:
+        def counted(g, _name=name, _compute=getattr(validate, compute)):
+            counts[_name] += 1
+            return _compute(g)
+        counts[name] = 0
+        monkeypatch.setattr(validate, compute, counted)
+    return counts

@@ -372,6 +372,57 @@ def test_bad_certificate_trailer_is_usage_error(tmp_path, capsys, old, new):
         assert err.startswith("error: line %d (byte " % lineno)
 
 
+def test_solve_takes_a_target_comment_for_a_trailer_only_by_its_token(
+        tmp_path, capsys):
+    f = tmp_path / "i.pcsp"
+    for comment in ("c target: a tiny example", "c my target 5"):
+        f.write_text(comment + "\np pcsp 3 1 3\n1 2 3 0\n")
+        code, out, _ = run(capsys, ["solve", str(f)])
+        assert code == 0 and out.startswith("optimum 1\n")
+    f.write_text("c target 1\np pcsp 3 1 3\n1 2 3 0\n")
+    code, _, err = run(capsys, ["solve", str(f)])
+    assert code == 2 and "missing trailer" in err
+
+
+def _triangle_chain(tmp_path, capsys):
+    src = tmp_path / "tri.graph"
+    src.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    out = tmp_path / "chain"
+    code, _, _ = run(capsys, [
+        "reduce", str(src), "--degree-bound", "2", "--steps",
+        "col2clique,clique2biclique,biclique2perm4", "--out-dir", str(out)])
+    assert code == 0
+    return out / "step2-clique2biclique.grid", out / "step3-biclique2perm4.pcsp"
+
+
+@pytest.mark.parametrize("old, new, why", [
+    ("c param D 3", "c param D 1", "D mismatch: regenerated 3, stated 1"),
+    ("c param source-edges 45", "c param source-edges 7",
+     "source-edges mismatch: regenerated 45, stated 7"),
+    ("c param delta-sum 15", "c param delta-sum 16",
+     "delta-sum mismatch: regenerated 15, stated 16"),
+    ("c target 4074", "c target 4075",
+     "target mismatch: regenerated 4074, stated 4075"),
+    ("c param n 3", "c param n 2", "n mismatch: regenerated 3, stated 2"),
+    ("c param n 2", "c param n 2\nc param D 4",
+     "D mismatch: regenerated None, stated 4"),
+])
+def test_tampered_certificate_field_fails(tmp_path, capsys, old, new, why):
+    if old == "c param n 2":                # an arity-6 certificate
+        grid, cert = _perm6_files(tmp_path, capsys)
+    else:
+        grid, cert = _triangle_chain(tmp_path, capsys)
+    text = cert.read_text()
+    assert old + "\n" in text
+    cert.write_text(text.replace(old + "\n", new + "\n"))
+    code, out, _ = run(capsys, ["verify", str(cert), str(grid)])
+    assert code == 1 and out.endswith("FAIL %s\n" % why)
+    code, out, err = run(capsys, ["solve", str(cert), "--source", str(grid)])
+    assert code == 2 and out == ""
+    # solve refuses a wrong n before regenerating: the sides disagree.
+    assert ("dimensions disagree" if old == "c param n 3" else why) in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -446,42 +497,22 @@ def test_console_script_runs():
 # validation policy and header errors
 # ---------------------------------------------------------------------------
 
-def _count_checks(monkeypatch):
-    """Wrap the three grid-condition checkers with call counters."""
-    from permcsp import validate
-    counts = {}
-    for name in ("check_biclique_structure", "check_regularity",
-                 "check_stability"):
-        def counted(*args, _name=name, _check=getattr(validate, name)):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _check(*args)
-        monkeypatch.setattr(validate, name, counted)
-    return counts
-
-
 def test_each_grid_condition_is_checked_once_per_entry_point(
-        tmp_path, capsys, monkeypatch):
-    src = tmp_path / "tri.graph"
-    src.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
-    out = tmp_path / "chain"
-    counts = _count_checks(monkeypatch)
-    code, _, _ = run(capsys, [
-        "reduce", str(src), "--steps",
-        "col2clique,clique2biclique,biclique2perm4", "--out-dir", str(out)])
-    assert code == 0
-    # G: regularity and stability once, by col2clique.  H: structure,
-    # regularity and stability (at D, then D + 1) by clique2biclique; G's
-    # stability there too; the three again by biclique2perm4.
-    assert counts == {"check_biclique_structure": 2, "check_regularity": 3,
-                      "check_stability": 5}
-    counts.clear()
-    code, stdout, _ = run(capsys, [
-        "verify", str(out / "step3-biclique2perm4.pcsp"),
-        str(out / "step2-clique2biclique.grid")])
-    assert code == 0 and stdout.rstrip().endswith("PASS")
-    # Once by verify itself, once by the regeneration it compares with.
-    assert counts == {"check_biclique_structure": 2, "check_regularity": 2,
-                      "check_stability": 2}
+        tmp_path, capsys, count_checks):
+    grid, cert = _triangle_chain(tmp_path, capsys)
+    # G: regularity and stability, by col2clique.  H: the three, by
+    # clique2biclique; biclique2perm4 and G's stability check in
+    # clique2biclique read the stored results.
+    assert count_checks == {"check_biclique_structure": 1,
+                            "check_regularity": 2, "check_stability": 2}
+    for argv in (["verify", str(cert), str(grid)],
+                 ["solve", str(cert), "--source", str(grid)]):
+        count_checks.update(dict.fromkeys(count_checks, 0))
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0
+        assert stdout.rstrip().endswith(("PASS", "MEETS TARGET 4074"))
+        # Once for the grid read from the file, whatever asks again.
+        assert count_checks == dict.fromkeys(count_checks, 1)
 
 
 @pytest.mark.parametrize("text, why", [

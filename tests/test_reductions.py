@@ -85,7 +85,7 @@ def test_grid_edges_sorted_and_symmetric():
 def test_grid_rejects_self_loop_and_out_of_range():
     g = GridGraph(2)
     with pytest.raises(InvalidInputError):
-        g.add_edge((1, 1), (1, 1))
+        GridGraph.from_edges(2, [((1, 1), (1, 1))])
     with pytest.raises(InvalidInputError):
         g.index(0, 1)
     with pytest.raises(InvalidInputError):
@@ -134,6 +134,27 @@ def test_grid_cross_matrix_layout():
 def test_grid_cross_matrix_needs_biclique():
     with pytest.raises(InvalidInputError):
         GridGraph(2, kind="clique").cross_matrix()
+
+
+def test_grid_adjacency_is_read_only():
+    g = grid_from_edges(2, [((1, 1), (2, 2)), ((1, 2), (2, 1))])
+    h = reduce_dcnnc_to_dcnnb(g)
+    for array in (g.adj, g.blocks()[2], h.adj, h.blocks()[2],
+                  h.cross_matrix()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = False
+    assert g.num_edges() == 2 and h.num_edges() == 8
+
+
+def test_grid_takes_over_an_owned_matrix_and_copies_a_view():
+    adj = np.zeros((4, 4), dtype=bool)
+    g = GridGraph(2, adj=adj)
+    with pytest.raises(ValueError, match="read-only"):
+        adj[0, 3] = True
+    base = np.zeros((8, 4), dtype=bool)
+    g = GridGraph(2, adj=base[:4])
+    base[0, 3] = base[3, 0] = True
+    assert g.num_edges() == 0 and not g.has_edge((1, 1), (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +403,21 @@ def test_doubling_may_bump_D_for_stability():
     report, _ = validate.check_stability(h, h.D)
     assert report.holds
     assert h.D in (grid.D, grid.D + 1)
+
+
+@pytest.mark.parametrize("graph, bound", [
+    (Graph(3, [(1, 2), (1, 3), (2, 3)]), 2),
+    (Graph(3, [(1, 2), (2, 3)]), 2),
+    (Graph(4, [(1, 2), (3, 4)]), 1),
+    (Graph(1), 1),
+])
+def test_doubling_keeps_D_when_it_holds_else_bumps_it(graph, bound):
+    grid = reduce_coloring_to_dcnnc(graph, degree_bound=bound)
+    h = reduce_dcnnc_to_dcnnb(grid)
+    fresh = GridGraph(h.side, kind="biclique", adj=h.cross_matrix())
+    kept = validate.check_stability(fresh, grid.D)[0].holds
+    assert h.D == (grid.D if kept else grid.D + 1)
+    assert reduce_dcnnc_to_dcnnb(grid_from_edges(1, [], D=4)).D == 4
 
 
 def test_doubling_rejects_irregular_input():

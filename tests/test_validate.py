@@ -12,6 +12,7 @@ from permcsp.reductions import (
     GridGraph,
     reduce_clique_to_perm6,
     reduce_coloring_to_dcnnc,
+    reduce_dcnnb_to_perm4,
     reduce_dcnnc_to_dcnnb,
 )
 from permcsp.solvers import RowSelection, solve_3coloring
@@ -105,13 +106,14 @@ def test_structure_accepts_doubled_grid():
 
 def test_structure_rejects_misplaced_edge():
     # A biclique grid holds only top-vs-bottom edges: a misplaced one is
-    # refused by add_edge, before any structure check could see it.
-    h = GridGraph(4, kind="biclique")
+    # refused by from_edges, before any structure check could see it.
     for a, b in [((1, 1), (1, 2)), ((3, 3), (4, 4)), ((1, 1), (3, 2)),
                  ((1, 3), (3, 3))]:
         with pytest.raises(InvalidInputError, match="joined to a bottom"):
-            h.add_edge(a, b)
-    h.add_edge((3, 3), (1, 2))          # bottom-to-top is the same edge
+            GridGraph.from_edges(4, [((3, 3), (1, 2)), (a, b)],
+                                 kind="biclique")
+    # Bottom-to-top is the same edge.
+    h = GridGraph.from_edges(4, [((3, 3), (1, 2))], kind="biclique")
     assert list(h.edges()) == [((1, 2), (3, 3))]
     assert h.has_edge((1, 2), (3, 3)) and not h.has_edge((1, 1), (1, 2))
     assert not check_biclique_structure(h).holds
@@ -129,7 +131,8 @@ def test_structure_asymmetry_in_an_off_diagonal_tile():
     # n = 17: the cross block is 289 x 289, more than one 256-wide tile,
     # and (1,1)(34,34) sits at cross entry [0, 288].
     h = reduce_dcnnc_to_dcnnb(GridGraph(17))
-    h.add_edge((1, 1), (34, 34))
+    h = GridGraph.from_edges(34, list(h.edges()) + [((1, 1), (34, 34))],
+                             kind="biclique")
     report = check_biclique_structure(h)
     assert report.violations == (
         ((1, 1), (34, 34), "symmetry partner missing"),
@@ -152,6 +155,57 @@ def test_report_lines_format():
                      "  violation ((1, 2), (3, 3), 'symmetry partner missing')"]
     ok = check_biclique_structure(reduce_dcnnc_to_dcnnb(GridGraph(1)))
     assert ok.lines() == ["check bipartite-symmetry pass"]
+
+
+# ---------------------------------------------------------------------------
+# One computation per grid and condition
+# ---------------------------------------------------------------------------
+
+TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
+
+
+def test_the_in_memory_chain_computes_each_condition_once(count_checks):
+    g = reduce_coloring_to_dcnnc(TRIANGLE, degree_bound=2)
+    h = reduce_dcnnc_to_dcnnb(g)
+    once = {"check_biclique_structure": 1, "check_regularity": 2,
+            "check_stability": 2}
+    assert count_checks == once
+    assert check_regularity(g)[0].holds and check_stability(g, g.D)[0].holds
+    assert check_biclique_structure(h).holds
+    assert check_regularity(h)[0].holds and check_stability(h, h.D)[0].holds
+    # The stored stability data answers every D.
+    assert not check_stability(h, 0)[0].holds
+    assert check_stability(h, h.D + 5)[0].holds
+    reduce_dcnnb_to_perm4(h, dummy_count=2)
+    assert count_checks == once
+
+
+def test_checks_hand_out_read_only_arrays():
+    h = reduce_dcnnc_to_dcnnb(reduce_coloring_to_dcnnc(TRIANGLE, 2))
+    _, delta = check_regularity(h)
+    _, stable = check_stability(h, h.D)
+    for array in (delta, stable, h.delta_table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_grid_rebuilt_with_one_more_edge_is_checked_afresh():
+    g = reduce_coloring_to_dcnnc(TRIANGLE, degree_bound=2)
+    h = reduce_dcnnc_to_dcnnb(g)
+    cells = [(i, j) for i in range(1, g.side + 1) for j in range(1, g.side + 1)]
+    extra = next((a, b) for a, b in itertools.combinations(cells, 2)
+                 if a[0] != b[0] and not g.has_edge(a, b))
+    assert check_regularity(g)[0].holds
+    more = GridGraph.from_edges(g.side, list(g.edges()) + [extra], D=g.D)
+    assert not check_regularity(more)[0].holds
+    n = g.side
+    extra = next(((i, j), (n + k, n + l))
+                 for i, j, k, l in itertools.product(range(1, n + 1), repeat=4)
+                 if not h.has_edge((i, j), (n + k, n + l)))
+    assert check_biclique_structure(h).holds
+    more = GridGraph.from_edges(h.side, list(h.edges()) + [extra],
+                                kind="biclique", D=h.D)
+    assert not check_biclique_structure(more).holds
 
 
 # ---------------------------------------------------------------------------
