@@ -57,8 +57,10 @@ def _write(path, text):
 
 
 def _read(path):
+    """A file's text; a byte that is not ASCII is kept for the readers to
+    refuse with its position."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
             return fh.read()
     except OSError as exc:
         raise InvalidInputError("cannot read %s: %s" % (path, exc))

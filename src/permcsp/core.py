@@ -7,8 +7,11 @@ ordering pi exactly when pi(v1) < pi(v2) < ... < pi(vk).  Everything else
 in the package is ultimately tested against :func:`evaluate`.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
+
+import numpy as np
 
 
 class PermCspError(Exception):
@@ -177,6 +180,50 @@ def evaluate(instance: PermCspInstance, ordering: Ordering) -> int:
         else:
             count += 1
     return count
+
+
+_CELLS = 1 << 20     # (ordering, constraint) pairs scored at a time
+
+
+def evaluate_many(instance: PermCspInstance, positions) -> np.ndarray:
+    """:func:`evaluate` of many orderings at once.
+
+    ``positions`` is a 2-D int array with one ordering per row, laid out
+    as :attr:`Ordering.positions` (entry v-1 is the position of variable
+    v).  Returns the satisfied count of each row.  Constraints are
+    grouped by length and scored a column at a time, so duplicates count
+    multiply and an arity-1 constraint always counts, as in
+    :func:`evaluate`.
+    """
+    pos = np.asarray(positions)
+    if pos.ndim != 2:
+        raise InvalidInputError("positions must be a 2-D array")
+    if pos.shape[1] != instance.num_vars:
+        raise InvalidInputError(
+            "orderings have %d positions, instance has %d variables"
+            % (pos.shape[1], instance.num_vars))
+    if (np.sort(pos, axis=1) != np.arange(1, pos.shape[1] + 1)).any():
+        raise InvalidInputError("every row must be a bijection onto 1..%d"
+                                % pos.shape[1])
+    by_length = defaultdict(list)
+    for c in instance.constraints:
+        by_length[len(c)].append(c)
+    groups = [np.array(cons) - 1 for cons in by_length.values()]
+    counts = np.zeros(len(pos), dtype=np.int64)
+    step = max(1, _CELLS // max(1, len(instance.constraints)))
+    for lo in range(0, len(pos), step):
+        # [variable, row], in the smallest dtype that holds a position
+        block = pos[lo:lo + step].T.astype(np.min_scalar_type(pos.shape[1]),
+                                           order="C")
+        for cols in groups:
+            held = np.ones((len(cols), block.shape[1]), dtype=bool)
+            prev = block[cols[:, 0]]
+            for t in range(1, cols.shape[1]):
+                cur = block[cols[:, t]]
+                held &= prev < cur
+                prev = cur
+            counts[lo:lo + step] += held.sum(axis=0)
+    return counts
 
 
 def validate_instance(instance: PermCspInstance, flag_duplicates: bool = False) -> list:

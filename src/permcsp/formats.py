@@ -8,7 +8,7 @@ generation order.  The grammars are documented in docs/formats.md.
 """
 
 import io
-import itertools
+import re
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -39,37 +39,54 @@ class FormatError(PermCspError):
 
 
 _CHUNK = 1 << 16          # characters split into lines at a time
+_INT = re.compile("-?[0-9]+")
+_NON_ASCII = re.compile("[^\x00-\x7f]")
 
 
-def _lines(text: str):
-    """(line number, stripped text) of each non-blank LF-terminated line,
-    splitting one chunk of the text at a time."""
-    lineno = start = 0
+def _blocks(text: str):
+    """(number of its first line, text) of each block of whole lines,
+    about _CHUNK characters each, without the LF that ends the block."""
+    lineno = 1
+    start = 0
     while start <= len(text):
         end = text.find("\n", start + _CHUNK)
         if end < 0:
             end = len(text)
-        for line in text[start:end].split("\n"):
-            lineno += 1
+        block = text[start:end]
+        yield lineno, block
+        lineno += block.count("\n") + 1
+        start = end + 1
+
+
+def _lines(text: str):
+    """(line number, stripped text) of each non-blank LF-terminated line."""
+    for first, block in _blocks(text):
+        for lineno, line in enumerate(block.split("\n"), first):
             line = line.strip()
             if line:
                 yield lineno, line
-        start = end + 1
 
 
 class _Scanner:
     """One pass over a text in any of these formats, yielding (line
     number, tokens) for each body line.
 
-    A line starting with ``c`` is a comment, kept in :attr:`comments`.  A
-    ``p <word>`` line is the header, at most one per text.  Given a header
-    grammar such as ``p grid <side> [D]`` (``[D]`` marks an optional
-    field), the header must match it and come before any body line, and
-    its integers are :attr:`fields`.  Without a grammar, any header word
-    is taken (see :func:`header_word`).
+    The text must be ASCII.  A line starting with ``c`` is a comment, kept
+    in :attr:`comments`.  A ``p <word>`` line is the header, at most one
+    per text.  Given a header grammar such as ``p grid <side> [D]``
+    (``[D]`` marks an optional field), the header must match it and come
+    before any body line, and its integers are :attr:`fields`.  Without a
+    grammar, any header word is taken (see :func:`header_word`).
     """
 
     def __init__(self, text: str, grammar: Optional[str] = None):
+        if not text.isascii():
+            # A byte a file was read with errors="surrogateescape" is
+            # named as that byte; any other character by its first byte.
+            at = _NON_ASCII.search(text).start()
+            byte = text[at].encode("utf-8", "surrogateescape")[0]
+            raise FormatError(text.count("\n", 0, at) + 1, at, "ASCII text",
+                              "byte 0x%02x" % byte)
         self.text = text
         self.grammar = grammar
         self.word = grammar and grammar.split()[1]
@@ -78,42 +95,49 @@ class _Scanner:
         self.comments: List[Tuple[int, List[str]]] = []
 
     def __iter__(self):
-        grammar = self.grammar
         for lineno, line in _lines(self.text):
-            tokens = line.split()
-            if line[0] == "c":
-                self.comments.append((lineno, tokens))
-            elif tokens[0] != "p":
-                if grammar and self.header is None:
-                    raise self.error(lineno,
-                                     "the 'p %s' header first" % self.word)
+            tokens = self.take(lineno, line)
+            if tokens:
                 yield lineno, tokens
-            elif self.header is not None:
-                raise self.error(lineno, "one 'p %s' header" % self.word)
-            elif grammar is None:
-                self.header, self.word = lineno, (tokens + [""])[1]
-            else:
-                self.header = lineno
-                size = len(grammar.split())
-                if (tokens[1:2] != [self.word] or not
-                        size - grammar.count("[") <= len(tokens) <= size):
-                    raise self.error(lineno, "header '%s'" % grammar)
-                self.fields = self.ints(lineno, tokens[2:])
-        if grammar and self.header is None:
+        self.finish()
+
+    def take(self, lineno: int, line: str) -> Optional[List[str]]:
+        """The tokens of a stripped, non-blank line if it is a body line;
+        a comment or the header is taken in and gives None."""
+        grammar = self.grammar
+        tokens = line.split()
+        if line[0] == "c":
+            self.comments.append((lineno, tokens))
+        elif tokens[0] != "p":
+            if grammar and self.header is None:
+                raise self.error(lineno, "the 'p %s' header first" % self.word)
+            return tokens
+        elif self.header is not None:
+            raise self.error(lineno, "one 'p %s' header" % self.word)
+        elif grammar is None:
+            self.header, self.word = lineno, (tokens + [""])[1]
+        else:
+            self.header = lineno
+            size = len(grammar.split())
+            if (tokens[1:2] != [self.word] or not
+                    size - grammar.count("[") <= len(tokens) <= size):
+                raise self.error(lineno, "header '%s'" % grammar)
+            self.fields = self.ints(lineno, tokens[2:])
+        return None
+
+    def finish(self):
+        """Refuse a text that ended without the header its grammar needs."""
+        if self.grammar and self.header is None:
             raise FormatError(1, 0, "a 'p %s' header" % self.word,
                               "end of input")
 
     def ints(self, lineno: int, tokens: List[str]) -> List[int]:
-        """The tokens as integers; the first that is not one is named."""
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            for tok in tokens:
-                try:
-                    int(tok)
-                except ValueError:
-                    raise self.error(lineno, "an integer", tok) from None
-            raise
+        """The tokens as integers (``-?[0-9]+``); the first that is not
+        one is named."""
+        for tok in tokens:
+            if not _INT.fullmatch(tok):
+                raise self.error(lineno, "an integer", tok)
+        return list(map(int, tokens))
 
     def error(self, lineno: int, expected: str,
               found: Optional[str] = None) -> FormatError:
@@ -211,30 +235,110 @@ def write_graph(g: Graph) -> str:
 # Grid graphs
 # ---------------------------------------------------------------------------
 
+# Byte classes of a canonical edge line, "e <int> <int> <int> <int>" with
+# one space between fields, as a bytes.translate table, and the class
+# pairs (6 * first + second) that cannot occur on one.
+_LF, _SPACE, _DIGIT, _MINUS, _E, _OTHER = range(6)
+_CLASS = bytes(_DIGIT if 48 <= b <= 57 else
+               {10: _LF, 32: _SPACE, 45: _MINUS, 101: _E}.get(b, _OTHER)
+               for b in range(256))
+_BAD_PAIR = bytes(pair not in (
+    6 * _LF + _E, 6 * _E + _SPACE, 6 * _SPACE + _DIGIT, 6 * _SPACE + _MINUS,
+    6 * _MINUS + _DIGIT, 6 * _DIGIT + _DIGIT, 6 * _DIGIT + _SPACE,
+    6 * _DIGIT + _LF) for pair in range(256))
+
+
+def _edge_lines(block: str):
+    """Find the canonical edge lines of a block of lines and read them as
+    arrays.  Returns the line bounds (line k is ``block[lf[k]:lf[k+1]-1]``),
+    which lines are canonical, and their integers as an (m, 4) int64
+    array.  A line with an integer of more than 18 digits is not
+    canonical, so every value fits."""
+    raw = ("\n" + block + "\n").encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
+    seps = np.flatnonzero(cls <= _SPACE)            # LFs and spaces
+    at_lf = np.flatnonzero(cls[seps] == _LF)        # each LF's index in seps
+    lf = seps[at_lf]
+    canonical = np.diff(at_lf) == 5                 # four spaces on the line
+    pairs = (cls[:-1] * 6 + cls[1:]).tobytes().translate(_BAD_PAIR)
+    bad = np.flatnonzero(np.frombuffer(pairs, dtype=np.uint8))
+    canonical[np.searchsorted(lf, bad, side="right") - 1] = False
+    # Token t of a canonical line k runs from just after separator
+    # at_lf[k] + 1 + t to just before the next one.
+    bounds = seps[at_lf[:-1][canonical, None] + np.arange(1, 6)]
+    starts, ends = bounds[:, :4] + 1, bounds[:, 1:]
+    negative = buf[starts] == ord("-")
+    starts += negative
+    length = ends - starts
+    if length.size and length.max() > 18:
+        short = length.max(axis=1) <= 18
+        canonical[canonical] = short
+        starts, length, negative = starts[short], length[short], negative[short]
+    values = np.zeros(starts.shape, dtype=np.int64)
+    for t in range(int(length.max(initial=0))):
+        digit = buf[np.minimum(starts + t, len(buf) - 1)] - ord("0")
+        values = np.where(length > t, values * 10 + digit, values)
+    return lf, canonical, np.where(negative, -values, values)
+
+
 def read_grid(text: str) -> GridGraph:
-    """Parse a grid file.  :meth:`GridGraph.from_edges` checks every edge
-    line at once, on the whole edge array; the first offending line is
-    then named."""
+    """Parse a grid file.
+
+    Canonical edge lines are read as arrays, a block of lines at a time
+    (:func:`_edge_lines`); every other line goes through the scanner, one
+    line at a time, under the same grammar.  :meth:`GridGraph.from_edges`
+    checks every edge at once, on the whole edge array; the first
+    offending line is then named."""
     scan = _Scanner(text, "p grid <side> [D]")
-    coords: List[int] = []          # i1, j1, i2, j2 of each edge line
+    # One (i1, j1, i2, j2) row per edge line, in line order; per block,
+    # its first line number and which of its lines are edge lines.
+    coords = np.empty((text.count("\n") + 1, 4), dtype=np.int64)
+    used = 0
+    on_lines = []
     deltas = []
-    for lineno, tokens in scan:
-        if tokens[0] == "e":
-            if len(tokens) != 5:
-                raise scan.error(lineno, "edge line 'e i1 j1 i2 j2'")
-            coords += scan.ints(lineno, tokens[1:])
-        elif tokens[0] == "d":
-            if len(tokens) != 4:
-                raise scan.error(lineno, "delta line 'd i k value'")
+    for first, block in _blocks(text):
+        lf, canonical, values = _edge_lines(block)
+        edges = np.zeros((len(canonical), 4), dtype=np.int64)
+        edges[canonical] = values
+        is_edge = canonical.copy()
+        # A canonical line that comes before the header is refused there.
+        early = first + int(np.argmax(canonical)) if canonical.any() else None
+        for at in np.flatnonzero(~canonical).tolist():
+            line = block[lf[at]:lf[at + 1] - 1].strip()
+            lineno = first + at
+            if scan.header is None and early is not None and early < lineno:
+                break
+            tokens = scan.take(lineno, line) if line else None
+            if tokens is None:
+                continue
             side = scan.fields[0]
-            i, k, val = scan.ints(lineno, tokens[1:])
-            if not (1 <= i <= side and 1 <= k <= side):
-                raise scan.error(lineno, "rows within 1..%d" % side)
-            if not -2 ** 63 <= val < 2 ** 63:
-                raise scan.error(lineno, "a 64-bit delta value")
-            deltas.append((i, k, val))
-        else:
-            raise scan.error(lineno, "an 'e', 'd' or comment line")
+            if tokens[0] == "e":
+                if len(tokens) != 5:
+                    raise scan.error(lineno, "edge line 'e i1 j1 i2 j2'")
+                # Clamped into int64, past the grid's edge: same verdicts.
+                cap = min(side, 2 ** 62) + 1
+                edges[at] = [min(max(v, 0), cap)
+                             for v in scan.ints(lineno, tokens[1:])]
+                is_edge[at] = True
+            elif tokens[0] == "d":
+                if len(tokens) != 4:
+                    raise scan.error(lineno, "delta line 'd i k value'")
+                i, k, val = scan.ints(lineno, tokens[1:])
+                if not (1 <= i <= side and 1 <= k <= side):
+                    raise scan.error(lineno, "rows within 1..%d" % side)
+                if not -2 ** 63 <= val < 2 ** 63:
+                    raise scan.error(lineno, "a 64-bit delta value")
+                deltas.append((i, k, val))
+            else:
+                raise scan.error(lineno, "an 'e', 'd' or comment line")
+        if scan.header is None and early is not None:
+            raise scan.error(early, "the 'p grid' header first")
+        found = edges[is_edge]
+        coords[used:used + len(found)] = found
+        used += len(found)
+        on_lines.append((first, is_edge))
+    scan.finish()
     kind = "clique"
     for lineno, tokens in scan.comments:
         if len(tokens) == 3 and tokens[1] == "kind":
@@ -242,6 +346,7 @@ def read_grid(text: str) -> GridGraph:
                 raise scan.error(lineno, "kind clique|biclique", tokens[2])
             kind = tokens[2]
     side, D = (scan.fields + [None])[:2]
+    coords = coords[:used]
     try:
         delta_table = np.zeros((side, side), dtype=np.int64) if deltas else None
         for i, k, val in deltas:
@@ -255,23 +360,41 @@ def read_grid(text: str) -> GridGraph:
         if k is None:
             raise scan.error(scan.header, "a valid %s grid header (%s)"
                              % (kind, expected))
-        edge_lines = (n for n, tokens in _Scanner(text) if tokens[0] == "e")
-        raise scan.error(next(itertools.islice(edge_lines, k, None)), expected)
+        lines = np.concatenate([first + np.flatnonzero(is_edge)
+                                for first, is_edge in on_lines])
+        raise scan.error(int(lines[k]), expected)
 
 
 def dump_grid(g: GridGraph, fh) -> None:
-    """Stream the canonical grid form to a file object.
+    """Stream the canonical grid form to a file object, one string per
+    block of matrix rows.
 
-    Large chain-produced grids have millions of edges; streaming avoids
-    holding the whole text in memory.
+    Each vertex's "e i j " and "i' j'" label is made once; the edges of a
+    block come from ``np.nonzero`` of the stored matrix, in row-major
+    order: the upper triangle of a clique grid, the whole top-vs-bottom
+    block of a biclique grid.  That is the lexicographic edge order.
     """
     header = "p grid %d" % g.side
     if g.D is not None:
         header += " %d" % g.D
     fh.write(header + "\n")
     fh.write("c kind %s\n" % g.kind)
-    for (i1, j1), (i2, j2) in g.edges():
-        fh.write("e %d %d %d %d\n" % (i1, j1, i2, j2))
+    r, offset, blocks = g.blocks()
+    matrix = blocks.reshape(r * r, r * r)
+    cells = [divmod(u, r) for u in range(r * r)]
+    left = np.array(["e %d %d " % (i + 1, j + 1) for i, j in cells],
+                    dtype=object)
+    right = np.array(["%d %d\n" % (offset + i + 1, offset + j + 1)
+                      for i, j in cells], dtype=object)
+    step = max(1, _CHUNK * 4 // (r * r))      # rows of about 256K cells
+    for lo in range(0, r * r, step):
+        us, vs = np.nonzero(matrix[lo:lo + step])
+        us += lo
+        if g.kind == "clique":
+            us, vs = us[vs > us], vs[vs > us]
+        text = np.empty(2 * len(us), dtype=object)
+        text[0::2], text[1::2] = left[us], right[vs]
+        fh.write("".join(text.tolist()))
     if g.delta_table is not None:
         for i, k in zip(*np.nonzero(g.delta_table)):
             fh.write("d %d %d %d\n" % (i + 1, k + 1, g.delta_table[i, k]))

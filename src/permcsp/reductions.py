@@ -136,15 +136,17 @@ class GridGraph:
             raise InvalidInputError(expected if k is None else
                                     "edge (%d, %d)-(%d, %d): expected %s"
                                     % (tuple(ends[k]) + (expected,)))
-        flipped = ends[:, [2, 3, 0, 1]]
-        if kind == "clique":                            # both directions
-            ends = np.concatenate([ends, flipped])
-        else:                                           # top end first
-            ends = np.where(ends[:, :1] > ends[:, 2:3], flipped, ends)
         r = side // 2 if kind == "biclique" else side
-        i, j, k, l = (ends - [1, 1, side - r + 1, side - r + 1]).T
         adj = np.zeros((r * r, r * r), dtype=bool)
-        adj.reshape(r, r, r, r)[i, j, k, l] = True
+        # Each end's index in the stored matrix (a biclique grid's bottom
+        # rows and columns start again at 0).
+        u, v = ((ends[:, c] - 1) % r * r + (ends[:, c + 1] - 1) % r
+                for c in (0, 2))
+        if kind == "clique":                            # both directions
+            adj[u, v] = adj[v, u] = True
+        else:                                           # top end first
+            top = ends[:, 0] <= r
+            adj[np.where(top, u, v), np.where(top, v, u)] = True
         return cls(side, kind=kind, D=D, adj=adj, delta_table=delta_table,
                    meta=meta)
 

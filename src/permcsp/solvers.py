@@ -6,6 +6,8 @@
   the dichotomy, vectorized over each popcount layer of subsets.
 - :func:`solve_convenient`: optimum over convenient orderings of an
   arity-4 or arity-6 reduction certificate, via the closed-form count.
+  The phi oracle scores the phis in blocks and still checks every phi's
+  closed form against the evaluator (:func:`evaluate_many`).
 - :func:`solve_sat`, :func:`solve_3coloring`: the auxiliary oracles for
   the first two links of the reduction chain.
 - :func:`solve_row_clique`, :func:`solve_row_biclique`: row-transversal
@@ -32,6 +34,7 @@ from permcsp.core import (
     SizeLimitError,
     UnsupportedArityError,
     evaluate,
+    evaluate_many,
 )
 from permcsp.reductions import CnfFormula, GridGraph, ReductionCertificate
 
@@ -556,17 +559,22 @@ def solve_convenient(cert: ReductionCertificate, h: GridGraph,
     return _best_convenient(cert, h)
 
 
+_PHI_CELLS = 1 << 20   # phi-block size times the variables of an ordering
+
+
 def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
     """The convenient-ordering optimum of ``cert`` on a grid that
     regenerates it.
 
     Enumerates every row-to-interval assignment phi exhaustively (kept
-    dumb on purpose -- this is an oracle) and scores each with the closed
+    dumb on purpose -- this is an oracle), in ``itertools.product``
+    order and in blocks of phis.  Each phi is scored with the closed
     form: the target minus the edges of a full transversal (n^2 for
     arity 4, C(n,2) for arity 6), plus the edges of H[V_phi].  For every
-    phi the ordering is materialized and the closed form re-checked
-    against the evaluator; any disagreement raises
-    :class:`InternalConsistencyError`.  The first maximizer wins.
+    phi of a block the ordering is materialized and the closed form
+    re-checked against the evaluator (:func:`evaluate_many`); the first
+    disagreement raises :class:`InternalConsistencyError`.  The first
+    maximizer wins.
     """
     from permcsp import validate
 
@@ -574,28 +582,57 @@ def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
     if not perm4 and n > 4:
         raise InvalidInputError("phi enumeration is limited to n <= 4")
     r, offset, blocks = h.blocks()
+    width = 2 * r if perm4 else r
     rows = np.arange(r)
-    intervals = [range(1, r + 1)] * r
-    if perm4:
-        intervals += [range(offset + 1, offset + r + 1)] * r
+    digits = r ** np.arange(width - 1, -1, -1)
+    first = np.ones(width, dtype=np.int64)       # each row's first interval
+    first[r:] += offset
+    dummies, columns, row_vars = (np.array(vs, dtype=np.int64) - 1 for vs in
+                                  (cert.dummy_vars, cert.col_vars,
+                                   cert.row_vars))
+    num_vars, m = cert.instance.num_vars, len(dummies)
+    k = np.arange(1, len(columns) + 1)          # c_k's interval index
     base = cert.target - (n * n if perm4 else math.comb(n, 2))
-    best, best_witness, nodes = -1, None, 0
-    for choice in itertools.product(*intervals):
-        nodes += 1
-        cols = np.array(choice) - 1
+    best, best_choice = -1, None
+    total = r ** width
+    step = max(1, _PHI_CELLS // (num_vars + width))
+    for lo in range(0, total, step):
+        phi = np.arange(lo, min(lo + step, total))[:, None] // digits % r
+        choice = phi + first
         # Edges between the first r rows' choices and the last r rows'
         # (the same rows, each edge twice, on a clique grid).
-        induced = int(blocks[rows[:, None], cols[:r, None], rows,
-                             cols[-r:] - offset].sum())
+        induced = blocks[rows[:, None], phi[:, :r, None], rows,
+                         phi[:, None, -r:]].sum(axis=(1, 2))
         count = base + (induced if perm4 else induced // 2)
-        ordering = validate.map_selection_to_ordering(RowSelection(choice),
-                                                      cert)
-        measured = evaluate(cert.instance, ordering)
-        if measured != count:
+        # Positions in d_1..d_m c_1 R_1 c_2 ... R_K c_{K+1}, R_k holding
+        # the rows that chose interval k in row order.  Before c_k: the
+        # dummies, c_1..c_{k-1} and the rows of earlier intervals.
+        # Before a row: the dummies, c_1..c_{its interval} and the rows
+        # ahead of it in (interval, row) order, its rank.
+        rank = np.empty_like(choice)
+        np.put_along_axis(rank, np.argsort(choice, axis=1, kind="stable"),
+                          np.arange(width), axis=1)
+        pos = np.zeros((len(phi), num_vars), dtype=np.int64)
+        pos[:, dummies] = np.arange(1, m + 1)
+        pos[:, columns] = m + k + (choice[:, :, None] < k).sum(axis=1)
+        pos[:, row_vars] = m + choice + rank + 1
+        measured = evaluate_many(cert.instance, pos)
+        wrong = np.flatnonzero(measured != count)
+        if wrong.size:
+            b = wrong[0]
             raise InternalConsistencyError(
                 "closed form says %d, evaluator says %d for phi=%s"
-                % (count, measured, choice)
+                % (count[b], measured[b], tuple(choice[b].tolist()))
             )
-        if count > best:
-            best, best_witness = count, ordering
-    return SolveResult(best, best_witness, nodes)
+        b = int(np.argmax(count))
+        if count[b] > best:
+            best, best_choice = int(count[b]), tuple(choice[b].tolist())
+    # The witness, built and scored the scalar way, must agree too.
+    witness = validate.map_selection_to_ordering(RowSelection(best_choice),
+                                                 cert)
+    measured = evaluate(cert.instance, witness)
+    if measured != best:
+        raise InternalConsistencyError(
+            "closed form says %d, evaluator says %d for phi=%s"
+            % (best, measured, best_choice))
+    return SolveResult(best, witness, total)

@@ -484,6 +484,52 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("data, where, found", [
+    (b"p grid 2\n\xff\xfe e 1 1 2 2\n", (2, 9), "byte 0xff"),
+    ("p grid 2\ne \u0661 1 2 2\n".encode(), (2, 11), "byte 0xd9"),
+])
+@pytest.mark.parametrize("command", ["solve", "verify", "reduce"])
+def test_non_ascii_grid_is_a_positioned_usage_error(tmp_path, capsys, data,
+                                                    where, found, command):
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(data)
+    if command == "solve":
+        argv = ["solve", str(bad)]
+    elif command == "reduce":
+        argv = ["reduce", str(bad), "--steps", "clique2perm6",
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        _, cert = _triangle_chain(tmp_path, capsys)
+        argv = ["verify", str(cert), str(bad)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: line %d (byte %d): expected ASCII text, found %r\n"
+                   % (where + (found,)))
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0"])
+def test_loose_integer_in_a_grid_is_a_usage_error(tmp_path, capsys, token):
+    bad = tmp_path / "bad.grid"
+    bad.write_text("p grid 2\ne %s 1 2 2\n" % token)
+    code, out, err = run(capsys, ["solve", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2 (byte 9): expected an integer, found %r\n"
+                   % token)
+
+
+def test_non_ascii_certificate_is_a_usage_error(tmp_path, capsys):
+    grid, cert = _triangle_chain(tmp_path, capsys)
+    text = cert.read_bytes()
+    cert.write_bytes(text.replace(b"c target", b"c \xe9 target", 1))
+    at = text.index(b"c target") + 2
+    for argv in (["verify", str(cert), str(grid)],
+                 ["solve", str(cert), "--source", str(grid)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: line %d (byte %d): expected ASCII text"
+                              % (text.count(b"\n", 0, at) + 1, at))
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "permcsp.cli", "gen", "sat", "--num-vars", "3",

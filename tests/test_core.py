@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from permcsp.core import (
@@ -10,6 +11,7 @@ from permcsp.core import (
     Ordering,
     PermCspInstance,
     evaluate,
+    evaluate_many,
     validate_instance,
 )
 
@@ -116,6 +118,44 @@ def test_evaluate_agrees_with_definition_randomly():
             if all(a < b for a, b in zip(pos, pos[1:])):
                 want += 1
         assert evaluate(inst, ordering) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_many_agrees_with_evaluate(seed):
+    # Arity 1..6, duplicate constraints, an empty constraint set and n=1.
+    rng = random.Random(700 + seed)
+    for trial in range(40):
+        n = 1 if trial == 0 else rng.randint(1, 9)
+        cons = [tuple(rng.sample(range(1, n + 1), rng.randint(1, min(6, n))))
+                for _ in range(0 if trial == 1 else rng.randint(0, 30))]
+        cons += rng.sample(cons, min(len(cons), 3))           # duplicates
+        inst = PermCspInstance.make(n, cons)
+        orderings = [Ordering.from_sequence(rng.sample(range(1, n + 1), n))
+                     for _ in range(rng.randint(1, 12))]
+        got = evaluate_many(inst, np.array([o.positions for o in orderings]))
+        assert got.tolist() == [evaluate(inst, o) for o in orderings]
+
+
+def test_evaluate_many_scores_in_blocks(monkeypatch):
+    from permcsp import core
+    monkeypatch.setattr(core, "_CELLS", 5)
+    rng = random.Random(3)
+    inst = PermCspInstance.make(6, [tuple(rng.sample(range(1, 7), 3))
+                                    for _ in range(4)])
+    orderings = [Ordering.from_sequence(rng.sample(range(1, 7), 6))
+                 for _ in range(9)]
+    got = evaluate_many(inst, [o.positions for o in orderings])
+    assert got.tolist() == [evaluate(inst, o) for o in orderings]
+
+
+def test_evaluate_many_refuses_what_evaluate_refuses():
+    inst = PermCspInstance.make(3, [(1, 2)])
+    with pytest.raises(InvalidInputError, match="2 positions, instance has 3"):
+        evaluate_many(inst, np.array([[1, 2]]))
+    with pytest.raises(InvalidInputError, match="2-D"):
+        evaluate_many(inst, np.array([1, 2, 3]))
+    with pytest.raises(InvalidInputError, match="bijection"):
+        evaluate_many(inst, np.array([[1, 2, 3], [1, 1, 3]]))
 
 
 def test_validate_instance_clean():

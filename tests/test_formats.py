@@ -1,5 +1,10 @@
 """Text formats: round-trips, canonical bytes, parse errors."""
 
+import io
+import itertools
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +13,8 @@ from conftest import assert_error_at, grid_from_edges
 from permcsp.core import Graph, Ordering, PermCspInstance
 from permcsp.formats import (
     FormatError,
+    _Scanner,
+    dump_grid,
     read_certificate,
     read_dimacs,
     read_graph,
@@ -372,10 +379,152 @@ def test_grid_header_errors_are_positioned(text, lineno, why):
     assert why in exc.value.expected
 
 
+def _read_grid_reference(text):
+    """The reader that read_grid replaced: every line through the
+    scanner, the coordinates in one list, and a second scan to name the
+    line of a misfit edge."""
+    scan = _Scanner(text, "p grid <side> [D]")
+    coords = []
+    deltas = []
+    for lineno, tokens in scan:
+        if tokens[0] == "e":
+            if len(tokens) != 5:
+                raise scan.error(lineno, "edge line 'e i1 j1 i2 j2'")
+            coords += scan.ints(lineno, tokens[1:])
+        elif tokens[0] == "d":
+            if len(tokens) != 4:
+                raise scan.error(lineno, "delta line 'd i k value'")
+            side = scan.fields[0]
+            i, k, val = scan.ints(lineno, tokens[1:])
+            if not (1 <= i <= side and 1 <= k <= side):
+                raise scan.error(lineno, "rows within 1..%d" % side)
+            if not -2 ** 63 <= val < 2 ** 63:
+                raise scan.error(lineno, "a 64-bit delta value")
+            deltas.append((i, k, val))
+        else:
+            raise scan.error(lineno, "an 'e', 'd' or comment line")
+    kind = "clique"
+    for lineno, tokens in scan.comments:
+        if len(tokens) == 3 and tokens[1] == "kind":
+            if tokens[2] not in ("clique", "biclique"):
+                raise scan.error(lineno, "kind clique|biclique", tokens[2])
+            kind = tokens[2]
+    side, D = (scan.fields + [None])[:2]
+    try:
+        delta_table = np.zeros((side, side), dtype=np.int64) if deltas else None
+        for i, k, val in deltas:
+            delta_table[i - 1, k - 1] = val
+        return GridGraph.from_edges(side, coords, kind=kind, D=D,
+                                    delta_table=delta_table)
+    except MemoryError:
+        raise scan.error(scan.header, "a grid that fits in memory")
+    except ValueError as exc:
+        k, expected = GridGraph.misfit(side, kind, coords) or (None, exc)
+        if k is None:
+            raise scan.error(scan.header, "a valid %s grid header (%s)"
+                             % (kind, expected))
+        edge_lines = (n for n, tokens in _Scanner(text) if tokens[0] == "e")
+        raise scan.error(next(itertools.islice(edge_lines, k, None)), expected)
+
+
+def _dump_grid_reference(g, fh):
+    """The writer that dump_grid replaced: one write per edge of
+    GridGraph.edges()."""
+    header = "p grid %d" % g.side
+    if g.D is not None:
+        header += " %d" % g.D
+    fh.write(header + "\n")
+    fh.write("c kind %s\n" % g.kind)
+    for (i1, j1), (i2, j2) in g.edges():
+        fh.write("e %d %d %d %d\n" % (i1, j1, i2, j2))
+    if g.delta_table is not None:
+        for i, k in zip(*np.nonzero(g.delta_table)):
+            fh.write("d %d %d %d\n" % (i + 1, k + 1, g.delta_table[i, k]))
+
+
+def _outcome(read, text):
+    """What reading ``text`` gives: the grid's fields and stored matrix,
+    or the FormatError's position, expectation and finding."""
+    try:
+        g = read(text)
+    except FormatError as exc:
+        return "error", exc.line, exc.offset, exc.expected, exc.found
+    delta = None if g.delta_table is None else g.delta_table.tolist()
+    return (g.side, g.kind, g.D, delta,
+            np.flatnonzero(g.blocks()[2]).tolist())
+
+
+def assert_reads_as_reference(text):
+    assert _outcome(read_grid, text) == _outcome(_read_grid_reference, text)
+
+
+# Every malformed grid text elsewhere in the tests, and a few more.
+_MALFORMED_GRIDS = [
+    "e 1 1 2 2\n", "p grid 2\ne 1 1 2\n", "p grid 2\nc kind banana\n", "",
+    "p grid 2\nd 0 1 5\n", "p grid 2\nd 1 3 5\n",
+    "p grid 3\nd 1 3 0\np grid 2\n",
+    "p grid 2\nc kind clique\ne 1 1 3 1\n",
+    "p grid 2\nc kind clique\ne 0 1 2 2\n",
+    "p grid 2\nc kind clique\ne 1 1 1 1\n",
+    "p grid 2\ne 1 1 2 99999999999999999999\n",
+    "p grid 4\nc kind biclique\ne 1 1 3 3\ne 1 1 1 1\ne 9 1 3 3\n",
+    "p grid 0\n", "c x\np grid 3 1\nc kind biclique\n",
+    "p grid 3\nc kind biclique\n", "c made by hand\np grid -1 2\n",
+    "p grid 2\nc kind biclique\ne 1 1 2 2\ne 1 1 1 2\n",
+    "c first\ne 1 1 2 2\np grid 2\n", "e 1 1 2 2\nx\np grid 2\n",
+    "p grid 2\ne 1 1 2 2\ne 1 1 2 2\ne 1 1 2 3\n",
+    "p grid 2\ne 1 1 2 2\ne 1 1 2 2 1\n", "p grid 2\ne 1 1 2 -2\n",
+    "p grid 2\ne 1 1 2 0000000000000000000002\ne 1 1 1 1\n",
+    "p grid 2\ne 1 1 2 18446744073709551618\n",      # 2 modulo 2^64
+    "p grid 99999999999999999999\ne 1 1 2 2\n",
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED_GRIDS)
+def test_read_grid_errors_match_the_reference(text):
+    with pytest.raises(FormatError):
+        read_grid(text)
+    assert_reads_as_reference(text)
+
+
+def test_read_grid_across_blocks_matches_the_reference(monkeypatch):
+    # Blocks of about 64 characters: odd lines, comments, blank lines and
+    # a misfit edge land on both sides of block bounds.
+    from permcsp import formats
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    rng = random.Random(12)
+    for _ in range(60):
+        lines = ["e %d %d %d %d" % tuple(rng.randint(1, 4) for _ in range(4))
+                 for _ in range(rng.randint(0, 40))]
+        for extra in ["c note", "", "d 1 2 3", "e 1 1  2 2", "e 1 2 2 1 ",
+                      "e 4 4 5 4", "p grid 4"][:rng.randint(0, 7)]:
+            lines.insert(rng.randint(0, len(lines)), extra)
+        lines.insert(0, rng.choice(["p grid 4", "c late header"]))
+        assert_reads_as_reference("\n".join(lines) + "\n")
+
+
+# Line variants that keep a line's meaning, or change it in a way the
+# per-line path must decide: tabs, CR ends, spaces around or doubled,
+# leading zeros, minus signs, 19-digit integers.
+_MANGLES = [lambda line: line] * 6 + [
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line + "\r",
+    lambda line: line + "  ",
+    lambda line: " " + line,
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: re.sub(r" (\d)", r" 0\1", line, count=1),
+    lambda line: re.sub(r" (\d+)$", lambda m: " " + m.group(1).zfill(19),
+                        line),
+    lambda line: re.sub(r" (\d)", r" -\1", line, count=1),
+    lambda line: line.replace(" 1", " -0", 1),
+]
+
+
 @st.composite
 def _grid_texts(draw):
     """Grid-file text over a small alphabet: sides -1..6, both kinds,
-    edge, delta and comment lines, some lines malformed."""
+    edge, delta and comment lines, some lines malformed, some lines
+    respaced or renumbered, sometimes no final LF."""
     side = draw(st.integers(-1, 6))
     n = max(side, 2) // 2
     coord = st.integers(1, max(side, 1))
@@ -400,18 +549,103 @@ def _grid_texts(draw):
     body = draw(st.lists(line, max_size=8))
     if draw(st.booleans()):
         body.insert(draw(st.integers(0, len(body))), draw(bad))
-    return "\n".join(head + body) + "\n"
+    lines = [draw(st.sampled_from(_MANGLES))(l) for l in head + body]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_grid_texts())
 def test_read_grid_fuzz_rejects_or_round_trips(text):
+    assert_reads_as_reference(text)
     try:
         g = read_grid(text)
     except FormatError:
         return
     once = write_grid(g)
     assert write_grid(read_grid(once)) == once
+
+
+@pytest.mark.parametrize("k, token", [
+    (k, token) for k in (0, 2, 3, 4)
+    for token in ("+1", "1_0", "1.0", "0x1", "\u0661", "\udcff")])
+def test_read_grid_refuses_loose_integers_and_non_ascii(k, token):
+    # A sign other than '-', an underscore, any non-digit, and any
+    # character outside ASCII (a byte the CLI read with surrogateescape
+    # included) are refused at their own line.
+    lines = ["p grid 2", "c kind clique", "e 1 1 2 2", "d 1 2 3", "e 1 2 2 1"]
+    tokens = lines[k].split()
+    tokens[-1] = token
+    lines[k] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as exc:
+        read_grid(text)
+    if token.isascii():
+        assert_error_at(exc.value, text, lines[k])
+        assert (exc.value.expected, exc.value.found) == ("an integer", token)
+    else:
+        assert (exc.value.line, exc.value.offset) == (k + 1, text.index(token))
+        assert exc.value.expected == "ASCII text"
+        assert exc.value.found == ("byte 0xd9" if token == "\u0661"
+                                   else "byte 0xff")
+
+
+@pytest.mark.parametrize("reader, text, token", [
+    (read_dimacs, "p cnf 2 1\n1 +2 0\n", "+2"),
+    (read_graph, "p edge 2 1\ne 1 2_0\n", "2_0"),
+    (read_instance, "p pcsp 2 1 2\n1 \u0662 0\n", None),
+    (read_ordering, "2 1_0\n", "1_0"),
+    (read_certificate, "p pcsp 1 0 1\nc target +1\n", "+1"),
+])
+def test_every_reader_takes_only_ascii_decimal_integers(reader, text, token):
+    with pytest.raises(FormatError) as exc:
+        reader(text)
+    if token is None:
+        assert exc.value.expected == "ASCII text"
+        assert exc.value.offset == text.index("\u0662")
+    else:
+        assert (exc.value.expected, exc.value.found) == ("an integer", token)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dump_grid_matches_the_reference(seed):
+    rng = random.Random(seed)
+    for kind in ("clique", "biclique"):
+        side = rng.randint(1, 6) * (2 if kind == "biclique" else 1)
+        r, offset = (side // 2, side // 2) if kind == "biclique" else (side, 0)
+        cells = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
+        pairs = ([(a, (offset + b[0], offset + b[1])) for a in cells
+                  for b in cells] if kind == "biclique" else
+                 [(a, b) for a, b in itertools.combinations(
+                     [(i, j) for i in range(1, side + 1)
+                      for j in range(1, side + 1)], 2)])
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        g = grid_from_edges(side, edges, kind=kind,
+                            D=rng.choice([None, rng.randint(0, 3)]))
+        if rng.random() < 0.5:
+            g.delta_table = np.array(
+                [[rng.randint(-2, 2) for _ in range(side)]
+                 for _ in range(side)], dtype=np.int64)
+        want, got = io.StringIO(), io.StringIO()
+        _dump_grid_reference(g, want)
+        dump_grid(g, got)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_dump_grid_streams_in_blocks(monkeypatch):
+    from permcsp import formats
+    g = grid_from_edges(3, [((1, 1), (2, 2)), ((1, 2), (3, 3)),
+                            ((2, 1), (3, 2)), ((3, 1), (1, 3))])
+    want = io.StringIO()
+    _dump_grid_reference(g, want)
+    monkeypatch.setattr(formats, "_CHUNK", 1)
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+    dump_grid(g, Sink())
+    assert "".join(writes) == want.getvalue()
+    assert len(writes) > 4                  # header, kind, one per row
 
 
 @st.composite

@@ -9,9 +9,16 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import graph_from_nx, grid_from_edges, random_instance
+from conftest import (
+    all_cross_row_edges,
+    graph_from_nx,
+    grid_from_edges,
+    random_instance,
+)
+from permcsp import solvers, validate
 from permcsp.core import (
     Graph,
+    InternalConsistencyError,
     InvalidInputError,
     Ordering,
     PermCspInstance,
@@ -19,9 +26,19 @@ from permcsp.core import (
     UnsupportedArityError,
     evaluate,
 )
-from permcsp.reductions import CnfFormula
+from permcsp.reductions import (
+    CnfFormula,
+    GridGraph,
+    reduce_clique_to_perm6,
+    reduce_coloring_to_dcnnc,
+    reduce_dcnnb_to_perm4,
+    reduce_dcnnc_to_dcnnb,
+    sufficient_dummies_perm4,
+    sufficient_dummies_perm6,
+)
 from permcsp.solvers import (
     RowSelection,
+    SolveResult,
     solve_3coloring,
     solve_brute,
     solve_dp3,
@@ -617,6 +634,100 @@ def test_convenient_rejects_a_different_grid():
         solve_convenient(inflated, grid_from_edges(2, [((1, 1), (2, 2))]))
     with pytest.raises(InvalidInputError, match="dimensions disagree"):
         solve_convenient(cert, grid_from_edges(3, []))
+
+
+def _best_convenient_reference(cert, h):
+    """The phi loop that _best_convenient replaced: one phi at a time,
+    each ordering materialized and scored by evaluate."""
+    n, perm4 = cert.n, cert.kind == "perm4"
+    r, offset, blocks = h.blocks()
+    rows = np.arange(r)
+    intervals = [range(1, r + 1)] * r
+    if perm4:
+        intervals += [range(offset + 1, offset + r + 1)] * r
+    base = cert.target - (n * n if perm4 else math.comb(n, 2))
+    best, best_witness, nodes = -1, None, 0
+    for choice in itertools.product(*intervals):
+        nodes += 1
+        cols = np.array(choice) - 1
+        induced = int(blocks[rows[:, None], cols[:r, None], rows,
+                             cols[-r:] - offset].sum())
+        count = base + (induced if perm4 else induced // 2)
+        ordering = validate.map_selection_to_ordering(RowSelection(choice),
+                                                      cert)
+        measured = evaluate(cert.instance, ordering)
+        if measured != count:
+            raise InternalConsistencyError(
+                "closed form says %d, evaluator says %d for phi=%s"
+                % (count, measured, choice)
+            )
+        if count > best:
+            best, best_witness = count, ordering
+    return SolveResult(best, best_witness, nodes)
+
+
+def _oracle_cases():
+    """(certificate, grid) pairs: every 2x2 arity-6 certificate, a seeded
+    sample of 3x3 ones, and arity-4 certificates at n = 2 and 3."""
+    pool = all_cross_row_edges(2)
+    grids = [grid_from_edges(2, edges) for k in range(len(pool) + 1)
+             for edges in itertools.combinations(pool, k)]
+    rng = random.Random(91)
+    pool = all_cross_row_edges(3)
+    grids += [grid_from_edges(3, rng.sample(pool, rng.randint(0, len(pool))))
+              for _ in range(6)]
+    cases = [(reduce_clique_to_perm6(
+        g, dummy_count=sufficient_dummies_perm6(g.side)), g) for g in grids]
+    bicliques = [
+        reduce_dcnnc_to_dcnnb(grid_from_edges(
+            2, [((1, 1), (2, 1)), ((1, 2), (2, 2))], D=1)),
+        reduce_dcnnc_to_dcnnb(grid_from_edges(2, all_cross_row_edges(2),
+                                              D=2)),
+        GridGraph(4, kind="biclique", D=1),
+        reduce_dcnnc_to_dcnnb(reduce_coloring_to_dcnnc(
+            Graph(3, [(1, 2), (2, 3), (1, 3)]), degree_bound=2)),
+    ]
+    for h in bicliques:
+        d = sufficient_dummies_perm4(h.side // 2, h.D, h.num_edges())
+        cases.append((reduce_dcnnb_to_perm4(h, D=h.D, dummy_count=d), h))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("k", range(len(_ORACLE_CASES)))
+def test_best_convenient_matches_reference(k):
+    cert, h = _ORACLE_CASES[k]
+    assert solvers._best_convenient(cert, h) == \
+        _best_convenient_reference(cert, h)
+
+
+def test_best_convenient_scores_in_blocks(monkeypatch):
+    cert, h = _ORACLE_CASES[-1]             # the triangle's n=3 chain
+    want = _best_convenient_reference(cert, h)
+    for cells in (1, 40, 500):
+        monkeypatch.setattr(solvers, "_PHI_CELLS", cells)
+        assert solvers._best_convenient(cert, h) == want
+
+
+@pytest.mark.parametrize("k", [1, 17, len(_ORACLE_CASES) - 1])
+def test_best_convenient_names_the_first_wrong_phi(k, monkeypatch):
+    # One edge of the grid, dropped from the blocks the closed form reads
+    # (in one direction): the closed form is off by one wherever phi
+    # picks both of its ends.
+    cert, h = _ORACLE_CASES[k]
+    r, offset, blocks = h.blocks()
+    tampered = blocks.copy()
+    tampered[tuple(np.argwhere(blocks)[0])] = False
+    monkeypatch.setattr(h, "blocks", lambda: (r, offset, tampered))
+    messages = []
+    for oracle in (solvers._best_convenient, _best_convenient_reference):
+        with pytest.raises(InternalConsistencyError) as exc:
+            oracle(cert, h)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "evaluator says" in messages[0]
 
 
 def test_dp3_checks_constraint_lengths_not_the_header():
