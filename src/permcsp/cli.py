@@ -134,15 +134,21 @@ def cmd_gen(args):
 # reduce
 # ---------------------------------------------------------------------------
 
+def _integer(text):
+    """An integer option: ASCII ``-?[0-9]+`` only, as in the formats."""
+    if not formats.INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError("invalid integer: %r" % text)
+    return int(text)
+
+
 def _dummy_policy(text):
     """Parse --dummies: "paper", "sufficient" or an explicit count."""
     if text in ("paper", "sufficient"):
         return text
-    try:
-        return int(text)
-    except ValueError:
+    if not formats.INTEGER.fullmatch(text):
         raise InvalidInputError("--dummies expects paper, sufficient or a "
                                 "count, got %r" % text)
+    return int(text)
 
 
 def _dummy_count(policy, kind, n, D, num_edges):
@@ -407,17 +413,17 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a random instance")
     gsub = p.add_subparsers(dest="kind", required=True)
     ps = gsub.add_parser("sat", help="random f-sparse CNF")
-    ps.add_argument("--num-vars", type=int, required=True)
-    ps.add_argument("--num-clauses", type=int, required=True)
-    ps.add_argument("--freq", type=int, default=3,
+    ps.add_argument("--num-vars", type=_integer, required=True)
+    ps.add_argument("--num-clauses", type=_integer, required=True)
+    ps.add_argument("--freq", type=_integer, default=3,
                     help="max occurrences per variable")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_integer, default=0)
     ps.add_argument("--out")
     pg = gsub.add_parser("graph", help="random bounded-degree graph")
-    pg.add_argument("--num-vertices", type=int, required=True)
-    pg.add_argument("--num-edges", type=int, required=True)
-    pg.add_argument("--max-degree", type=int, default=4)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--num-vertices", type=_integer, required=True)
+    pg.add_argument("--num-edges", type=_integer, required=True)
+    pg.add_argument("--max-degree", type=_integer, default=4)
+    pg.add_argument("--seed", type=_integer, default=0)
     pg.add_argument("--out")
 
     p = sub.add_parser("reduce", help="run reduction steps")
@@ -428,18 +434,18 @@ def build_parser():
     p.add_argument("--dummies", default="sufficient",
                    help="paper | sufficient | explicit count")
     p.add_argument("--stop-after")
-    p.add_argument("--degree-bound", type=int,
+    p.add_argument("--degree-bound", type=_integer,
                    help="D for grids that do not carry one")
-    p.add_argument("--row-cap", type=int, default=81)
+    p.add_argument("--row-cap", type=_integer, default=81)
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
     p.add_argument("--method", default="auto",
                    choices=["auto", "brute", "dp3", "convenient", "sat",
                             "coloring", "clique", "biclique"])
-    p.add_argument("--limit", type=int, default=11,
+    p.add_argument("--limit", type=_integer, default=11,
                    help="brute-force variable cap")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_integer, default=1)
     p.add_argument("--source",
                    help="source grid file, needed by --method convenient")
 

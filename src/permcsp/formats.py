@@ -39,7 +39,7 @@ class FormatError(PermCspError):
 
 
 _CHUNK = 1 << 16          # characters split into lines at a time
-_INT = re.compile("-?[0-9]+")
+INTEGER = re.compile("-?[0-9]+")     # every integer field, and the CLI's
 _NON_ASCII = re.compile("[^\x00-\x7f]")
 
 
@@ -135,7 +135,7 @@ class _Scanner:
         """The tokens as integers (``-?[0-9]+``); the first that is not
         one is named."""
         for tok in tokens:
-            if not _INT.fullmatch(tok):
+            if not INTEGER.fullmatch(tok):
                 raise self.error(lineno, "an integer", tok)
         return list(map(int, tokens))
 
@@ -282,20 +282,38 @@ def _edge_lines(block: str):
     return lf, canonical, np.where(negative, -values, values)
 
 
+def _grid_kind(text: str):
+    """The grid kind that a text's ``c kind`` comment lines give (the
+    last; "clique" without one), and (line number, word) of the first
+    that names no kind, or None (the kind is then meaningless).  Only
+    lines holding "kind" are split."""
+    kind, bad = "clique", None
+    for found in re.finditer("kind", text):
+        start = text.rfind("\n", 0, found.start()) + 1
+        end = text.find("\n", start)
+        tokens = text[start:end if end >= 0 else None].split()
+        if tokens[0][0] == "c" and len(tokens) == 3 and tokens[1] == "kind":
+            if tokens[2] not in ("clique", "biclique"):
+                bad = bad or (text.count("\n", 0, start) + 1, tokens[2])
+            kind = tokens[2]
+    return kind, bad
+
+
 def read_grid(text: str) -> GridGraph:
     """Parse a grid file.
 
     Canonical edge lines are read as arrays, a block of lines at a time
     (:func:`_edge_lines`); every other line goes through the scanner, one
-    line at a time, under the same grammar.  :meth:`GridGraph.from_edges`
-    checks every edge at once, on the whole edge array; the first
-    offending line is then named."""
+    line at a time, under the same grammar.  The kind comes from the
+    ``c kind`` lines first (:func:`_grid_kind`), so each block's edges
+    are checked (:meth:`GridGraph.misfit`) and set in the grid's blocks
+    (:meth:`GridGraph.set_edges`) as they are read.  Faults are named in
+    the order of a whole-file check: a bad line, the kind comment, then
+    the header or the first misfit edge."""
     scan = _Scanner(text, "p grid <side> [D]")
-    # One (i1, j1, i2, j2) row per edge line, in line order; per block,
-    # its first line number and which of its lines are edge lines.
-    coords = np.empty((text.count("\n") + 1, 4), dtype=np.int64)
-    used = 0
-    on_lines = []
+    kind, bad_kind = _grid_kind(text)
+    blocks = {}
+    fault = failure = None      # (line or None, expected); an exception
     deltas = []
     for first, block in _blocks(text):
         lf, canonical, values = _edge_lines(block)
@@ -332,66 +350,65 @@ def read_grid(text: str) -> GridGraph:
                 deltas.append((i, k, val))
             else:
                 raise scan.error(lineno, "an 'e', 'd' or comment line")
-        if scan.header is None and early is not None:
-            raise scan.error(early, "the 'p grid' header first")
-        found = edges[is_edge]
-        coords[used:used + len(found)] = found
-        used += len(found)
-        on_lines.append((first, is_edge))
+        if scan.header is None:
+            if early is not None:
+                raise scan.error(early, "the 'p grid' header first")
+            continue
+        if fault is None:
+            found = edges[is_edge]
+            fault = GridGraph.misfit(scan.fields[0], kind, found)
+            if fault is not None and fault[0] is not None:
+                fault = (first + int(np.flatnonzero(is_edge)[fault[0]]),
+                         fault[1])
+            elif fault is None and failure is None:
+                try:
+                    GridGraph.set_edges(blocks, scan.fields[0], kind, found)
+                except (MemoryError, ValueError) as exc:
+                    failure = exc
     scan.finish()
-    kind = "clique"
-    for lineno, tokens in scan.comments:
-        if len(tokens) == 3 and tokens[1] == "kind":
-            if tokens[2] not in ("clique", "biclique"):
-                raise scan.error(lineno, "kind clique|biclique", tokens[2])
-            kind = tokens[2]
+    if bad_kind is not None:
+        raise scan.error(bad_kind[0], "kind clique|biclique", bad_kind[1])
     side, D = (scan.fields + [None])[:2]
-    coords = coords[:used]
     try:
         delta_table = np.zeros((side, side), dtype=np.int64) if deltas else None
         for i, k, val in deltas:
             delta_table[i - 1, k - 1] = val
-        return GridGraph.from_edges(side, coords, kind=kind, D=D,
-                                    delta_table=delta_table)
+        if fault is None:
+            if failure is not None:
+                raise failure
+            return GridGraph(side, kind=kind, D=D, blocks=blocks,
+                             delta_table=delta_table)
     except MemoryError:
         raise scan.error(scan.header, "a grid that fits in memory")
     except ValueError as exc:          # InvalidInputError, or numpy's size cap
-        k, expected = GridGraph.misfit(side, kind, coords) or (None, exc)
-        if k is None:
-            raise scan.error(scan.header, "a valid %s grid header (%s)"
-                             % (kind, expected))
-        lines = np.concatenate([first + np.flatnonzero(is_edge)
-                                for first, is_edge in on_lines])
-        raise scan.error(int(lines[k]), expected)
+        fault = fault or (None, exc)
+    lineno, expected = fault
+    if lineno is None:
+        raise scan.error(scan.header, "a valid %s grid header (%s)"
+                         % (kind, expected))
+    raise scan.error(lineno, expected)
 
 
 def dump_grid(g: GridGraph, fh) -> None:
     """Stream the canonical grid form to a file object, one string per
-    block of matrix rows.
+    grid row.
 
     Each vertex's "e i j " and "i' j'" label is made once; the edges of a
-    block come from ``np.nonzero`` of the stored matrix, in row-major
-    order: the upper triangle of a clique grid, the whole top-vs-bottom
-    block of a biclique grid.  That is the lexicographic edge order.
+    row come from :meth:`GridGraph.edge_arrays`, in row-major order, which
+    is the lexicographic edge order.
     """
     header = "p grid %d" % g.side
     if g.D is not None:
         header += " %d" % g.D
     fh.write(header + "\n")
     fh.write("c kind %s\n" % g.kind)
-    r, offset, blocks = g.blocks()
-    matrix = blocks.reshape(r * r, r * r)
+    r, offset, _, _ = g.blocks()
     cells = [divmod(u, r) for u in range(r * r)]
     left = np.array(["e %d %d " % (i + 1, j + 1) for i, j in cells],
                     dtype=object)
     right = np.array(["%d %d\n" % (offset + i + 1, offset + j + 1)
                       for i, j in cells], dtype=object)
-    step = max(1, _CHUNK * 4 // (r * r))      # rows of about 256K cells
-    for lo in range(0, r * r, step):
-        us, vs = np.nonzero(matrix[lo:lo + step])
-        us += lo
-        if g.kind == "clique":
-            us, vs = us[vs > us], vs[vs > us]
+    for us, vs in g.edge_arrays():
         text = np.empty(2 * len(us), dtype=object)
         text[0::2], text[1::2] = left[us], right[vs]
         fh.write("".join(text.tolist()))

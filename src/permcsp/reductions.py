@@ -15,7 +15,9 @@ characterizes yes-instances.
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,65 +72,85 @@ class CnfFormula:
         return dict(counts)
 
 
+# Row-pair kinds of a GridGraph; only BLOCK pairs keep a block.
+EMPTY, COMPLETE, IDENTITY, BLOCK = range(4)
+
+
+@lru_cache(maxsize=16)
+def _constant(r, kind):
+    """The one read-only r x r block of EMPTY, COMPLETE or IDENTITY pairs."""
+    block = (np.eye(r, dtype=bool) if kind == IDENTITY
+             else np.full((r, r), kind == COMPLETE))
+    block.flags.writeable = False
+    return block
+
+
 class GridGraph:
-    """A graph on [side] x [side] backed by a read-only boolean matrix.
+    """A graph on [side] x [side], stored block-sparse by row pair.
 
     Vertex (i, j) (1-based row, column) has flat index (i-1)*side + (j-1).
-    ``kind`` is "clique" for n x n Clique instances, stored as the dense
-    (side^2) x (side^2) adjacency, or "biclique" for 2n x 2n Biclique
-    instances, stored as their n^2 x n^2 top-vs-bottom block (see
-    :meth:`cross_matrix`): every biclique edge joins a top vertex
-    (i, j <= n) to a bottom vertex (i, j > n).
+    ``kind`` is "clique" for n x n Clique instances, or "biclique" for
+    2n x 2n Biclique instances: every edge joins a top vertex (i, j <= n)
+    to a bottom vertex (i, j > n).
 
-    The adjacency is fixed at construction, through ``adj`` (the stored
-    matrix of the grid's kind; taken over, not copied, when it owns its
-    data) or :meth:`from_edges`, and every array a grid hands out is
-    read-only.  So :mod:`permcsp.validate` decides each condition once.
+    Row pair (i, k), 0-based, joins row i to row offset + k: two rows of
+    a clique grid (r = side, offset 0), or top row i and bottom row n + k
+    of a biclique grid (r = offset = n).  An r x r table holds each
+    pair's kind, EMPTY, COMPLETE, IDENTITY (column j to column j) or
+    BLOCK; only BLOCK pairs keep an r x r block, [column of row i, column
+    of row offset + k].  In the paper's grids those are the row pairs a
+    source-graph matching joins.  A clique grid's pair (k, i) is a
+    transposed view of (i, k), and doubling shares its blocks.
+
+    The adjacency is fixed at construction, by ``kinds`` (of the pairs
+    not in ``blocks``; default EMPTY) and ``blocks`` (by pair, on a
+    clique grid i <= k; taken over, made read-only), or by
+    :meth:`from_edges`.  Every array a grid hands out is read-only, so
+    :mod:`permcsp.validate` decides each condition once.  ``adj`` and
+    :meth:`cross_matrix` are dense views made on request, which no
+    package path reads.
     """
 
-    def __init__(self, side, kind="clique", D=None, adj=None, delta_table=None,
-                 meta=None):
+    def __init__(self, side, kind="clique", D=None, kinds=None, blocks=None,
+                 delta_table=None, meta=None):
         fault = self.misfit(side, kind, ())
         if fault is not None:
             raise InvalidInputError(fault[1])
         self.side, self.kind, self.D = side, kind, D
-        n = (side // 2) ** 2 if kind == "biclique" else side * side
-        matrix = (np.zeros((n, n), dtype=bool) if adj is None
-                  else np.ascontiguousarray(adj, dtype=bool))
-        if matrix.shape != (n, n):
-            raise InvalidInputError("adjacency must be %d x %d" % (n, n))
-        if matrix.base is not None:     # a view: its base could still change
-            matrix = matrix.copy()
-        matrix.flags.writeable = False
-        self._matrix = matrix
+        r = side // 2 if kind == "biclique" else side
+        table = np.zeros((r, r), dtype=np.int8)
+        if kinds is not None:
+            table[...] = kinds
+        stored = {}
+        for (i, k), block in (blocks or {}).items():
+            if block.shape != (r, r):
+                raise InvalidInputError("blocks must be %d x %d" % (r, r))
+            count = np.count_nonzero(block)
+            table[i, k] = (EMPTY if count == 0 else
+                           COMPLETE if count == r * r else
+                           IDENTITY if count == r == block.trace() else BLOCK)
+            if table[i, k] == BLOCK:
+                block.flags.writeable = False
+                stored[i, k] = block
+        if kind == "clique":
+            lower = np.tril_indices(r, -1)
+            table[lower] = table.T[lower]
+            stored.update({(k, i): block.T for (i, k), block
+                           in list(stored.items()) if i < k})
+        table.flags.writeable = False
+        self._r, self._kinds, self._blocks = r, table, stored
         self._conditions = {}           # written by permcsp.validate only
         self.delta_table = delta_table
         self.meta = meta or {}
-
-    @property
-    def adj(self):
-        """The dense (side^2) x (side^2) adjacency matrix, read-only: a
-        clique grid's stored matrix, or a new one built from a biclique
-        grid's cross block on every access (nothing in this package reads
-        that one)."""
-        if self.kind == "clique":
-            return self._matrix
-        side, n = self.side, self.side // 2
-        adj = np.zeros((side * side, side * side), dtype=bool)
-        adj4 = adj.reshape(side, side, side, side)   # [i, j, i', j'] view
-        cross = self._matrix.reshape(n, n, n, n)
-        adj4[:n, :n, n:, n:] = cross
-        adj4[n:, n:, :n, :n] = cross.transpose(2, 3, 0, 1)
-        adj.flags.writeable = False
-        return adj
 
     @classmethod
     def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None,
                    meta=None):
         """The grid with ``edges``, ((i, j), (i', j')) pairs or flat
         (i, j, i', j') rows in any orientation, checked as one array and
-        set by one index assignment.  Raises :class:`InvalidInputError`
-        naming the first fault :meth:`misfit` finds."""
+        set block by block (:meth:`set_edges`).  Raises
+        :class:`InvalidInputError` naming the first fault :meth:`misfit`
+        finds."""
         ends = _edge_rows(edges, side)
         fault = cls.misfit(side, kind, ends)
         if fault is not None:
@@ -136,19 +158,39 @@ class GridGraph:
             raise InvalidInputError(expected if k is None else
                                     "edge (%d, %d)-(%d, %d): expected %s"
                                     % (tuple(ends[k]) + (expected,)))
+        blocks = {}
+        cls.set_edges(blocks, side, kind, ends)
+        return cls(side, kind=kind, D=D, blocks=blocks,
+                   delta_table=delta_table, meta=meta)
+
+    @staticmethod
+    def set_edges(blocks, side, kind, ends):
+        """Set edges, (i, j, i', j') rows that :meth:`misfit` passed, in
+        ``blocks``, the dict of writable blocks by row pair that the
+        constructor takes: a zero block is made for each new pair, and an
+        edge inside a clique grid's row is set both ways."""
+        if not len(ends):
+            return
         r = side // 2 if kind == "biclique" else side
-        adj = np.zeros((r * r, r * r), dtype=bool)
-        # Each end's index in the stored matrix (a biclique grid's bottom
-        # rows and columns start again at 0).
-        u, v = ((ends[:, c] - 1) % r * r + (ends[:, c + 1] - 1) % r
-                for c in (0, 2))
-        if kind == "clique":                            # both directions
-            adj[u, v] = adj[v, u] = True
-        else:                                           # top end first
-            top = ends[:, 0] <= r
-            adj[np.where(top, u, v), np.where(top, v, u)] = True
-        return cls(side, kind=kind, D=D, adj=adj, delta_table=delta_table,
-                   meta=meta)
+        rows, cols = ends[:, 0::2] - 1, ends[:, 1::2] - 1
+        flip = rows[:, 0] > rows[:, 1]          # the lower row first
+        rows[flip], cols[flip] = rows[flip, ::-1], cols[flip, ::-1]
+        if kind == "biclique":                  # bottom row n + k is k
+            rows[:, 1] -= r
+            cols[:, 1] -= r
+        else:                                   # inside a row, both ways
+            same = rows[:, 0] == rows[:, 1]
+            rows = np.concatenate([rows, rows[same]])
+            cols = np.concatenate([cols, cols[same, ::-1]])
+        # Beyond int64 no block can be made, and making the stack raises.
+        pairs, at = np.unique(rows[:, 0] * min(r, 2 ** 62) + rows[:, 1],
+                              return_inverse=True)
+        stack = np.zeros((len(pairs), r, r), dtype=bool)
+        stack[at, cols[:, 0], cols[:, 1]] = True
+        for pair, block in zip(pairs.tolist(), stack):
+            pair = divmod(pair, r)
+            blocks[pair] = (blocks[pair] | block if pair in blocks
+                            else block.copy())
 
     def index(self, i, j):
         if not (1 <= i <= self.side and 1 <= j <= self.side):
@@ -189,49 +231,96 @@ class GridGraph:
                 if bad.any()]
         return min(hits, key=lambda hit: hit[0], default=None)
 
+    def blocks(self):
+        """(r, offset, kinds, blocks): the rows on each side of a row
+        pair, the row offset of the second side, the read-only r x r
+        table of pair kinds and the BLOCK pairs' blocks by (i, k)."""
+        return (self._r, self.side - self._r, self._kinds,
+                MappingProxyType(self._blocks))
+
+    def block(self, i, k):
+        """Row pair (i, k)'s r x r block, read-only; EMPTY, COMPLETE and
+        IDENTITY pairs share one block each."""
+        kind = int(self._kinds[i, k])
+        return self._blocks[i, k] if kind == BLOCK else _constant(self._r, kind)
+
+    def _band(self, i, out):
+        """Write row i's blocks side by side into ``out``:
+        out[j, k, l] = block(i, k)[j, l].  Returns ``out``."""
+        kinds = self._kinds[i]
+        out[...] = (kinds == COMPLETE)[:, None]
+        for k in np.flatnonzero(kinds > COMPLETE).tolist():
+            out[:, k] = self.block(i, k)
+        return out
+
+    @property
+    def adj(self):
+        """The dense (side^2) x (side^2) adjacency matrix, read-only,
+        written band by band into one new array on every access (for
+        tests and the benchmark; nothing in this package reads it)."""
+        r, side = self._r, self.side
+        adj = np.zeros((side * side, side * side), dtype=bool)
+        adj4 = adj.reshape(side, side, side, side)   # [i, j, i', j'] view
+        for i in range(r):      # row i, and a biclique's bottom rows to it
+            self._band(i, adj4[i, :r, side - r:, side - r:])
+            if self.kind == "biclique":
+                self._band(i, adj4[r:, r:, i, :r].transpose(2, 0, 1))
+        adj.flags.writeable = False
+        return adj
+
     def has_edge(self, a, b):
         self.index(*a), self.index(*b)          # range checks
-        r, offset, blocks = self.blocks()
+        r, offset = self._r, self.side - self._r
         (i, j), (k, l) = sorted((a, b))
         if self.kind == "biclique" and (max(i, j) > r or min(k, l) <= r):
             return False
-        return bool(blocks[i - 1, j - 1, k - offset - 1, l - offset - 1])
+        return bool(self.block(i - 1, k - offset - 1)[j - 1, l - offset - 1])
 
     def num_edges(self):
-        count = int(np.count_nonzero(self._matrix))
+        r = self._r
+        kinds = np.bincount(self._kinds.ravel(), minlength=4)
+        count = int(kinds[COMPLETE]) * r * r + int(kinds[IDENTITY]) * r + sum(
+            int(np.count_nonzero(block)) for block in self._blocks.values())
         return count // 2 if self.kind == "clique" else count
 
     def edges(self):
-        """All edges as ((i,j),(i',j')) pairs, lexicographically sorted.
+        """All edges as ((i,j),(i',j')) pairs, lexicographically sorted,
+        generated from :meth:`edge_arrays` (very large grids stream)."""
+        r, offset = self._r, self.side - self._r
+        for us, vs in self.edge_arrays():
+            for u, v in zip(us.tolist(), vs.tolist()):
+                yield ((u // r + 1, u % r + 1),
+                       (offset + v // r + 1, offset + v % r + 1))
 
-        A generator that scans one row of the stored matrix at a time (of
-        a clique grid, its upper triangle), so very large grids can be
-        streamed without materializing the edge list.
-        """
-        r, offset, _ = self.blocks()
-        for u in range(r * r):
-            a = (u // r + 1, u % r + 1)
-            start = u + 1 if self.kind == "clique" else 0
-            for v in (np.nonzero(self._matrix[u, start:])[0] + start).tolist():
-                yield a, (offset + v // r + 1, offset + v % r + 1)
-
-    def blocks(self):
-        """The stored matrix as blocks [i, j, k, l], with the row count r
-        of each axis and the row offset of the second pair of axes: for a
-        clique grid, rows i and k of the grid (offset 0); for a biclique
-        grid, top row i and bottom row n+k (offset n).  A read-only view."""
-        r = self.side if self.kind == "clique" else self.side // 2
-        return r, self.side - r, self._matrix.reshape(r, r, r, r)
+    def edge_arrays(self):
+        """Per row of blocks, its edges' (u, v) flat block indices in
+        row-major order: u = i*r + j for vertex (i+1, j+1), v = k*r + l
+        for (offset+k+1, offset+l+1); only u < v on a clique grid."""
+        r = self._r
+        band = np.empty((r, r, r), dtype=bool)
+        for i in range(r):
+            us, vs = np.nonzero(self._band(i, band).reshape(r, r * r))
+            us += i * r
+            if self.kind == "clique":
+                us, vs = us[vs > us], vs[vs > us]
+            yield us, vs
 
     def cross_matrix(self):
-        """The stored n^2 x n^2 top-vs-bottom block of a biclique grid.
+        """A biclique grid's n^2 x n^2 top-vs-bottom block, read-only,
+        built on every access (for tests; nothing in this package reads
+        it).
 
         Entry [(i-1)*n + j-1, (i'-1)*n + j'-1] says whether
-        (i, j)(n+i', n+j') is an edge.  Not a copy, and read-only.
+        (i, j)(n+i', n+j') is an edge.
         """
         if self.kind != "biclique":
             raise InvalidInputError("cross_matrix only applies to biclique grids")
-        return self._matrix
+        n = self._r
+        cross = np.zeros((n * n, n * n), dtype=bool)
+        for i in range(n):
+            self._band(i, cross.reshape(n, n, n, n)[i])
+        cross.flags.writeable = False
+        return cross
 
 
 def _edge_rows(edges, side):
@@ -464,30 +553,23 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
         if bu > bv:
             (bu, ku), (bv, kv) = (bv, kv), (bu, ku)
         pair_edges[(bu, bv)].append((ku, kv))
+    # Rows of blocks that no edge joins are complete to each other.
+    compat = {}
+    mm = np.zeros((nprime, nprime), dtype=np.int64)    # edges per row pair
     for (bu, bv), matched in pair_edges.items():
         if any(len(set(ends)) != len(matched) for ends in zip(*matched)):
             raise InternalConsistencyError(
                 "blocks %d and %d do not induce a matching" % (bu + 1, bv + 1))
-
-    adj = np.ones((nprime ** 2, nprime ** 2), dtype=bool)
-    adj4 = adj.reshape(nprime, nprime, nprime, nprime)      # [i, j, k, l]
-    for i in range(nprime):
-        adj4[i, :, i, :] = False
-    for (bu, bv), matched in pair_edges.items():
-        compat = np.ones((nprime, nprime), dtype=bool)
-        for ku, kv in matched:
-            compat &= words[:, ku][:, None] != words[:, kv][None, :]
-        adj4[bu, :, bv, :] = compat
-        adj4[bv, :, bu, :] = compat.T
-
-    mm = np.zeros((nprime, nprime), dtype=np.int64)    # edges per row pair
-    for (bu, bv), matched in pair_edges.items():
         mm[bu, bv] = mm[bv, bu] = len(matched)
+        compat[bu, bv] = np.ones((nprime, nprime), dtype=bool)
+        for ku, kv in matched:
+            compat[bu, bv] &= words[:, ku][:, None] != words[:, kv][None, :]
     delta = 2 ** mm * 3 ** (x - mm)
     np.fill_diagonal(delta, 0)
 
-    grid = GridGraph(nprime, kind="clique", D=degree_bound, adj=adj,
-                     delta_table=delta,
+    grid = GridGraph(nprime, kind="clique", D=degree_bound,
+                     kinds=np.where(np.eye(nprime), EMPTY, COMPLETE),
+                     blocks=compat, delta_table=delta,
                      meta={"blocks": [tuple(b) for b in blocks],
                            "x": x,
                            "num_original": n0,
@@ -518,20 +600,24 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
     """Double a clique grid into a biclique grid.
 
     (i,j)(n+i',n+j') is an edge of H iff (i,j)(i',j') is an edge of G or
-    i = i' and j = j', so H's cross block is G's adjacency plus the
-    identity.  The delta table is recomputed from H, never copied.  H is
-    row-pair regular exactly when G is, so only H is checked for it; G's
-    stability is checked on G, since H may hold at D + 1 where G fails
-    at D.
+    i = i' and j = j', so H's row pairs are G's, sharing G's blocks, with
+    the identity added on the diagonal (one shared block where G's
+    diagonal pair is empty).  The delta table is recomputed from H, never
+    copied.  H is row-pair regular exactly when G is, so only H is
+    checked for it; G's stability is checked on G, since H may hold at
+    D + 1 where G fails at D.
     """
     from permcsp import validate
 
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    cross = g.adj.copy()
-    np.fill_diagonal(cross, True)
-    h = GridGraph(2 * g.side, kind="biclique", D=g.D, adj=cross,
-                  meta={"source_side": g.side})
+    r, _, kinds, blocks = g.blocks()
+    blocks = dict(blocks)
+    eye = _constant(r, IDENTITY)
+    for i in range(r):
+        blocks[i, i] = g.block(i, i) | eye if kinds[i, i] else eye
+    h = GridGraph(2 * g.side, kind="biclique", D=g.D, kinds=kinds,
+                  blocks=blocks, meta={"source_side": g.side})
 
     _require(validate.check_biclique_structure(h),
              "input adjacency is not symmetric")
@@ -587,9 +673,9 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
     """
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    n, _, blocks = g.blocks()
+    n, _, kinds, _ = g.blocks()
     for i in range(n):
-        if blocks[i, :, i, :].any():
+        if kinds[i, i] != EMPTY:
             raise InvalidInputError("grid has an edge inside row %d" % (i + 1))
     if dummy_count is None:
         dummy_count = 2 * n
@@ -702,10 +788,8 @@ def reduce_dcnnb_to_perm4(h: GridGraph, D: Optional[int] = None,
         for j, jp in itertools.combinations(range(1, 2 * n + 2), 2):
             constraints.append((a, b, c(j), c(jp)))
 
-    cross = h.cross_matrix()
-    for a, b in zip(*np.nonzero(cross)):
-        i, j = int(a) // n + 1, int(a) % n + 1
-        ip, jp = int(b) // n + 1, int(b) % n + 1
+    for (i, j), (ip, jp) in h.edges():
+        ip, jp = ip - n, jp - n
         constraints.append((c(j), r(i), c(n + jp), r(n + ip)))
         constraints.append((c(j), r(i), r(n + ip), c(n + jp + 1)))
         constraints.append((r(i), c(j + 1), r(n + ip), c(n + jp + 1)))

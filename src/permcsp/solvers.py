@@ -36,7 +36,8 @@ from permcsp.core import (
     evaluate,
     evaluate_many,
 )
-from permcsp.reductions import CnfFormula, GridGraph, ReductionCertificate
+from permcsp.reductions import (COMPLETE, EMPTY, CnfFormula, GridGraph,
+                                ReductionCertificate)
 
 
 @dataclass(frozen=True)
@@ -415,42 +416,41 @@ def _row_transversal(width, neighbors, degree, block):
             span //= 3
         return [dom]
 
-    def search(cand):
-        """Branch by splitting the candidate set of the tightest open row;
-        the arc-consistent all-singleton candidates on success, else None.
-
-        With arc consistency restored after every split, all-singleton
-        domains are mutually compatible, so reaching them is success.
-        The row that wiped out most recently is branched first (the
-        last-conflict heuristic keeps the search at the failure site);
-        otherwise fewest candidates, most constrained pairs, lowest
-        index.  Lower blocks are tried first, keeping the selection
-        lexicographically first on fully compatible instances.
-        """
-        counts = [dom.bit_count() for dom in cand]
-        open_rows = [k for k in range(rows) if counts[k] > 1]
-        if not open_rows:
-            return cand
-        if last_wipe[0] >= 0 and counts[last_wipe[0]] > 1:
-            row = last_wipe[0]
-        else:
-            row = min(open_rows, key=lambda k: (counts[k], -degree[k], k))
+    def branches(cand, row):
+        """The children of ``cand`` that survive propagation, made one at
+        a time: ``row``'s candidates split, lower blocks first."""
         for part in split(cand[row]):
             nxt = list(cand)
             nxt[row] = part
             if propagate(nxt, [row]):
-                found = search(nxt)
-                if found is not None:
-                    return found
-        return None
+                yield nxt
 
+    # Depth-first search, on a stack of branch generators (a path can be
+    # longer than Python's recursion limit): branch on the tightest open
+    # row until every candidate set is a singleton.  With arc consistency
+    # restored after every split, all-singleton domains are mutually
+    # compatible, so reaching them is success.  The row that wiped out
+    # most recently is branched first (the last-conflict heuristic keeps
+    # the search at the failure site); otherwise fewest candidates, most
+    # constrained pairs, lowest index.  Lower blocks first keep the
+    # selection lexicographically first on fully compatible instances.
     cand = [(1 << width) - 1] * rows
-    if not propagate(cand, list(range(rows))):
-        return None
-    found = search(cand)
-    if found is None:
-        return None
-    return [dom.bit_length() - 1 for dom in found]
+    stack = [iter([cand] if propagate(cand, list(range(rows))) else [])]
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            continue
+        counts = [dom.bit_count() for dom in cand]
+        open_rows = [k for k in range(rows) if counts[k] > 1]
+        if not open_rows:
+            return [dom.bit_length() - 1 for dom in cand]
+        if last_wipe[0] >= 0 and counts[last_wipe[0]] > 1:
+            row = last_wipe[0]
+        else:
+            row = min(open_rows, key=lambda k: (counts[k], -degree[k], k))
+        stack.append(branches(cand, row))
+    return None
 
 
 def _bits(mask):
@@ -463,49 +463,45 @@ def _bits(mask):
     return cols
 
 
+def _grid_transversal(g: GridGraph, kind: str):
+    """:func:`_row_transversal` on the row pairs of a ``kind`` grid that
+    are not COMPLETE (those constrain nothing): a clique grid's rows, or
+    a biclique grid's top rows then bottom rows, with columns counted
+    within each half.  Exact on any grid, symmetric or not."""
+    if g.kind != kind:
+        raise InvalidInputError("row-%s search expects a %s grid"
+                                % (kind, kind))
+    r, _, kinds, _ = g.blocks()
+    free, empty, block = kinds == COMPLETE, kinds == EMPTY, g.block
+    if kind == "clique":
+        np.fill_diagonal(free, True)
+        np.fill_diagonal(empty, False)
+    if empty.any():         # two rows with no compatible columns at all
+        return None
+    if kind == "biclique":
+        top = np.ones_like(free)
+        free = np.block([[top, free], [free.T, top]])
+
+        def block(row, src):
+            if src < r:
+                return g.block(src, row - r).T
+            return g.block(row, src - r)
+    return _row_transversal(r, [np.flatnonzero(~f) for f in free],
+                            (~free).sum(axis=1), block)
+
+
 def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:
-    """One vertex per row forming a clique, or None (see
-    :func:`_row_transversal`)."""
-    if g.kind != "clique":
-        raise InvalidInputError("row-clique search expects an n x n grid")
-    side, _, blocks = g.blocks()
-    # Row pairs where every column pair is adjacent constrain nothing;
-    # the search only propagates along the remaining pairs.
-    full = blocks.all(axis=(1, 3))
-    np.fill_diagonal(full, True)
-    neighbors = [np.nonzero(~full[k])[0] for k in range(side)]
-    cols = _row_transversal(side, neighbors, (~full).sum(axis=1),
-                            lambda row, src: blocks[row, :, src])
+    """One vertex per row forming a clique, or None."""
+    cols = _grid_transversal(g, "clique")
     return None if cols is None else RowSelection(tuple(j + 1 for j in cols))
 
 
 def solve_row_biclique(h: GridGraph) -> Optional[RowSelection]:
-    """One vertex per row forming a K_{n,n} across the two halves, or None.
-
-    The search (see :func:`_row_transversal`) constrains only
-    top-vs-bottom row pairs, on the cross block; it is exact on any cross
-    block, symmetric or not.  Top rows select columns in [1, n], bottom
-    rows in [n+1, 2n].
-    """
-    n = h.side // 2
-    blocks = h.cross_matrix().reshape(n, n, n, n)   # [i, j, i', j']
-    full = blocks.all(axis=(1, 3))                  # [i, i'] fully compatible
-    degree = np.concatenate([(~full).sum(axis=1), (~full).sum(axis=0)])
-    top_nbrs = [np.nonzero(~full[k])[0] + n for k in range(n)]
-    bot_nbrs = [np.nonzero(~full[:, k])[0] for k in range(n)]
-
-    def block(row, src):
-        if src < n:
-            return blocks[src, :, row - n, :].T
-        return blocks[row, :, src - n, :]
-
-    # Rows 0..n-1 are the top half, n..2n-1 the bottom; columns are
-    # offsets within the row's own half.
-    cols = _row_transversal(n, top_nbrs + bot_nbrs, degree, block)
-    if cols is None:
-        return None
-    return RowSelection(tuple(j + 1 + (n if k >= n else 0)
-                              for k, j in enumerate(cols)))
+    """One vertex per row forming a K_{n,n} across the two halves, or None:
+    top rows select columns in [1, n], bottom rows in [n+1, 2n]."""
+    cols, n = _grid_transversal(h, "biclique"), h.side // 2
+    return None if cols is None else RowSelection(
+        tuple(j + 1 + (n if k >= n else 0) for k, j in enumerate(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +577,8 @@ def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
     n, perm4 = cert.n, cert.kind == "perm4"
     if not perm4 and n > 4:
         raise InvalidInputError("phi enumeration is limited to n <= 4")
-    r, offset, blocks = h.blocks()
+    r, offset, _, _ = h.blocks()
     width = 2 * r if perm4 else r
-    rows = np.arange(r)
     digits = r ** np.arange(width - 1, -1, -1)
     first = np.ones(width, dtype=np.int64)       # each row's first interval
     first[r:] += offset
@@ -601,8 +596,8 @@ def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
         choice = phi + first
         # Edges between the first r rows' choices and the last r rows'
         # (the same rows, each edge twice, on a clique grid).
-        induced = blocks[rows[:, None], phi[:, :r, None], rows,
-                         phi[:, None, -r:]].sum(axis=(1, 2))
+        induced = sum(h.block(i, k)[phi[:, i], phi[:, k - r]]
+                      for i in range(r) for k in range(r))
         count = base + (induced if perm4 else induced // 2)
         # Positions in d_1..d_m c_1 R_1 c_2 ... R_K c_{K+1}, R_k holding
         # the rows that chose interval k in row order.  Before c_k: the

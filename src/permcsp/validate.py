@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from permcsp.core import InvalidInputError, Ordering
-from permcsp.reductions import GridGraph, ReductionCertificate, ternary_gray
+from permcsp.reductions import (BLOCK, IDENTITY, GridGraph,
+                                ReductionCertificate, ternary_gray)
 from permcsp.solvers import RowSelection
 
 _MAX_VIOLATIONS = 20
@@ -61,26 +62,28 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
 
 
 def _regularity(g):
-    r, offset, blocks = g.blocks()
-    # deg[i, k, s, j]: s = 0 is vertex (i, j) into row offset+k; on a
-    # biclique grid s = 1 is vertex (n+k, n+j) into top row i.
-    deg = blocks.sum(axis=3).transpose(0, 2, 1)[:, :, None]
-    if g.kind == "biclique":
-        deg = np.concatenate([deg, blocks.sum(axis=1)[:, :, None]], axis=2)
+    r, offset, kinds, blocks = g.blocks()
+    # deg[i, k, s]: the row-pair degree of pair (i, k) by its kind, or of
+    # column 0 of a BLOCK pair: s = 0 from row i into row offset+k; on a
+    # biclique grid s = 1 from bottom row n+k into top row i.
+    sides = 2 if g.kind == "biclique" else 1
+    deg = np.repeat(np.array([0, r, 1, 0])[kinds][:, :, None], sides, axis=2)
     violations = []
-    for i, k, s in np.argwhere(deg.min(axis=3) != deg.max(axis=3)).tolist():
-        col = deg[i, k, s]
-        j = int(np.argmax(col != col[0]))
-        rows = (i + 1, offset + k + 1)
-        violations.append((rows[::-1] if s else rows) + (
-            j + 1, "degree %d != %d" % (col[j], col[0])))
+    for (i, k), block in sorted(blocks.items()):
+        for s, col in enumerate((block.sum(axis=1), block.sum(axis=0))[:sides]):
+            deg[i, k, s] = col[0]
+            if (col != col[0]).any():
+                j = int(np.argmax(col != col[0]))
+                rows = (i + 1, offset + k + 1)
+                violations.append((rows[::-1] if s else rows) + (
+                    j + 1, "degree %d != %d" % (col[j], col[0])))
     report = _report("regularity", violations)
     if not report.holds:
         return report, None
     delta = np.zeros((g.side, g.side), dtype=np.int64)
-    delta[:r, offset:offset + r] = deg[:, :, 0, 0]
+    delta[:r, offset:offset + r] = deg[:, :, 0]
     if g.kind == "biclique":
-        delta[r:, :r] = deg[:, :, 1, 0].T
+        delta[r:, :r] = deg[:, :, 1].T
     delta.setflags(write=False)
     return report, delta
 
@@ -105,15 +108,16 @@ def check_stability(g: GridGraph, D: int
 
 
 def _stability(g):
-    r, _, blocks = g.blocks()
-    stable = np.zeros((r, r - 1, r), dtype=bool)
-    for i in range(r):
-        stable[i] = (blocks[i, :-1] == blocks[i, 1:]).all(axis=2)  # (j, k)
+    # EMPTY and COMPLETE pairs are stable, IDENTITY pairs unstable at
+    # every column; only BLOCK pairs are compared.
+    r, _, kinds, blocks = g.blocks()
+    stable = np.ones((r, r - 1, r), dtype=bool)
+    rows, others = np.nonzero(kinds == IDENTITY)
+    stable[rows, :, others] = False
+    for (i, k), block in blocks.items():
+        stable[i, :, k] = (block[:-1] == block[1:]).all(axis=1)
     stable.setflags(write=False)
     return stable
-
-
-_TILE = 256
 
 
 def check_biclique_structure(h: GridGraph) -> ConditionReport:
@@ -121,30 +125,28 @@ def check_biclique_structure(h: GridGraph) -> ConditionReport:
     edge exactly when (i',j')(n+i,n+j) is.
 
     Bipartite placement needs no check: a biclique grid stores only its
-    top-vs-bottom block, so no other edge can exist.  Cache-sized tiles
-    cross[A, B] are compared with cross[B, A].T first; only when some
-    tile differs is the full transpose compared, which keeps the
-    violations in row-major order.
+    top-vs-bottom row pairs, so no other edge can exist.  Pairs (i, i')
+    and (i', i) of one kind other than BLOCK are symmetric by inspection;
+    every other pair's block is compared with its partner's transpose.
     """
     return _stored(h, "structure", _structure)
 
 
 def _structure(h):
-    cross = h.cross_matrix()
-    n = h.side // 2
-    size = cross.shape[0]
-    violations = []
-    if not all(np.array_equal(cross[a:a + _TILE, b:b + _TILE],
-                              cross[b:b + _TILE, a:a + _TILE].T)
-               for a in range(0, size, _TILE) for b in range(a, size, _TILE)):
-        for a, b in zip(*np.nonzero(cross != cross.T)):
-            i, j = int(a) // n + 1, int(a) % n + 1
-            ip, jp = int(b) // n + 1, int(b) % n + 1
-            violations.append(((i, j), (n + ip, n + jp),
-                               "symmetry partner missing"))
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
-    return _report("bipartite-symmetry", violations)
+    if h.kind != "biclique":
+        raise InvalidInputError("symmetry only applies to biclique grids")
+    n, _, kinds, _ = h.blocks()
+    # Violations in (i, j, i', j') order; a pair's first _MAX_VIOLATIONS
+    # hold all of its own that can be among the first overall.
+    found = []
+    for i, k in np.argwhere((kinds != kinds.T) | (kinds == BLOCK)).tolist():
+        js, ls = np.nonzero(h.block(i, k) != h.block(k, i).T)
+        found += [(i, j, k, l) for j, l in zip(js[:_MAX_VIOLATIONS].tolist(),
+                                               ls[:_MAX_VIOLATIONS].tolist())]
+    return _report("bipartite-symmetry",
+                   [((i + 1, j + 1), (n + k + 1, n + l + 1),
+                     "symmetry partner missing")
+                    for i, j, k, l in sorted(found)[:_MAX_VIOLATIONS]])
 
 
 # ---------------------------------------------------------------------------

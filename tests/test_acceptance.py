@@ -330,6 +330,44 @@ def test_criterion_7_end_to_end_chain(capsys):
     _announce(capsys, "7 end-to-end chain on 20 CNFs", ok, start)
 
 
+def test_criterion_7b_243_row_chain_in_block_storage(capsys):
+    # A 10-variable CNF needs x = 5 digits: a 243-row clique grid and a
+    # 486-row biclique grid, 3.5 GB each as dense matrices.  Stored by
+    # row pair, the whole chain (both grids, all three checks and both
+    # row searches) stays far below that.
+    import tracemalloc
+
+    start = time.time()
+    cnf = cli.gen_sat(10, 10, 3, seed=1)
+    tracemalloc.start()
+    try:
+        sat = solve_sat(cnf)
+        g, bound = reduce_sat_to_coloring(cnf)
+        grid = reduce_coloring_to_dcnnc(g, degree_bound=bound, row_cap=243)
+        h = reduce_dcnnc_to_dcnnb(grid)
+        checks = [validate.check_biclique_structure(h)]
+        for x in (grid, h):
+            checks += [validate.check_regularity(x)[0],
+                       validate.check_stability(x, x.D)[0]]
+        sel, bsel = solve_row_clique(grid), solve_row_biclique(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ok = (g.num_vertices == 263 and grid.meta["x"] == 5
+          and (grid.side, h.side) == (243, 486)
+          and all(report.holds for report in checks)
+          and (sat is None) == (sel is None) == (bsel is None)
+          and peak < 200 * 2 ** 20)
+    if sel is not None:
+        vs = sel.vertices()
+        ok = ok and all(grid.has_edge(a, b)
+                        for a, b in itertools.combinations(vs, 2))
+        ok = ok and all(h.has_edge(a, b) for a in bsel.vertices()[:243]
+                        for b in bsel.vertices()[243:])
+    _announce(capsys, "7b 243-row chain, peak %.0f MB" % (peak / 2 ** 20),
+              ok, start)
+
+
 def test_criterion_8_size_formulas(capsys):
     start = time.time()
     ok = True

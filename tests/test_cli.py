@@ -65,6 +65,51 @@ def test_gen_graph_infeasible(capsys):
     assert code == 2 and "cannot reach 1 edges" in err
 
 
+_INT_OPTIONS = [
+    (["gen", "sat", "--num-clauses", "2"], "--num-vars"),
+    (["gen", "sat", "--num-vars", "5"], "--num-clauses"),
+    (["gen", "sat", "--num-vars", "5", "--num-clauses", "2"], "--freq"),
+    (["gen", "sat", "--num-vars", "5", "--num-clauses", "2"], "--seed"),
+    (["gen", "graph", "--num-edges", "2"], "--num-vertices"),
+    (["gen", "graph", "--num-vertices", "5"], "--num-edges"),
+    (["gen", "graph", "--num-vertices", "5", "--num-edges", "2"],
+     "--max-degree"),
+    (["gen", "graph", "--num-vertices", "5", "--num-edges", "2"], "--seed"),
+    (["reduce", "in.graph", "--steps", "col2clique", "--out-dir", "o"],
+     "--degree-bound"),
+    (["reduce", "in.graph", "--steps", "col2clique", "--out-dir", "o"],
+     "--row-cap"),
+    (["solve", "in.pcsp"], "--limit"),
+    (["solve", "in.pcsp"], "--threads"),
+]
+
+
+@pytest.mark.parametrize("argv, option", _INT_OPTIONS)
+@pytest.mark.parametrize("token", ["1_0", "\u0665", "+5", " 5", "5.0", "0x5"])
+def test_integer_options_take_only_ascii_decimal_integers(
+        tmp_path, capsys, monkeypatch, argv, option, token):
+    # "1_0" and the Arabic-Indic five are integers to int(), not to the
+    # formats; the CLI refuses them, and every other non-integer, with 2.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [option, token])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "%s: invalid integer: %r" % (option, token) in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0665", "+5", "5.0"])
+def test_dummies_take_only_ascii_decimal_integers(tmp_path, capsys, token):
+    src = tmp_path / "grid.grid"
+    src.write_text("p grid 2\nc kind clique\ne 1 1 2 2\n")
+    code, _, err = run(capsys, ["reduce", str(src), "--steps",
+                                "clique2perm6", "--dummies", token,
+                                "--out-dir", str(tmp_path / "o")])
+    assert code == 2 and "--dummies" in err and repr(token) in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -577,11 +622,26 @@ def test_bad_grid_header_names_its_line(tmp_path, capsys, text, why):
     assert why in err
 
 
+def test_edgeless_300_row_grid_is_read_and_has_no_transversal(
+        tmp_path, capsys, monkeypatch):
+    # Stored by row pair, 300 rows take a 90 KB kind table (the dense
+    # matrix took 7.5 GiB); every pair is empty, so no search runs.
+    from permcsp import solvers
+
+    def search(*_):
+        raise AssertionError("an empty row pair needs no search")
+    monkeypatch.setattr(solvers, "_row_transversal", search)
+    path = tmp_path / "big.grid"
+    path.write_text("p grid 300\nc kind clique\n")
+    code, out, _ = run(capsys, ["solve", str(path)])
+    assert (code, out) == (1, "NO ROW TRANSVERSAL\n")
+
+
 def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path):
     import resource
 
     path = tmp_path / "big.grid"
-    path.write_text("p grid 300\nc kind clique\n")   # a 7.5 GiB matrix
+    path.write_text("p grid 50000\nc kind clique\n")  # 2.3 GiB of pair kinds
 
     def cap_address_space():
         limit = 1500 * 2 ** 20
@@ -595,3 +655,52 @@ def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: line 1 (byte 0): expected a grid "
                                   "that fits in memory")
+
+
+def test_no_package_path_reads_a_dense_grid_view(tmp_path, capsys,
+                                                  monkeypatch):
+    # Grids are stored by row pair; the dense views exist for tests and
+    # the benchmark only.  With both made to raise, the in-memory chain
+    # and the CLI's reduce, solve and verify still run on the triangle's
+    # 3- and 6-row grids and on a 27-row grid and its 54-row double.
+    from permcsp import solvers, validate
+    from permcsp.reductions import (CnfFormula, reduce_coloring_to_dcnnc,
+                                    reduce_sat_to_coloring)
+
+    def dense(*_):
+        raise AssertionError("a dense grid view was read")
+    monkeypatch.setattr(GridGraph, "adj", property(dense))
+    monkeypatch.setattr(GridGraph, "cross_matrix", dense)
+    g, bound = reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3))
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+    h = reduce_dcnnc_to_dcnnb(grid)
+    assert validate.check_biclique_structure(h).holds
+    assert all(validate.check_stability(x, x.D)[0].holds for x in (grid, h))
+    assert solvers.solve_row_clique(grid) and solvers.solve_row_biclique(h)
+    assert grid.side == 27 and list(grid.edges()) and h.num_edges()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.graph").write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    calls = [
+        ["reduce", "tri.graph", "--degree-bound", "2", "--steps",
+         "col2clique,clique2biclique,biclique2perm4", "--out-dir", "t"],
+        ["reduce", "t/step1-col2clique.grid", "--steps", "clique2perm6",
+         "--out-dir", "t6"],
+        ["solve", "t/step3-biclique2perm4.pcsp", "--source",
+         "t/step2-clique2biclique.grid"],
+        ["verify", "t/step3-biclique2perm4.pcsp",
+         "t/step2-clique2biclique.grid"],
+        ["solve", "t6/step1-clique2perm6.pcsp", "--source",
+         "t/step1-col2clique.grid"],
+        ["verify", "t6/step1-clique2perm6.pcsp", "t/step1-col2clique.grid"],
+        ["gen", "graph", "--num-vertices", "20", "--num-edges", "20",
+         "--max-degree", "3", "--seed", "5000", "--out", "g.graph"],
+        ["reduce", "g.graph", "--steps", "col2clique,clique2biclique",
+         "--out-dir", "d"],
+        ["solve", "d/step1-col2clique.grid"],
+        ["solve", "d/step2-clique2biclique.grid"],
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1) and not err, (argv, err)
+    assert formats.read_grid((tmp_path / "d" / "step2-clique2biclique.grid")
+                             .read_text()).side == 54

@@ -451,7 +451,7 @@ def _outcome(read, text):
         return "error", exc.line, exc.offset, exc.expected, exc.found
     delta = None if g.delta_table is None else g.delta_table.tolist()
     return (g.side, g.kind, g.D, delta,
-            np.flatnonzero(g.blocks()[2]).tolist())
+            list(g.edges()))
 
 
 def assert_reads_as_reference(text):

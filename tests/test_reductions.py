@@ -22,6 +22,9 @@ from permcsp.core import (
     evaluate,
 )
 from permcsp.reductions import (
+    COMPLETE,
+    EMPTY,
+    IDENTITY,
     CnfFormula,
     GridGraph,
     coloring_grid_digits,
@@ -139,22 +142,34 @@ def test_grid_cross_matrix_needs_biclique():
 def test_grid_adjacency_is_read_only():
     g = grid_from_edges(2, [((1, 1), (2, 2)), ((1, 2), (2, 1))])
     h = reduce_dcnnc_to_dcnnb(g)
+    stored = [*g.blocks()[3].values(), *h.blocks()[3].values()]
+    assert len(stored) == 4
     for array in (g.adj, g.blocks()[2], h.adj, h.blocks()[2],
-                  h.cross_matrix()):
+                  h.cross_matrix(), h.block(0, 0), g.block(0, 0), *stored):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = False
+    with pytest.raises(TypeError):
+        g.blocks()[3][0, 0] = stored[0]
     assert g.num_edges() == 2 and h.num_edges() == 8
 
 
-def test_grid_takes_over_an_owned_matrix_and_copies_a_view():
-    adj = np.zeros((4, 4), dtype=bool)
-    g = GridGraph(2, adj=adj)
+def test_grid_takes_over_its_blocks_and_doubling_shares_them():
+    block = np.array([[False, True], [True, False]])
+    g = GridGraph(2, blocks={(0, 1): block})
     with pytest.raises(ValueError, match="read-only"):
-        adj[0, 3] = True
-    base = np.zeros((8, 4), dtype=bool)
-    g = GridGraph(2, adj=base[:4])
-    base[0, 3] = base[3, 0] = True
-    assert g.num_edges() == 0 and not g.has_edge((1, 1), (2, 2))
+        block[0, 0] = True
+    assert g.num_edges() == 2 and g.has_edge((2, 1), (1, 2))
+    h = reduce_dcnnc_to_dcnnb(g)
+    assert h.block(0, 1) is block and h.block(1, 0).base is block
+    assert h.block(0, 0) is h.block(1, 1)           # one identity block
+    assert np.array_equal(h.block(0, 0), np.eye(2))
+    # Empty, complete and identity blocks are kept as kinds only.
+    g = GridGraph(2, blocks={(0, 0): np.zeros((2, 2), dtype=bool),
+                             (0, 1): np.ones((2, 2), dtype=bool)})
+    assert not g.blocks()[3] and g.num_edges() == 4
+    assert g.blocks()[2].tolist() == [[EMPTY, COMPLETE], [COMPLETE, EMPTY]]
+    h = GridGraph(4, kind="biclique", blocks={(1, 0): np.eye(2, dtype=bool)})
+    assert not h.blocks()[3] and h.blocks()[2][1, 0] == IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +429,7 @@ def test_doubling_may_bump_D_for_stability():
 def test_doubling_keeps_D_when_it_holds_else_bumps_it(graph, bound):
     grid = reduce_coloring_to_dcnnc(graph, degree_bound=bound)
     h = reduce_dcnnc_to_dcnnb(grid)
-    fresh = GridGraph(h.side, kind="biclique", adj=h.cross_matrix())
+    fresh = GridGraph.from_edges(h.side, list(h.edges()), kind="biclique")
     kept = validate.check_stability(fresh, grid.D)[0].holds
     assert h.D == (grid.D if kept else grid.D + 1)
     assert reduce_dcnnc_to_dcnnb(grid_from_edges(1, [], D=4)).D == 4

@@ -636,11 +636,19 @@ def test_convenient_rejects_a_different_grid():
         solve_convenient(cert, grid_from_edges(3, []))
 
 
+def _dense_blocks(h):
+    """r, offset and the grid's blocks as one dense [i, j, k, l] array,
+    read through ``h.block``."""
+    r, offset, _, _ = h.blocks()
+    blocks = np.array([[h.block(i, k) for k in range(r)] for i in range(r)])
+    return r, offset, blocks.transpose(0, 2, 1, 3)
+
+
 def _best_convenient_reference(cert, h):
     """The phi loop that _best_convenient replaced: one phi at a time,
     each ordering materialized and scored by evaluate."""
     n, perm4 = cert.n, cert.kind == "perm4"
-    r, offset, blocks = h.blocks()
+    r, offset, blocks = _dense_blocks(h)
     rows = np.arange(r)
     intervals = [range(1, r + 1)] * r
     if perm4:
@@ -717,10 +725,12 @@ def test_best_convenient_names_the_first_wrong_phi(k, monkeypatch):
     # (in one direction): the closed form is off by one wherever phi
     # picks both of its ends.
     cert, h = _ORACLE_CASES[k]
-    r, offset, blocks = h.blocks()
-    tampered = blocks.copy()
-    tampered[tuple(np.argwhere(blocks)[0])] = False
-    monkeypatch.setattr(h, "blocks", lambda: (r, offset, tampered))
+    i, j, k, l = np.argwhere(_dense_blocks(h)[2])[0]
+    tampered = h.block(i, k).copy()
+    tampered[j, l] = False
+    block = h.block
+    monkeypatch.setattr(h, "block", lambda a, b: tampered if (a, b) == (i, k)
+                        else block(a, b))
     messages = []
     for oracle in (solvers._best_convenient, _best_convenient_reference):
         with pytest.raises(InternalConsistencyError) as exc:
