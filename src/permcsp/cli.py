@@ -471,6 +471,10 @@ def main(argv=None):
     except (PermCspError, formats.FormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except (RecursionError, MemoryError) as exc:    # too large an input
+        print("error: input too large: %s" % (str(exc) or "out of memory"),
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@
   closed form against the evaluator (:func:`evaluate_many`).
 - :func:`solve_sat`, :func:`solve_3coloring`: the auxiliary oracles for
   the first two links of the reduction chain.
-- :func:`solve_row_clique`, :func:`solve_row_biclique`: row-transversal
-  cliques and bicliques, two thin adapters over one bit-parallel
-  arc-consistency search (:func:`_row_transversal`).
+- :func:`solve_row_clique`, :func:`solve_row_biclique`: row transversals,
+  over one arc-consistency search (:func:`_row_transversal`) with supports
+  packed per column and candidate counts kept up to date at each node.
 """
 
 import itertools
@@ -343,46 +343,57 @@ def _row_transversal(width, neighbors, degree, block):
 
     Branch and bound with bit-parallel arc consistency (Lecoutre & Vion,
     2008): every row keeps its candidate columns as an int bitmask, and a
-    wiped-out mask prunes.  Deterministic; on fully compatible instances
-    the lexicographically first selection is returned.
+    wiped-out mask prunes.  Supports are packed per column: one int per
+    column of a row holds the compatible columns of all its neighbours in
+    byte-aligned lanes, so a revision costs one OR per candidate column and
+    one shift per neighbour.  Search nodes carry candidate counts, updated
+    for the rows that propagation narrows.  Deterministic; on fully
+    compatible instances the lexicographically first selection is returned.
     """
     rows = len(neighbors)
+    # Rows are numbered internally in branching-tie order (most
+    # constrained pairs, then lowest index): row order[k] is number k.
+    order = sorted(range(rows), key=lambda k: (-degree[k], k))
+    rank = sorted(range(rows), key=order.__getitem__)
+    nbr_rows = [[rank[row] for row in neighbors[src]] for src in order]
     last_wipe = [-1]
-    nbytes = (width + 7) // 8
+    full, stride = (1 << width) - 1, 8 * ((width + 7) // 8)
+    shifts = [range(0, len(nbrs) * stride, stride) for nbrs in nbr_rows]
+    closed = width + 1          # the count of a singleton, so min() skips it
 
-    def table(row, src):
-        """Entry [c]: mask of the columns of ``row`` compatible with
-        column c of ``src``."""
-        packed = np.packbits(block(row, src).T, axis=1,
-                             bitorder="little").tobytes()
-        return [int.from_bytes(packed[c * nbytes:(c + 1) * nbytes], "little")
-                for c in range(width)]
-
-    nbr_rows = [[int(row) for row in nbrs] for nbrs in neighbors]
-    tables = [[table(row, src) for row in nbr_rows[src]]
-              for src in range(rows)]
-    memo = [{} for _ in range(rows)]
+    # tables[src][c], lane j (bits shifts[src][j] on; one lane at least,
+    # so that every entry has a byte): the columns of neighbour j
+    # compatible with column c of src.  memo[src] maps a domain of src to
+    # its lanes; the full domain's are one numpy OR.
+    tables, memo = [], []
+    for src, nbrs in enumerate(nbr_rows):
+        bits = np.zeros((width, max(1, len(nbrs)), stride), dtype=bool)
+        for j, row in enumerate(nbrs):
+            bits[:, j, :width] = block(order[row], order[src]).T
+        packed = np.packbits(bits.reshape(width, -1), axis=1,
+                             bitorder="little")
+        entries = packed.view("V%d" % packed.shape[1]).ravel().tolist()
+        tables.append(list(map(int.from_bytes, entries,
+                               itertools.repeat("little"))))
+        word = int.from_bytes(np.bitwise_or.reduce(packed), "little")
+        memo.append({full: [word >> s & full for s in shifts[src]]})
 
     def supported(src, dom):
-        """Per neighbour of ``src``: the mask of its columns compatible
-        with some column in ``dom``; memoised per (src, dom)."""
+        """Per neighbour of ``src``: its columns supported by ``dom``."""
         found = memo[src].get(dom)
         if found is None:
-            cols = _bits(dom)
-            found = []
-            for entries in tables[src]:
-                mask = 0
-                for c in cols:
-                    mask |= entries[c]
-                found.append(mask)
-            memo[src][dom] = found
+            entries, word, rest = tables[src], 0, dom
+            while rest:
+                low = rest & -rest
+                word |= entries[low.bit_length() - 1]
+                rest ^= low
+            found = memo[src][dom] = [word >> s & full for s in shifts[src]]
         return found
 
-    def propagate(cand, dirty):
+    def propagate(cand, counts, dirty):
         """AC-3 along constrained row pairs; False on a wiped-out row,
         which is remembered for the last-conflict branching heuristic."""
-        queue = list(dirty)
-        in_queue = set(queue)
+        queue, in_queue = list(dirty), set(dirty)
         while queue:
             src = queue.pop()
             in_queue.discard(src)
@@ -393,74 +404,59 @@ def _row_transversal(width, neighbors, degree, block):
                         last_wipe[0] = row
                         return False
                     cand[row] = new
+                    counts[row] = new.bit_count() if new & new - 1 else closed
                     if row not in in_queue:
                         queue.append(row)
                         in_queue.add(row)
         return True
 
     def split(dom):
-        """Partition a candidate mask along the coarsest aligned block
-        boundary (powers of 3, matching the ternary word layout of
-        Gray-coded grids; an arbitrary deterministic split elsewhere).
-        Parts come in ascending column order."""
-        cols = _bits(dom)
+        """Partition a mask of two or more columns along the coarsest
+        aligned block boundary (powers of 3, matching the ternary word
+        layout of Gray-coded grids; an arbitrary deterministic split
+        elsewhere).  Parts come in ascending column order."""
+        lo, hi = (dom & -dom).bit_length() - 1, dom.bit_length() - 1
         span = 1
-        while span * 3 <= cols[-1]:
+        while lo // (3 * span) != hi // (3 * span):
             span *= 3
-        while span >= 1:
-            if cols[0] // span != cols[-1] // span:
-                parts = {}
-                for c in cols:
-                    parts[c // span] = parts.get(c // span, 0) | 1 << c
-                return list(parts.values())
-            span //= 3
-        return [dom]
+        parts = (dom & ((1 << span) - 1) << b * span
+                 for b in range(lo // span, hi // span + 1))
+        return [part for part in parts if part]
 
-    def branches(cand, row):
+    def branches(cand, counts, row):
         """The children of ``cand`` that survive propagation, made one at
         a time: ``row``'s candidates split, lower blocks first."""
         for part in split(cand[row]):
-            nxt = list(cand)
+            nxt, nxt_counts = list(cand), list(counts)
             nxt[row] = part
-            if propagate(nxt, [row]):
-                yield nxt
+            nxt_counts[row] = part.bit_count() if part & part - 1 else closed
+            if propagate(nxt, nxt_counts, [row]):
+                yield nxt, nxt_counts
 
-    # Depth-first search, on a stack of branch generators (a path can be
-    # longer than Python's recursion limit): branch on the tightest open
-    # row until every candidate set is a singleton.  With arc consistency
-    # restored after every split, all-singleton domains are mutually
-    # compatible, so reaching them is success.  The row that wiped out
-    # most recently is branched first (the last-conflict heuristic keeps
-    # the search at the failure site); otherwise fewest candidates, most
-    # constrained pairs, lowest index.  Lower blocks first keep the
-    # selection lexicographically first on fully compatible instances.
-    cand = [(1 << width) - 1] * rows
-    stack = [iter([cand] if propagate(cand, list(range(rows))) else [])]
+    # Depth-first search on a stack of branch generators (a path can be
+    # longer than Python's recursion limit) until every candidate set is a
+    # singleton: with arc consistency restored after every split, they are
+    # then mutually compatible.  The row that wiped out last is branched
+    # first (the last-conflict heuristic keeps the search at the failure
+    # site); otherwise the first row, in the internal numbering, with the
+    # fewest candidates.  Lower blocks first keep the selection
+    # lexicographically first on fully compatible instances.
+    cand, counts = [full] * rows, [width if width > 1 else closed] * rows
+    stack = [iter([(cand, counts)] if propagate(cand, counts, rank) else [])]
     while stack:
-        cand = next(stack[-1], None)
-        if cand is None:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
             continue
-        counts = [dom.bit_count() for dom in cand]
-        open_rows = [k for k in range(rows) if counts[k] > 1]
-        if not open_rows:
-            return [dom.bit_length() - 1 for dom in cand]
-        if last_wipe[0] >= 0 and counts[last_wipe[0]] > 1:
-            row = last_wipe[0]
-        else:
-            row = min(open_rows, key=lambda k: (counts[k], -degree[k], k))
-        stack.append(branches(cand, row))
+        cand, counts = node
+        row = last_wipe[0]
+        if row < 0 or counts[row] == closed:
+            fewest = min(counts, default=closed)
+            if fewest == closed:
+                return [cand[k].bit_length() - 1 for k in rank]
+            row = counts.index(fewest)
+        stack.append(branches(cand, counts, row))
     return None
-
-
-def _bits(mask):
-    """The set bit positions of ``mask``, ascending."""
-    cols = []
-    while mask:
-        low = mask & -mask
-        cols.append(low.bit_length() - 1)
-        mask ^= low
-    return cols
 
 
 def _grid_transversal(g: GridGraph, kind: str):

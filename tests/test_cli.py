@@ -657,6 +657,29 @@ def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path):
                                   "that fits in memory")
 
 
+def test_input_too_deep_for_a_solver_is_a_usage_error(tmp_path):
+    # solve_3coloring recurses once per vertex, so a 1,500-vertex path
+    # passes Python's recursion limit; the CLI still ends in exit 2.
+    path = tmp_path / "path.graph"
+    path.write_text("p edge 1500 1499\n" + "".join(
+        "e %d %d\n" % (v, v + 1) for v in range(1, 1500)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permcsp.cli", "solve", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: input too large: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "cmd_gen", exhausted)
+    code, _, err = run(capsys, ["gen", "sat", "--num-vars", "3",
+                                "--num-clauses", "2"])
+    assert (code, err) == (2, "error: input too large: out of memory\n")
+
+
 def test_no_package_path_reads_a_dense_grid_view(tmp_path, capsys,
                                                   monkeypatch):
     # Grids are stored by row pair; the dense views exist for tests and

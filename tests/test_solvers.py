@@ -1,5 +1,6 @@
 """Solvers and decision oracles, cross-checked against each other."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -597,6 +598,218 @@ def test_row_transversal_pinned_on_seeded_grids(seed, clique, biclique):
     sel, bsel = solve_row_clique(g), solve_row_biclique(h)
     assert (sel and sel.choice) == clique
     assert (bsel and bsel.choice) == biclique
+
+
+# The 243-row chain of acceptance criterion 7b: sha256 of the repr of the
+# clique and biclique selections' column tuples.
+_PINNED_243 = (
+    "fccc6fce3d0325bf1d93b0c150e461d2fdd36f879501099f06d23979d1e41dc0",
+    "4077ec3345b5b8cc98c238c380addb7a86b52edb77b0f6e83ef8af2069adcc9a",
+)
+
+
+def test_row_transversal_pinned_on_a_243_row_chain():
+    from permcsp import cli
+    from permcsp.reductions import reduce_sat_to_coloring
+    g, bound = reduce_sat_to_coloring(cli.gen_sat(10, 10, 3, seed=1))
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound, row_cap=243)
+    h = reduce_dcnnc_to_dcnnb(grid)
+    assert (grid.side, h.side) == (243, 486)
+    selections = solve_row_clique(grid), solve_row_biclique(h)
+    assert tuple(hashlib.sha256(repr(sel.choice).encode()).hexdigest()
+                 for sel in selections) == _PINNED_243
+
+
+# The row search before its supports were packed per column and its
+# counts kept up to date: one support table per row pair, candidate
+# counts rebuilt at every node.  The kernel must select the same.
+def _row_transversal_reference(width, neighbors, degree, block):
+    """One candidate column per row, pairwise compatible, or None.
+
+    Rows ``r`` and ``neighbors[r]`` form the constrained row pairs;
+    ``block(row, src)`` is their boolean compatibility matrix, indexed
+    [column of row, column of src], and ``degree[r]`` counts the pairs of
+    row r.  Unconstrained pairs are compatible everywhere.  Returns the
+    0-based columns.
+
+    Branch and bound with bit-parallel arc consistency (Lecoutre & Vion,
+    2008): every row keeps its candidate columns as an int bitmask, and a
+    wiped-out mask prunes.  Deterministic; on fully compatible instances
+    the lexicographically first selection is returned.
+    """
+    rows = len(neighbors)
+    last_wipe = [-1]
+    nbytes = (width + 7) // 8
+
+    def table(row, src):
+        """Entry [c]: mask of the columns of ``row`` compatible with
+        column c of ``src``."""
+        packed = np.packbits(block(row, src).T, axis=1,
+                             bitorder="little").tobytes()
+        return [int.from_bytes(packed[c * nbytes:(c + 1) * nbytes], "little")
+                for c in range(width)]
+
+    nbr_rows = [[int(row) for row in nbrs] for nbrs in neighbors]
+    tables = [[table(row, src) for row in nbr_rows[src]]
+              for src in range(rows)]
+    memo = [{} for _ in range(rows)]
+
+    def supported(src, dom):
+        """Per neighbour of ``src``: the mask of its columns compatible
+        with some column in ``dom``; memoised per (src, dom)."""
+        found = memo[src].get(dom)
+        if found is None:
+            cols = _bits(dom)
+            found = []
+            for entries in tables[src]:
+                mask = 0
+                for c in cols:
+                    mask |= entries[c]
+                found.append(mask)
+            memo[src][dom] = found
+        return found
+
+    def propagate(cand, dirty):
+        """AC-3 along constrained row pairs; False on a wiped-out row,
+        which is remembered for the last-conflict branching heuristic."""
+        queue = list(dirty)
+        in_queue = set(queue)
+        while queue:
+            src = queue.pop()
+            in_queue.discard(src)
+            for row, mask in zip(nbr_rows[src], supported(src, cand[src])):
+                new = cand[row] & mask
+                if new != cand[row]:
+                    if not new:
+                        last_wipe[0] = row
+                        return False
+                    cand[row] = new
+                    if row not in in_queue:
+                        queue.append(row)
+                        in_queue.add(row)
+        return True
+
+    def split(dom):
+        """Partition a candidate mask along the coarsest aligned block
+        boundary (powers of 3, matching the ternary word layout of
+        Gray-coded grids; an arbitrary deterministic split elsewhere).
+        Parts come in ascending column order."""
+        cols = _bits(dom)
+        span = 1
+        while span * 3 <= cols[-1]:
+            span *= 3
+        while span >= 1:
+            if cols[0] // span != cols[-1] // span:
+                parts = {}
+                for c in cols:
+                    parts[c // span] = parts.get(c // span, 0) | 1 << c
+                return list(parts.values())
+            span //= 3
+        return [dom]
+
+    def branches(cand, row):
+        """The children of ``cand`` that survive propagation, made one at
+        a time: ``row``'s candidates split, lower blocks first."""
+        for part in split(cand[row]):
+            nxt = list(cand)
+            nxt[row] = part
+            if propagate(nxt, [row]):
+                yield nxt
+
+    # Depth-first search, on a stack of branch generators (a path can be
+    # longer than Python's recursion limit): branch on the tightest open
+    # row until every candidate set is a singleton.  With arc consistency
+    # restored after every split, all-singleton domains are mutually
+    # compatible, so reaching them is success.  The row that wiped out
+    # most recently is branched first (the last-conflict heuristic keeps
+    # the search at the failure site); otherwise fewest candidates, most
+    # constrained pairs, lowest index.  Lower blocks first keep the
+    # selection lexicographically first on fully compatible instances.
+    cand = [(1 << width) - 1] * rows
+    stack = [iter([cand] if propagate(cand, list(range(rows))) else [])]
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            continue
+        counts = [dom.bit_count() for dom in cand]
+        open_rows = [k for k in range(rows) if counts[k] > 1]
+        if not open_rows:
+            return [dom.bit_length() - 1 for dom in cand]
+        if last_wipe[0] >= 0 and counts[last_wipe[0]] > 1:
+            row = last_wipe[0]
+        else:
+            row = min(open_rows, key=lambda k: (counts[k], -degree[k], k))
+        stack.append(branches(cand, row))
+    return None
+
+
+def _bits(mask):
+    """The set bit positions of ``mask``, ascending."""
+    cols = []
+    while mask:
+        low = mask & -mask
+        cols.append(low.bit_length() - 1)
+        mask ^= low
+    return cols
+
+
+def _random_grids(seed, side, p):
+    """A random clique grid, its doubling, and a random biclique grid on
+    as many rows, built block by block (no condition checks)."""
+    rng = np.random.default_rng(seed)
+    g = GridGraph(side, blocks={(i, k): rng.random((side, side)) < p
+                                for i in range(side)
+                                for k in range(i + 1, side)})
+    doubled = {(i, k): g.block(i, k) if i != k else np.eye(side, dtype=bool)
+               for i in range(side) for k in range(side)}
+    h = GridGraph(2 * side, kind="biclique", blocks=doubled)
+    b = GridGraph(2 * side, kind="biclique",
+                  blocks={(i, k): rng.random((side, side)) < p
+                          for i in range(side) for k in range(side)})
+    return g, h, b
+
+
+# Sides 2-12 cover widths that are powers of 3 and widths that are not
+# (the split's last block is partial), and widths that are not multiples
+# of 8 (the support lanes are padded).
+@pytest.mark.parametrize("side", range(2, 13))
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.6, 0.8])
+def test_row_transversal_matches_reference_on_random_grids(side, p,
+                                                           monkeypatch):
+    g, h, b = _random_grids(100 * side + int(100 * p), side, p)
+    solves = [(solve_row_clique, g), (solve_row_biclique, h),
+              (solve_row_biclique, b)]
+    found = [solve(x) for solve, x in solves]
+    monkeypatch.setattr(solvers, "_row_transversal",
+                        _row_transversal_reference)
+    assert found == [solve(x) for solve, x in solves]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_transversal_kernel_matches_reference(seed):
+    # Random constraint networks straight into the kernel, some with an
+    # EMPTY pair (no compatible columns), a COMPLETE one or one column.
+    rng = random.Random(seed)
+    rows, width = rng.randint(1, 9), rng.choice([1, 2, 5, 9, 10, 17])
+    p = rng.choice([0.2, 0.5, 0.8])
+    pairs = [(a, c) for a in range(rows) for c in range(a + 1, rows)
+             if rng.random() < 0.6]
+    gen = np.random.default_rng(seed)
+    blocks = {pair: gen.random((width, width)) < p for pair in pairs}
+    if pairs and seed % 4 == 0:
+        blocks[pairs[0]][...] = seed % 8 == 4       # EMPTY or COMPLETE
+    neighbors = [np.array(sorted({c for a, c in pairs if a == k}
+                                 | {a for a, c in pairs if c == k}), int)
+                 for k in range(rows)]
+    degree = np.array([len(nbrs) for nbrs in neighbors])
+
+    def block(row, src):
+        return blocks[row, src] if row < src else blocks[src, row].T
+
+    args = width, neighbors, degree, block
+    assert (solvers._row_transversal(*args)
+            == _row_transversal_reference(*args))
 
 
 # ---------------------------------------------------------------------------
