@@ -1,7 +1,7 @@
 """Exact solvers and decision oracles.
 
 - :func:`solve_brute`: exhaustive search over all orderings; every prefix
-  reuses one numpy table of the 9! suffix orders, built once per solve.
+  reuses one bit-packed table of the 9! suffix orders, cached per process.
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
   the dichotomy, vectorized over each popcount layer of subsets.
 - :func:`solve_convenient`: optimum over convenient orderings of an
@@ -17,9 +17,8 @@
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,20 +65,44 @@ class RowSelection:
 _BATCH_SUFFIX = 9
 
 
+@lru_cache(maxsize=None)
+def _suffix_table(m):
+    """The m! suffix orders as int8 rows in lexicographic order, and
+    ``before[a, b]``: bit i of its little-endian ``<u8`` words is set when
+    slot a precedes slot b in order i.  Both read-only, built once."""
+    rest = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        # First element f, then the shorter table relabelled to skip f.
+        first = np.repeat(np.arange(k, dtype=np.int8), len(rest))[:, None]
+        tail = np.tile(rest, (k, 1))
+        rest = np.hstack([first, tail + (tail >= first)])
+    # Columns past m! tie every slot at 0, so their bits stay clear.
+    slot_pos = np.zeros((m, -(-len(rest) // 64) * 64), dtype=np.int8)
+    slot_pos[rest.T, np.arange(len(rest))] = np.arange(m)[:, None]
+    before = np.empty((m, m, slot_pos.shape[1] // 8), dtype=np.uint8)
+    for a in range(m):                       # one slot row at a time
+        before[a] = np.packbits(slot_pos[a] < slot_pos, axis=1,
+                                bitorder="little")
+    before = before.view("<u8")
+    rest.flags.writeable = before.flags.writeable = False
+    return rest, before
+
+
 def solve_brute(instance: PermCspInstance, limit: int = 11,
                 threads: int = 1) -> SolveResult:
     """Exact optimum by exhaustive enumeration of all n! orderings.
 
     Each prefix of the first n - 9 positions shares one table of the 9!
-    suffix orders, built once per solve in lexicographic order, and
-    ``before[a, b]``: the orders in which suffix slot a precedes slot b.
-    Under a prefix each constraint is constant, dead, or an AND of
-    ``before`` columns, so no ordering is materialized.
+    suffix orders in lexicographic order, and ``before[a, b]``: the
+    orders in which suffix slot a precedes slot b, one bit per order.
+    Both are built once per process (:func:`_suffix_table`).  Under a
+    prefix each constraint is constant, dead, or an AND of ``before``
+    rows, added into bit-sliced counters, so no ordering is materialized.
 
     The witness is the lexicographically first maximizer, in terms of the
-    sequence of variables listed in position order.  Enumeration order and
-    the reduction over prefixes are fixed, so results are bit-identical
-    for any thread count.
+    sequence of variables listed in position order.  Prefixes run in
+    lexicographic order in one thread; ``threads`` is accepted and
+    changes nothing, so results are bit-identical for any thread count.
     """
     n = instance.num_vars
     if n > limit:
@@ -87,37 +110,17 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
             "instance has %d variables, above the brute-force limit %d "
             "(raise the limit explicitly to override)" % (n, limit)
         )
-    return _brute_batched(instance, threads)
-
-
-def _lex_permutations(m):
-    """The permutations of range(m) as int8 rows, in lexicographic order."""
-    table = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, m + 1):
-        # First element f, then the shorter table relabelled to skip f.
-        first = np.repeat(np.arange(k, dtype=np.int8), len(table))[:, None]
-        rest = np.tile(table, (k, 1))
-        table = np.hstack([first, rest + (rest >= first)])
-    return table
-
-
-def _brute_batched(instance, threads):
-    n = instance.num_vars
     plen = max(0, n - _BATCH_SUFFIX)
-    rest = _lex_permutations(n - plen)
-    slot_pos = np.empty((n - plen, len(rest)), dtype=np.int8)
-    slot_pos[rest.T, np.arange(len(rest))] = np.arange(n - plen)[:, None]
-    before = slot_pos[:, None, :] < slot_pos[None, :, :]
+    rest, before = _suffix_table(n - plen)
     chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
               for c in instance.constraints]
-    count_type = np.min_scalar_type(len(chains))   # no count exceeds it
-
-    def eval_prefix(prefix):
+    best, best_seq = -1, None
+    for prefix in itertools.permutations(range(n), plen):   # lex order
         remaining = [v for v in range(n) if v not in prefix]
         # Prefix variables rank by position; suffix variables tie at plen.
         rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
         slot = {v: k for k, v in enumerate(remaining)}
-        sure, counts = 0, np.zeros(len(rest), dtype=count_type)
+        sure, alive, planes = 0, 0, []
         for chain in chains:
             lookups = []
             for u, w in chain:
@@ -126,27 +129,33 @@ def _brute_batched(instance, threads):
                 if rank[u] == rank[w]:
                     lookups.append(before[slot[u], slot[w]])
             else:
-                if lookups:
-                    counts += reduce(np.logical_and, lookups).view(np.uint8)
-                else:
+                if not lookups:
                     sure += 1
-        idx = int(np.argmax(counts))            # first maximizer in the batch
-        seq = prefix + tuple(remaining[s] for s in rest[idx])
-        return sure + int(counts[idx]), tuple(v + 1 for v in seq)
-
-    prefixes = list(itertools.permutations(range(n), plen))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_prefix, prefixes))
-    else:
-        results = map(eval_prefix, prefixes)
-
-    best, best_seq = -1, None
-    for count, seq in results:                   # reduce in lexicographic order
-        if count > best:
-            best, best_seq = count, seq
-    return SolveResult(best, Ordering.from_sequence(best_seq),
-                       math.factorial(n))
+                    continue
+                # Bit-sliced counts: plane k holds bit k of every order's
+                # count.  Add the mask with a ripple carry.
+                x, alive = reduce(np.bitwise_and, lookups), alive + 1
+                for p in planes:
+                    carry = p & x
+                    p ^= x
+                    x = carry
+                if not alive & (alive - 1):      # the count may need a bit
+                    planes.append(x.copy())      # (x may be a before row)
+        # Keep the orders of largest count, top plane down; the lowest set
+        # bit is the first maximizer in lexicographic order.
+        top, count = np.full(before.shape[-1], ~np.uint64(0)), 0
+        for k in range(len(planes) - 1, -1, -1):
+            both = top & planes[k]
+            if both.any():
+                top, count = both, count | 1 << k
+        if sure + count > best:                  # strict: first prefix wins
+            w = int((top != 0).argmax())
+            low = int(top[w])
+            idx = 64 * w + (low & -low).bit_length() - 1
+            best = sure + count
+            best_seq = prefix + tuple(remaining[s] for s in rest[idx])
+    return SolveResult(best, Ordering.from_sequence(
+        tuple(v + 1 for v in best_seq)), math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +276,24 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
                     changed = True
         return True
 
-    def dpll(assign):
-        assign = dict(assign)
+    # Depth-first on a stack of (node size, variable, value), true first (a
+    # path can be longer than Python's recursion limit).  ``assign`` holds
+    # the path's assignments in order; popping back to a size restores it.
+    assign, stack = {}, [(0, None, None)]
+    while stack:
+        size, var, value = stack.pop()
+        while len(assign) > size:
+            assign.popitem()
+        if var is not None:
+            assign[var] = value
         if not unit_propagate(assign):
-            return None
+            continue
         var = next((v for v in range(1, cnf.num_vars + 1) if v not in assign),
                    None)
         if var is None:
             return assign
-        for value in (True, False):
-            result = dpll({**assign, var: value})
-            if result is not None:
-                return result
-        return None
-
-    result = dpll({})
-    if result is None:
-        return None
-    for v in range(1, cnf.num_vars + 1):
-        result.setdefault(v, True)
-    return result
+        stack += [(len(assign), var, False), (len(assign), var, True)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +313,33 @@ def solve_3coloring(g: Graph) -> Optional[Dict[int, int]]:
     pos = {v: k for k, v in enumerate(order)}
     nbrs = [[pos[u] for u in g.neighbors(v)] for v in order]
 
-    def assign(k, masks):
-        if k == len(order):
-            return {v: masks[i].bit_length() - 1 for i, v in enumerate(order)}
+    def children(k, masks):
         for bit in (1, 2, 4):
             if masks[k] & bit:
-                trial, stack = masks[:], [k]
+                trial, forced = masks[:], [k]
                 trial[k] = bit
-                while stack:
-                    v = stack.pop()
+                while forced:
+                    v = forced.pop()
                     for u in nbrs[v]:
                         if trial[u] & trial[v]:
                             trial[u] &= ~trial[v]
                             if not trial[u] & (trial[u] - 1):
-                                stack.append(u)
-                found = assign(k + 1, trial) if all(trial) else None
-                if found is not None:
-                    return found
-        return None
+                                forced.append(u)
+                if all(trial):
+                    yield trial
 
-    return assign(0, [1] + [7] * (len(order) - 1))
+    # Depth-first on a stack of child generators (a path can be longer
+    # than Python's recursion limit): masks at depth k color 0..k-1.
+    stack = [iter([[1] + [7] * (len(order) - 1)])]
+    while stack:
+        masks = next(stack[-1], None)
+        if masks is None:
+            stack.pop()
+        elif len(stack) > len(order):
+            return {v: masks[i].bit_length() - 1 for i, v in enumerate(order)}
+        else:
+            stack.append(children(len(stack) - 1, masks))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -657,18 +657,47 @@ def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path):
                                   "that fits in memory")
 
 
-def test_input_too_deep_for_a_solver_is_a_usage_error(tmp_path):
-    # solve_3coloring recurses once per vertex, so a 1,500-vertex path
-    # passes Python's recursion limit; the CLI still ends in exit 2.
-    path = tmp_path / "path.graph"
-    path.write_text("p edge 1500 1499\n" + "".join(
-        "e %d %d\n" % (v, v + 1) for v in range(1, 1500)))
+def test_input_too_deep_for_a_solver_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # A RecursionError escaping a command still ends in exit 2 with an
+    # error line, not a traceback.
+    from permcsp import solvers
+
+    def too_deep(graph):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(solvers, "solve_3coloring", too_deep)
+    path = tmp_path / "edge.graph"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert (code, err) == (2, "error: input too large: maximum recursion "
+                              "depth exceeded\n")
+
+
+@pytest.mark.parametrize("kind", ["graph", "cnf"])
+def test_solve_runs_past_the_recursion_limit(tmp_path, kind):
+    # The 3-coloring search and DPLL branch once per vertex or variable
+    # here: a 1,500-vertex path, and the chain (x_i or x_{i+1}).
+    n, path = 1500, tmp_path / ("chain." + kind)
+    if kind == "graph":
+        path.write_text("p edge %d %d\n" % (n, n - 1) + "".join(
+            "e %d %d\n" % (v, v + 1) for v in range(1, n)))
+    else:
+        path.write_text("p cnf %d %d\n" % (n, n - 1) + "".join(
+            "%d %d 0\n" % (v, v + 1) for v in range(1, n)))
     proc = subprocess.run(
         [sys.executable, "-m", "permcsp.cli", "solve", str(path)],
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: input too large: ")
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    word, *items = proc.stdout.split()
+    if kind == "graph":
+        color = dict(map(int, item.split(":")) for item in items)
+        assert word == "COLORING" and sorted(color) == list(range(1, n + 1))
+        assert set(color.values()) <= {0, 1, 2}
+        assert all(color[v] != color[v + 1] for v in range(1, n))
+    else:
+        value = {abs(int(lit)): int(lit) > 0 for lit in items}
+        assert word == "SAT" and sorted(value) == list(range(1, n + 1))
+        assert all(value[v] or value[v + 1] for v in range(1, n))
 
 
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Solvers and decision oracles, cross-checked against each other."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -201,6 +202,99 @@ def test_brute_prefix_path_matches_reference(seed, n):
             == expected
 
 
+@functools.lru_cache(maxsize=None)
+def _unpacked_suffix_table(m):
+    """The m! suffix orders (int8 rows, lexicographic order) and the
+    unpacked ``before[a, b]`` booleans of :func:`_brute_unpacked_reference`."""
+    rest = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), len(rest))[:, None]
+        tail = np.tile(rest, (k, 1))
+        rest = np.hstack([first, tail + (tail >= first)])
+    slot_pos = np.empty((m, len(rest)), dtype=np.int8)
+    slot_pos[rest.T, np.arange(len(rest))] = np.arange(m)[:, None]
+    return rest, slot_pos[:, None, :] < slot_pos[None, :, :]
+
+
+def _brute_unpacked_reference(instance):
+    """(optimum, first maximizing sequence, orderings tried) by the kernel
+    that counts in one integer per suffix order: every live constraint's
+    AND of unpacked ``before`` rows is added into the counts, and the
+    first ``argmax`` of each prefix competes with a strict ``>``."""
+    n = instance.num_vars
+    plen = max(0, n - 9)
+    rest, before = _unpacked_suffix_table(n - plen)
+    chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
+              for c in instance.constraints]
+    count_type = np.min_scalar_type(len(chains))   # no count exceeds it
+
+    def eval_prefix(prefix):
+        remaining = [v for v in range(n) if v not in prefix]
+        rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
+        slot = {v: k for k, v in enumerate(remaining)}
+        sure, counts = 0, np.zeros(len(rest), dtype=count_type)
+        for chain in chains:
+            lookups = []
+            for u, w in chain:
+                if rank[u] > rank[w]:            # dead under this prefix
+                    break
+                if rank[u] == rank[w]:
+                    lookups.append(before[slot[u], slot[w]])
+            else:
+                if lookups:
+                    counts += functools.reduce(np.logical_and,
+                                               lookups).view(np.uint8)
+                else:
+                    sure += 1
+        idx = int(np.argmax(counts))            # first maximizer in the batch
+        seq = prefix + tuple(remaining[s] for s in rest[idx])
+        return sure + int(counts[idx]), tuple(v + 1 for v in seq)
+
+    best, best_seq = -1, None
+    for count, seq in map(eval_prefix, itertools.permutations(range(n), plen)):
+        if count > best:
+            best, best_seq = count, seq
+    return best, best_seq, math.factorial(n)
+
+
+def _arity_mix_instance(seed, n):
+    """Arity-1..6 constraints (capped at n) with duplicates."""
+    rng = random.Random(seed)
+    constraints = [tuple(rng.sample(range(1, n + 1), rng.randint(1, min(6, n))))
+                   for _ in range(rng.randint(0, 3 * n + 2) if n else 0)]
+    return PermCspInstance.make(n, constraints + constraints[:3])
+
+
+def _brute_kernel_cases():
+    cases = [_arity_mix_instance(100 * n + seed, n)
+             for n in range(12) for seed in range(3 if n < 10 else 1)]
+    # Under every prefix of the 10-variable instance more than 255
+    # constraints are alive, and the best counts pass 255, so they need
+    # 9 bit planes.
+    rng = random.Random(7)
+    cases.append(PermCspInstance.make(10, [
+        tuple(sorted(rng.sample(range(2, 11), 2), reverse=rng.random() < .2))
+        for _ in range(400)]))
+    # m! < 64: the padding bits of the one packed word never win, also
+    # when every count is 0.
+    cases += [PermCspInstance.make(3, [(3, 2, 1), (2, 3), (1, 3, 2)]),
+              PermCspInstance.make(4, [(4, 3), (4, 3), (1, 2, 3, 4)]),
+              PermCspInstance.make(2, [(1, 2), (2, 1)])]
+    for k in range(5):
+        for edges in itertools.combinations(all_cross_row_edges(2), k):
+            cases.append(reduce_clique_to_perm6(
+                grid_from_edges(2, edges),
+                dummy_count=sufficient_dummies_perm6(2)).instance)
+    return cases
+
+
+@pytest.mark.parametrize("inst", _brute_kernel_cases())
+def test_brute_matches_unpacked_reference(inst):
+    res = solve_brute(inst)
+    assert (res.optimum, res.witness.sequence(), res.nodes_explored) \
+        == _brute_unpacked_reference(inst)
+
+
 # ---------------------------------------------------------------------------
 # solve_dp3
 # ---------------------------------------------------------------------------
@@ -350,6 +444,74 @@ def test_sat_matches_truth_table(rng):
                        for c in cnf.clauses)
 
 
+def _dpll_reference(cnf):
+    """The recursive DPLL that :func:`solve_sat` replaced: lowest-index
+    unassigned variable, true first, one call per decision."""
+    clauses = [tuple(c) for c in cnf.clauses]
+    if any(len(c) == 0 for c in clauses):
+        return None
+
+    def unit_propagate(assign):
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                unassigned, satisfied, count = None, False, 0
+                for lit in clause:
+                    val = assign.get(abs(lit))
+                    if val is None:
+                        unassigned, count = lit, count + 1
+                    elif val == (lit > 0):
+                        satisfied = True
+                        break
+                if satisfied:
+                    continue
+                if count == 0:
+                    return False
+                if count == 1:
+                    assign[abs(unassigned)] = unassigned > 0
+                    changed = True
+        return True
+
+    def dpll(assign):
+        assign = dict(assign)
+        if not unit_propagate(assign):
+            return None
+        var = next((v for v in range(1, cnf.num_vars + 1) if v not in assign),
+                   None)
+        if var is None:
+            return assign
+        for value in (True, False):
+            result = dpll({**assign, var: value})
+            if result is not None:
+                return result
+        return None
+
+    return dpll({})
+
+
+def _seeded_cnf(seed):
+    """3-CNFs around the satisfiability threshold, with some unit and
+    binary clauses, on up to 40 variables."""
+    rng = random.Random(seed)
+    nv = rng.randint(1, 40)
+    clauses = []
+    for _ in range(int(nv * rng.uniform(1.0, 5.0))):
+        vs = rng.sample(range(1, nv + 1), min(rng.choice((1, 2, 3, 3, 3)), nv))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return CnfFormula(nv, tuple(clauses))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sat_matches_recursive_reference(seed):
+    # The same assignment, made in the same order.
+    cnf = _seeded_cnf(seed)
+    got, want = solve_sat(cnf), _dpll_reference(cnf)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
 # ---------------------------------------------------------------------------
 # solve_3coloring
 # ---------------------------------------------------------------------------
@@ -404,6 +566,48 @@ def test_coloring_is_first_in_search_order(rng):
             for rest in itertools.product(range(3), repeat=len(order) - 1))
             if all(col[u] != col[v] for u, v in g.edges())), None)
         assert solve_3coloring(g) == first
+
+
+def _coloring_reference(g):
+    """The recursive search that :func:`solve_3coloring` replaced."""
+    order = sorted(g.nodes(), key=lambda v: (-len(g.neighbors(v)), v))
+    pos = {v: k for k, v in enumerate(order)}
+    nbrs = [[pos[u] for u in g.neighbors(v)] for v in order]
+
+    def assign(k, masks):
+        if k == len(order):
+            return {v: masks[i].bit_length() - 1 for i, v in enumerate(order)}
+        for bit in (1, 2, 4):
+            if masks[k] & bit:
+                trial, stack = masks[:], [k]
+                trial[k] = bit
+                while stack:
+                    v = stack.pop()
+                    for u in nbrs[v]:
+                        if trial[u] & trial[v]:
+                            trial[u] &= ~trial[v]
+                            if not trial[u] & (trial[u] - 1):
+                                stack.append(u)
+                found = assign(k + 1, trial) if all(trial) else None
+                if found is not None:
+                    return found
+        return None
+
+    return assign(0, [1] + [7] * (len(order) - 1))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coloring_matches_recursive_reference(seed):
+    # Sparse to dense random graphs on up to 60 vertices, around the
+    # 3-colorability threshold (average degree about 4.7).
+    rng = random.Random(seed)
+    n = rng.randint(0, 60)
+    g = graph_from_nx(nx.gnm_random_graph(
+        n, rng.randint(0, 3 * n), seed=rng.randint(0, 10 ** 6)))
+    got, want = solve_3coloring(g), _coloring_reference(g)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import permcsp
 
 _PACKAGE = pathlib.Path(permcsp.__file__).parent
@@ -24,6 +26,29 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_cli_import_builds_no_suffix_table_and_no_thread_pool():
+    # Every CLI process pays for its imports: the brute-force table is
+    # built on the first solve that needs it, and no solver uses threads.
+    code = ("import permcsp.cli, sys\n"
+            "from permcsp import solvers\n"
+            "print(solvers._suffix_table.cache_info().currsize,\n"
+            "      'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_cached_suffix_tables_are_read_only():
+    from permcsp import solvers
+
+    for m in (2, 5):
+        rest, before = solvers._suffix_table(m)
+        for array in (rest, before):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
 def test_cli_import_leaves_networkx_out():
     # Every CLI process pays for what the package imports; graphs are the
     # package's own type, and networkx is only a test oracle.
@@ -34,10 +59,9 @@ def test_cli_import_leaves_networkx_out():
     assert proc.stdout.strip() == "False"
 
 
-# Functions that still recurse once per vertex or variable, so that a
-# large enough input passes Python's recursion limit; making them
-# iterative is ROADMAP item 4.  No other package function calls itself.
-_RECURSIVE = {"solvers.py:solve_sat.dpll", "solvers.py:solve_3coloring.assign"}
+# Functions allowed to call themselves.  A solver that recurses once per
+# vertex or variable fails past Python's recursion limit, so none does.
+_RECURSIVE = set()
 
 
 def _self_calls(tree, prefix):
