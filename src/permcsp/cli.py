@@ -330,8 +330,7 @@ def cmd_solve(args):
     if method == "dp3":
         result = solvers.solve_dp3(instance)
     elif method == "brute":
-        result = solvers.solve_brute(instance, limit=args.limit,
-                                     threads=args.threads)
+        result = solvers.solve_brute(instance, limit=args.limit)
     elif method == "convenient":
         if cert is None:
             raise InvalidInputError(
@@ -341,7 +340,7 @@ def cmd_solve(args):
                 "an arity-%s certificate needs --source (the grid file)"
                 % cert.kind[-1])
         grid = formats.read_grid(_read(args.source))
-        result = solvers.solve_convenient(cert, grid, D=grid.D)
+        result = solvers.solve_convenient(cert, grid)
     else:
         raise InvalidInputError("method %s does not apply to a pcsp file"
                                 % method)
@@ -356,14 +355,9 @@ def cmd_verify(args):
     cert = formats.read_certificate(_read(args.certificate))
     grid = formats.read_grid(_read(args.source))
     perm4 = cert.kind == "perm4"
-    kind = "biclique" if perm4 else "clique"
-    if grid.kind != kind:
-        raise InvalidInputError("an arity-%s certificate needs a %s source "
-                                "grid" % (cert.kind[-1], kind))
     failures = []
-    D = None
-    if perm4:
-        D = grid.D if grid.D is not None else cert.D
+    if perm4 and grid.kind == "biclique":
+        D = solvers.source_D(cert, grid)
         for name, report in [
                 ("biclique structure", validate.check_biclique_structure(grid)),
                 ("regularity", validate.check_regularity(grid)[0]),
@@ -372,16 +366,15 @@ def cmd_verify(args):
             if not report.holds:
                 failures.append(name)
     if not failures:
-        mismatch = solvers.certificate_mismatch(cert, grid, D)
-        if mismatch is not None:
-            failures.append(mismatch)
+        try:
+            result = solvers.solve_convenient(cert, grid)
+        except solvers.CertificateMismatch as exc:
+            failures.append(str(exc))
     if not failures:
         sel = (solvers.solve_row_biclique if perm4
                else solvers.solve_row_clique)(grid)
-        # certificate_mismatch above already regenerated the certificate.
-        result = solvers._best_convenient(cert, grid)
         meets = result.optimum >= cert.target
-        print("source row-%s: %s" % (kind, "found" if sel else "none"))
+        print("source row-%s: %s" % (grid.kind, "found" if sel else "none"))
         print("%s %d target %d"
               % ("convenient optimum" if perm4 else "best selection count",
                  result.optimum, cert.target))
@@ -445,7 +438,6 @@ def build_parser():
                             "coloring", "clique", "biclique"])
     p.add_argument("--limit", type=_integer, default=11,
                    help="brute-force variable cap")
-    p.add_argument("--threads", type=_integer, default=1)
     p.add_argument("--source",
                    help="source grid file, needed by --method convenient")
 

@@ -106,9 +106,8 @@ class GridGraph:
     not in ``blocks``; default EMPTY) and ``blocks`` (by pair, on a
     clique grid i <= k; taken over, made read-only), or by
     :meth:`from_edges`.  Every array a grid hands out is read-only, so
-    :mod:`permcsp.validate` decides each condition once.  ``adj`` and
-    :meth:`cross_matrix` are dense views made on request, which no
-    package path reads.
+    :mod:`permcsp.validate` decides each condition once.  ``adj`` is a
+    dense view made on request, which no package path reads.
     """
 
     def __init__(self, side, kind="clique", D=None, kinds=None, blocks=None,
@@ -196,9 +195,6 @@ class GridGraph:
         if not (1 <= i <= self.side and 1 <= j <= self.side):
             raise InvalidInputError("vertex (%d, %d) outside grid" % (i, j))
         return (i - 1) * self.side + (j - 1)
-
-    def vertex(self, flat):
-        return flat // self.side + 1, flat % self.side + 1
 
     @staticmethod
     def misfit(side, kind, edges):
@@ -304,23 +300,6 @@ class GridGraph:
             if self.kind == "clique":
                 us, vs = us[vs > us], vs[vs > us]
             yield us, vs
-
-    def cross_matrix(self):
-        """A biclique grid's n^2 x n^2 top-vs-bottom block, read-only,
-        built on every access (for tests; nothing in this package reads
-        it).
-
-        Entry [(i-1)*n + j-1, (i'-1)*n + j'-1] says whether
-        (i, j)(n+i', n+j') is an edge.
-        """
-        if self.kind != "biclique":
-            raise InvalidInputError("cross_matrix only applies to biclique grids")
-        n = self._r
-        cross = np.zeros((n * n, n * n), dtype=bool)
-        for i in range(n):
-            self._band(i, cross.reshape(n, n, n, n)[i])
-        cross.flags.writeable = False
-        return cross
 
 
 def _edge_rows(edges, side):

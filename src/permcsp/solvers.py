@@ -101,8 +101,8 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
 
     The witness is the lexicographically first maximizer, in terms of the
     sequence of variables listed in position order.  Prefixes run in
-    lexicographic order in one thread; ``threads`` is accepted and
-    changes nothing, so results are bit-identical for any thread count.
+    lexicographic order in one thread.  ``threads`` changes nothing; it
+    stays only because the benchmark harness passes it.
     """
     n = instance.num_vars
     if n > limit:
@@ -162,7 +162,10 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
 # Subset DP for arity <= 3
 # ---------------------------------------------------------------------------
 
-def solve_dp3(instance: PermCspInstance, max_vars: int = 24) -> SolveResult:
+_DP_MAX_VARS = 24
+
+
+def solve_dp3(instance: PermCspInstance) -> SolveResult:
     """Exact optimum in O*(2^n) time by dynamic programming over subsets.
 
     The state f(S) is the best count achievable over orderings whose
@@ -192,9 +195,9 @@ def solve_dp3(instance: PermCspInstance, max_vars: int = 24) -> SolveResult:
             % arity
         )
     n = instance.num_vars
-    if n > max_vars:
+    if n > _DP_MAX_VARS:
         raise SizeLimitError("instance has %d variables, DP cap is %d"
-                             % (n, max_vars))
+                             % (n, _DP_MAX_VARS))
 
     gain1 = [0] * n
     pairs2: List[List[int]] = [[] for _ in range(n)]
@@ -312,33 +315,36 @@ def solve_3coloring(g: Graph) -> Optional[Dict[int, int]]:
     order = sorted(g.nodes(), key=lambda v: (-len(g.neighbors(v)), v))
     pos = {v: k for k, v in enumerate(order)}
     nbrs = [[pos[u] for u in g.neighbors(v)] for v in order]
+    masks, trail = [1] + [7] * (len(order) - 1), []
 
-    def children(k, masks):
-        for bit in (1, 2, 4):
-            if masks[k] & bit:
-                trial, forced = masks[:], [k]
-                trial[k] = bit
-                while forced:
-                    v = forced.pop()
-                    for u in nbrs[v]:
-                        if trial[u] & trial[v]:
-                            trial[u] &= ~trial[v]
-                            if not trial[u] & (trial[u] - 1):
-                                forced.append(u)
-                if all(trial):
-                    yield trial
-
-    # Depth-first on a stack of child generators (a path can be longer
-    # than Python's recursion limit): masks at depth k color 0..k-1.
-    stack = [iter([[1] + [7] * (len(order) - 1)])]
+    # Depth-first on a stack of (vertex, colors tried, trail length), as a
+    # path can be longer than Python's recursion limit.  Undoing the trail
+    # of mask changes to a node's length restores it: memory stays linear.
+    stack = [(0, 0, 0)]
     while stack:
-        masks = next(stack[-1], None)
-        if masks is None:
-            stack.pop()
-        elif len(stack) > len(order):
+        k, tried, mark = stack.pop()
+        while len(trail) > mark:
+            i, old = trail.pop()
+            masks[i] = old
+        if k == len(order):
             return {v: masks[i].bit_length() - 1 for i, v in enumerate(order)}
-        else:
-            stack.append(children(len(stack) - 1, masks))
+        left = masks[k] & ~tried
+        if not left:
+            continue
+        bit = left & -left                      # colors ascending
+        stack.append((k, tried | bit, mark))
+        trail.append((k, masks[k]))
+        masks[k], forced = bit, [k]
+        while forced and masks[forced[-1]]:     # stop at an emptied mask
+            v = forced.pop()
+            for u in nbrs[v]:
+                if masks[u] & masks[v]:
+                    trail.append((u, masks[u]))
+                    masks[u] &= ~masks[v]
+                    if not masks[u] & (masks[u] - 1):
+                        forced.append(u)
+        if not forced:
+            stack.append((k + 1, 0, len(trail)))
     return None
 
 
@@ -518,18 +524,33 @@ def solve_row_biclique(h: GridGraph) -> Optional[RowSelection]:
 # Convenient-ordering search for reduction certificates
 # ---------------------------------------------------------------------------
 
-def certificate_mismatch(cert: ReductionCertificate, grid: GridGraph,
-                         D: Optional[int] = None) -> Optional[str]:
-    """Rerun the reduction that made ``cert`` on its source grid, with the
-    certificate's dummy count and (arity 4 only) ``D``, defaulting to the
-    certificate's; the first field that differs (constraint multiset,
-    role lines, kind, n, D, source-edges, delta-sum, target), or None.  A
-    grid that breaks the reduction's preconditions raises
-    :class:`InvalidInputError`."""
+class CertificateMismatch(InvalidInputError):
+    """A certificate that its source grid does not regenerate."""
+
+
+def source_D(cert: ReductionCertificate, grid: GridGraph) -> Optional[int]:
+    """The D of an arity-4 reduction: the grid's, else the certificate's."""
+    return grid.D if grid.D is not None else cert.D
+
+
+def certificate_mismatch(cert: ReductionCertificate,
+                         grid: GridGraph) -> Optional[str]:
+    """The first field of ``cert`` that its source grid does not give, or
+    None: n first, then, with the reduction rerun (the stated dummy count,
+    :func:`source_D`), constraints, roles, kind, n, D, source-edges,
+    delta-sum and target.  A grid of the wrong kind, or one breaking the
+    reduction's preconditions, raises :class:`InvalidInputError`."""
+    kind = "biclique" if cert.kind == "perm4" else "clique"
+    if grid.kind != kind:
+        raise InvalidInputError("an arity-%s certificate needs a %s source "
+                                "grid" % (cert.kind[-1], kind))
+    n = grid.side // 2 if kind == "biclique" else grid.side
+    if n != cert.n:
+        return "n mismatch: regenerated %d, stated %d" % (n, cert.n)
     m = len(cert.dummy_vars)
     if cert.kind == "perm4":
         regen = reductions.reduce_dcnnb_to_perm4(
-            grid, D=cert.D if D is None else D, dummy_count=m)
+            grid, D=source_D(cert, grid), dummy_count=m)
     else:
         regen = reductions.reduce_clique_to_perm6(grid, dummy_count=m)
     if sorted(regen.instance.constraints) != sorted(cert.instance.constraints):
@@ -546,22 +567,15 @@ def certificate_mismatch(cert: ReductionCertificate, grid: GridGraph,
     return None
 
 
-def solve_convenient(cert: ReductionCertificate, h: GridGraph,
-                     D: Optional[int] = None) -> SolveResult:
-    """Maximize over convenient orderings d_1..d_m c_1 R_1 ... c_last.
-
-    Works for both certificate kinds: ``h`` is the 2n x 2n biclique grid
-    of an arity-4 certificate or the n x n clique grid of an arity-6 one,
-    and must regenerate the certificate (:func:`certificate_mismatch`);
-    the search itself is :func:`_best_convenient`.
-    """
-    n = cert.n
-    side, kind = (2 * n, "biclique") if cert.kind == "perm4" else (n, "clique")
-    if h.kind != kind or h.side != side:
-        raise InvalidInputError("certificate and grid dimensions disagree")
-    mismatch = certificate_mismatch(cert, h, D)
+def solve_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
+    """Maximize over convenient orderings d_1..d_m c_1 R_1 ... c_last
+    (:func:`_best_convenient`): ``h`` is the 2n x 2n biclique grid of an
+    arity-4 certificate or the n x n clique grid of an arity-6 one.  If
+    it does not regenerate ``cert``, :class:`CertificateMismatch` is raised
+    with the text of :func:`certificate_mismatch`."""
+    mismatch = certificate_mismatch(cert, h)
     if mismatch is not None:
-        raise InvalidInputError(mismatch)
+        raise CertificateMismatch(mismatch)
     return _best_convenient(cert, h)
 
 

@@ -18,6 +18,22 @@ def grid_from_edges(side, edges, kind="clique", D=None):
     return GridGraph.from_edges(side, edges, kind=kind, D=D)
 
 
+def dense_blocks(h):
+    """r, offset and the grid's blocks as one dense [i, j, k, l] array,
+    read through ``h.block``."""
+    r, offset, _, _ = h.blocks()
+    blocks = np.array([[h.block(i, k) for k in range(r)] for i in range(r)])
+    return r, offset, blocks.transpose(0, 2, 1, 3)
+
+
+def cross_matrix(h):
+    """A biclique grid's dense n^2 x n^2 top-vs-bottom block: entry
+    [(i-1)*n + j-1, (i'-1)*n + j'-1] says whether (i, j)(n+i', n+j') is
+    an edge."""
+    n, _, blocks = dense_blocks(h)
+    return blocks.reshape(n * n, n * n)
+
+
 def graph_from_nx(g):
     """The :class:`Graph` of a networkx graph on the vertices 1..n, or on
     0..n-1 with every label shifted up by one."""

@@ -247,7 +247,7 @@ def test_criterion_6_perm4_tiny_full_optimality(capsys):
         cert = reduce_dcnnb_to_perm4(h, D=1, dummy_count=d)
         assert cert.instance.num_vars <= 10
         brute = solve_brute(cert.instance, limit=10)
-        conv = solve_convenient(cert, h, D=1)
+        conv = solve_convenient(cert, h)
         sel = solve_row_biclique(h)
         if brute.optimum != conv.optimum:
             ok = False

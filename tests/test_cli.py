@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -80,7 +81,6 @@ _INT_OPTIONS = [
     (["reduce", "in.graph", "--steps", "col2clique", "--out-dir", "o"],
      "--row-cap"),
     (["solve", "in.pcsp"], "--limit"),
-    (["solve", "in.pcsp"], "--threads"),
 ]
 
 
@@ -279,19 +279,6 @@ def _random_pcsp(path, seed, n, arities, count):
     return inst
 
 
-def test_solve_brute_stdout_is_thread_independent(tmp_path, capsys):
-    # Ten variables: one 9! suffix table under each of 10 prefixes.
-    f = tmp_path / "i.pcsp"
-    _random_pcsp(f, 4, 10, (2, 3, 4), 16)
-    outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run(capsys, ["solve", str(f), "--method", "brute",
-                                    "--threads", threads])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1] and outs[0].startswith("optimum ")
-
-
 def test_solve_dp3_on_twenty_variables(tmp_path, capsys):
     f = tmp_path / "i.pcsp"
     inst = _random_pcsp(f, 20, 20, (2, 3), 60)
@@ -463,9 +450,34 @@ def test_tampered_certificate_field_fails(tmp_path, capsys, old, new, why):
     code, out, _ = run(capsys, ["verify", str(cert), str(grid)])
     assert code == 1 and out.endswith("FAIL %s\n" % why)
     code, out, err = run(capsys, ["solve", str(cert), "--source", str(grid)])
-    assert code == 2 and out == ""
-    # solve refuses a wrong n before regenerating: the sides disagree.
-    assert ("dimensions disagree" if old == "c param n 3" else why) in err
+    assert (code, out, err) == (2, "", "error: %s\n" % why)
+
+
+def test_grid_of_another_size_fails_before_regenerating(tmp_path, capsys,
+                                                        monkeypatch):
+    # The triangle's n = 3 certificate against a 54-row biclique grid:
+    # verify and solve --source name the same n, and neither rebuilds the
+    # 54-row certificate to find it.
+    from permcsp import reductions
+
+    _, cert = _triangle_chain(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", "graph", "--num-vertices", "25", "--num-edges",
+                  "27", "--max-degree", "3", "--seed", "5003", "--out",
+                  "g.graph"],
+                 ["reduce", "g.graph", "--steps", "col2clique,clique2biclique",
+                  "--out-dir", "d"]):
+        assert run(capsys, argv)[0] == 0
+    grid = "d/step2-clique2biclique.grid"
+
+    def regenerate(*_, **__):
+        raise AssertionError("the certificate was regenerated")
+    monkeypatch.setattr(reductions, "reduce_dcnnb_to_perm4", regenerate)
+    why = "n mismatch: regenerated 27, stated 3"
+    code, out, _ = run(capsys, ["verify", str(cert), grid])
+    assert code == 1 and out.endswith("FAIL %s\n" % why)
+    code, out, err = run(capsys, ["solve", str(cert), "--source", grid])
+    assert (code, out, err) == (2, "", "error: %s\n" % why)
 
 
 # ---------------------------------------------------------------------------
@@ -673,21 +685,26 @@ def test_input_too_deep_for_a_solver_is_a_usage_error(tmp_path, capsys,
                               "depth exceeded\n")
 
 
-@pytest.mark.parametrize("kind", ["graph", "cnf"])
-def test_solve_runs_past_the_recursion_limit(tmp_path, kind):
+@pytest.mark.parametrize("kind, n", [("graph", 1500), ("cnf", 1500),
+                                     ("graph", 10000)],
+                         ids=["graph", "cnf", "graph-10000"])
+def test_solve_runs_past_the_recursion_limit(tmp_path, kind, n):
     # The 3-coloring search and DPLL branch once per vertex or variable
-    # here: a 1,500-vertex path, and the chain (x_i or x_{i+1}).
-    n, path = 1500, tmp_path / ("chain." + kind)
+    # here: a path graph, and the chain (x_i or x_{i+1}).  The coloring
+    # search keeps one trail of mask changes, so 10,000 vertices fit.
+    path = tmp_path / ("chain." + kind)
     if kind == "graph":
         path.write_text("p edge %d %d\n" % (n, n - 1) + "".join(
             "e %d %d\n" % (v, v + 1) for v in range(1, n)))
     else:
         path.write_text("p cnf %d %d\n" % (n, n - 1) + "".join(
             "%d %d 0\n" % (v, v + 1) for v in range(1, n)))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "permcsp.cli", "solve", str(path)],
         capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+    assert time.perf_counter() - start < 10
     word, *items = proc.stdout.split()
     if kind == "graph":
         color = dict(map(int, item.split(":")) for item in items)
@@ -711,8 +728,8 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
 
 def test_no_package_path_reads_a_dense_grid_view(tmp_path, capsys,
                                                   monkeypatch):
-    # Grids are stored by row pair; the dense views exist for tests and
-    # the benchmark only.  With both made to raise, the in-memory chain
+    # Grids are stored by row pair; the dense view exists for tests and
+    # the benchmark only.  With it made to raise, the in-memory chain
     # and the CLI's reduce, solve and verify still run on the triangle's
     # 3- and 6-row grids and on a 27-row grid and its 54-row double.
     from permcsp import solvers, validate
@@ -722,7 +739,6 @@ def test_no_package_path_reads_a_dense_grid_view(tmp_path, capsys,
     def dense(*_):
         raise AssertionError("a dense grid view was read")
     monkeypatch.setattr(GridGraph, "adj", property(dense))
-    monkeypatch.setattr(GridGraph, "cross_matrix", dense)
     g, bound = reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3))
     grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
     h = reduce_dcnnc_to_dcnnb(grid)

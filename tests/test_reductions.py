@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     all_cross_row_edges,
+    cross_matrix,
     edges_among,
     graph_from_nx,
     grid_from_edges,
@@ -75,7 +76,8 @@ def test_grid_indexing_round_trip():
     g = GridGraph(3)
     for i in range(1, 4):
         for j in range(1, 4):
-            assert g.vertex(g.index(i, j)) == (i, j)
+            flat = g.index(i, j)
+            assert (flat // g.side + 1, flat % g.side + 1) == (i, j)
 
 
 def test_grid_edges_sorted_and_symmetric():
@@ -126,17 +128,12 @@ def test_grid_from_edges_matches_a_loop_reference(kind, side):
 def test_grid_cross_matrix_layout():
     h = grid_from_edges(4, [((1, 2), (3, 3)), ((2, 1), (4, 4))],
                         kind="biclique")
-    cross = h.cross_matrix()
+    cross = cross_matrix(h)
     n = 2
     assert cross.shape == (n * n, n * n)
     assert cross[(1 - 1) * n + 1, (1 - 1) * n + 0]   # (1,2)-(3,3)
     assert cross[(2 - 1) * n + 0, (2 - 1) * n + 1]   # (2,1)-(4,4)
     assert cross.sum() == 2
-
-
-def test_grid_cross_matrix_needs_biclique():
-    with pytest.raises(InvalidInputError):
-        GridGraph(2, kind="clique").cross_matrix()
 
 
 def test_grid_adjacency_is_read_only():
@@ -145,7 +142,7 @@ def test_grid_adjacency_is_read_only():
     stored = [*g.blocks()[3].values(), *h.blocks()[3].values()]
     assert len(stored) == 4
     for array in (g.adj, g.blocks()[2], h.adj, h.blocks()[2],
-                  h.cross_matrix(), h.block(0, 0), g.block(0, 0), *stored):
+                  h.block(0, 0), g.block(0, 0), *stored):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = False
     with pytest.raises(TypeError):
@@ -467,7 +464,7 @@ def test_doubling_stores_only_the_cross_block():
         tracemalloc.stop()
     # A dense 54-row biclique matrix alone would be 16 * 27**4 bytes.
     assert peak < 4 * 27 ** 4
-    assert h.cross_matrix().shape == (27 ** 2, 27 ** 2)
+    assert cross_matrix(h).shape == (27 ** 2, 27 ** 2)
 
 
 @pytest.mark.parametrize("check", ["check_regularity", "check_stability"])

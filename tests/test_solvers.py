@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     all_cross_row_edges,
+    dense_blocks,
     graph_from_nx,
     grid_from_edges,
     random_instance,
@@ -39,6 +40,7 @@ from permcsp.reductions import (
     sufficient_dummies_perm6,
 )
 from permcsp.solvers import (
+    CertificateMismatch,
     RowSelection,
     SolveResult,
     solve_3coloring,
@@ -1049,23 +1051,16 @@ def test_convenient_rejects_a_different_grid():
     inflated = replace(cert, target=cert.target + 1)
     with pytest.raises(InvalidInputError, match="target"):
         solve_convenient(inflated, grid_from_edges(2, [((1, 1), (2, 2))]))
-    with pytest.raises(InvalidInputError, match="dimensions disagree"):
+    with pytest.raises(CertificateMismatch,
+                       match="n mismatch: regenerated 3, stated 2"):
         solve_convenient(cert, grid_from_edges(3, []))
-
-
-def _dense_blocks(h):
-    """r, offset and the grid's blocks as one dense [i, j, k, l] array,
-    read through ``h.block``."""
-    r, offset, _, _ = h.blocks()
-    blocks = np.array([[h.block(i, k) for k in range(r)] for i in range(r)])
-    return r, offset, blocks.transpose(0, 2, 1, 3)
 
 
 def _best_convenient_reference(cert, h):
     """The phi loop that _best_convenient replaced: one phi at a time,
     each ordering materialized and scored by evaluate."""
     n, perm4 = cert.n, cert.kind == "perm4"
-    r, offset, blocks = _dense_blocks(h)
+    r, offset, blocks = dense_blocks(h)
     rows = np.arange(r)
     intervals = [range(1, r + 1)] * r
     if perm4:
@@ -1142,7 +1137,7 @@ def test_best_convenient_names_the_first_wrong_phi(k, monkeypatch):
     # (in one direction): the closed form is off by one wherever phi
     # picks both of its ends.
     cert, h = _ORACLE_CASES[k]
-    i, j, k, l = np.argwhere(_dense_blocks(h)[2])[0]
+    i, j, k, l = np.argwhere(dense_blocks(h)[2])[0]
     tampered = h.block(i, k).copy()
     tampered[j, l] = False
     block = h.block

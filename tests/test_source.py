@@ -106,3 +106,34 @@ def test_no_package_function_calls_itself():
         found += _self_calls(ast.parse(path.read_text(), filename=str(path)),
                              path.name + ":")
     assert sorted(found) == sorted(_RECURSIVE)
+
+
+def _private_uses(tree):
+    """The ``_``-prefixed names of permcsp modules that ``tree`` imports
+    or reads as ``module._name``."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "permcsp":
+            for alias in node.names:
+                if node.module == "permcsp":
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.append("%s.%s" % (node.value.id, node.attr))
+    return found
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    # The commands reach the solvers through their public entry points,
+    # so verify cannot drift back onto a private solver.
+    sample = ("from permcsp import solvers\nfrom permcsp.core import _x\n"
+              "solvers._best_convenient(solvers.solve_dp3, _x, self._y)\n")
+    assert _private_uses(ast.parse(sample)) == ["_x",
+                                                "solvers._best_convenient"]
+    cli = _PACKAGE / "cli.py"
+    assert _private_uses(ast.parse(cli.read_text(), filename=str(cli))) == []
