@@ -13,8 +13,10 @@
 - :func:`solve_row_clique`, :func:`solve_row_biclique`: row transversals,
   over one arc-consistency search (:func:`_row_transversal`) with supports
   packed per column and candidate counts kept up to date at each node.
+  Free rows (all pairs IDENTITY, or none) numbered last sit out at column 0.
 """
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +37,8 @@ from permcsp.core import (
     evaluate,
     evaluate_many,
 )
-from permcsp.reductions import (COMPLETE, EMPTY, CnfFormula, GridGraph,
-                                ReductionCertificate)
+from permcsp.reductions import (COMPLETE, EMPTY, IDENTITY, CnfFormula,
+                                GridGraph, ReductionCertificate)
 
 
 @dataclass(frozen=True)
@@ -249,53 +251,55 @@ def solve_sat(cnf: CnfFormula) -> Optional[Dict[int, bool]]:
     """Complete DPLL with unit propagation.
 
     Branches on the lowest-index unassigned variable, true first.
-    Returns a full satisfying assignment, or None.
+    Returns a full satisfying assignment (keys in the order set) or None.
+    Unit propagation visits the clauses holding a literal just made false
+    where passes over all clauses, until nothing changes, would reach them.
     """
-    clauses = [tuple(c) for c in cnf.clauses]
-    if any(len(c) == 0 for c in clauses):
-        return None
+    clauses = [tuple(c) for c in cnf.clauses]    # an empty one fails at once
+    occurs = {}                             # literal -> its clauses, ascending
+    for c, clause in enumerate(clauses):
+        for lit in set(clause):
+            occurs.setdefault(lit, []).append(c)
 
-    def unit_propagate(assign):
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned, count = lit, count + 1
-                    elif val == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
+    def unit_propagate(touched):
+        """False on a clause with every literal false; a heap holds the
+        clauses to visit by (pass, index), ``touched`` in pass 0."""
+        heap = [(0, c) for c in touched]    # ascending, so a heap
+        while heap:
+            p, c = heapq.heappop(heap)
+            found, count = None, 0
+            for lit in clauses[c]:
+                val = assign.get(abs(lit))
+                if val is None:
+                    found, count = lit, count + 1
+                elif val == (lit > 0):
+                    break
+            else:
                 if count == 0:
                     return False
                 if count == 1:
-                    assign[abs(unassigned)] = unassigned > 0
-                    changed = True
+                    assign[abs(found)] = found > 0
+                    for d in occurs.get(-found, ()):
+                        heapq.heappush(heap, (p if d > c else p + 1, d))
         return True
 
-    # Depth-first on a stack of (node size, variable, value), true first (a
-    # path can be longer than Python's recursion limit).  ``assign`` holds
-    # the path's assignments in order; popping back to a size restores it.
-    assign, stack = {}, [(0, None, None)]
+    # Depth-first on a stack of (node size, variable, value, lowest maybe
+    # open variable), true first, past Python's recursion limit.
+    assign, stack = {}, [(0, None, None, 1)]
     while stack:
-        size, var, value = stack.pop()
+        size, var, value, low = stack.pop()
         while len(assign) > size:
             assign.popitem()
         if var is not None:
             assign[var] = value
-        if not unit_propagate(assign):
+        if not unit_propagate(range(len(clauses)) if var is None else
+                              occurs.get(-var if value else var, ())):
             continue
-        var = next((v for v in range(1, cnf.num_vars + 1) if v not in assign),
-                   None)
-        if var is None:
+        while low in assign:
+            low += 1
+        if low > cnf.num_vars:
             return assign
-        stack += [(len(assign), var, False), (len(assign), var, True)]
+        stack += [(len(assign), low, v, low + 1) for v in (False, True)]
     return None
 
 
@@ -369,13 +373,20 @@ def _row_transversal(width, neighbors, degree, block):
     one shift per neighbour.  Search nodes carry candidate counts, updated
     for the rows that propagation narrows.  Deterministic; on fully
     compatible instances the lexicographically first selection is returned.
+
+    Free rows (no neighbour, numbered after every row with one) are left
+    out at column 0: full throughout, they lose every tie to an open row,
+    so they would be branched on last, where every first split survives.
     """
     rows = len(neighbors)
     # Rows are numbered internally in branching-tie order (most
-    # constrained pairs, then lowest index): row order[k] is number k.
+    # constrained pairs, then lowest index): row order[k] is number k;
+    # numbers below ``kept`` are searched.
     order = sorted(range(rows), key=lambda k: (-degree[k], k))
     rank = sorted(range(rows), key=order.__getitem__)
-    nbr_rows = [[rank[row] for row in neighbors[src]] for src in order]
+    kept = max((k + 1 for k in range(rows) if len(neighbors[order[k]])),
+               default=0)
+    nbr_rows = [[rank[row] for row in neighbors[src]] for src in order[:kept]]
     last_wipe = [-1]
     full, stride = (1 << width) - 1, 8 * ((width + 7) // 8)
     shifts = [range(0, len(nbrs) * stride, stride) for nbrs in nbr_rows]
@@ -461,8 +472,9 @@ def _row_transversal(width, neighbors, degree, block):
     # site); otherwise the first row, in the internal numbering, with the
     # fewest candidates.  Lower blocks first keep the selection
     # lexicographically first on fully compatible instances.
-    cand, counts = [full] * rows, [width if width > 1 else closed] * rows
-    stack = [iter([(cand, counts)] if propagate(cand, counts, rank) else [])]
+    cand, counts = [full] * kept, [width if width > 1 else closed] * kept
+    dirty = [k for k in rank if k < kept]
+    stack = [iter([(cand, counts)] if propagate(cand, counts, dirty) else [])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -473,7 +485,8 @@ def _row_transversal(width, neighbors, degree, block):
         if row < 0 or counts[row] == closed:
             fewest = min(counts, default=closed)
             if fewest == closed:
-                return [cand[k].bit_length() - 1 for k in rank]
+                return [cand[k].bit_length() - 1 if k < kept else 0
+                        for k in rank]
             row = counts.index(fewest)
         stack.append(branches(cand, counts, row))
     return None
@@ -483,12 +496,15 @@ def _grid_transversal(g: GridGraph, kind: str):
     """:func:`_row_transversal` on the row pairs of a ``kind`` grid that
     are not COMPLETE (those constrain nothing): a clique grid's rows, or
     a biclique grid's top rows then bottom rows, with columns counted
-    within each half.  Exact on any grid, symmetric or not."""
+    within each half.  Exact on any grid, symmetric or not.  Free rows,
+    in all-IDENTITY components of pairs (which never narrow a full row),
+    lose their pairs when numbered last, so the search leaves them out."""
     if g.kind != kind:
         raise InvalidInputError("row-%s search expects a %s grid"
                                 % (kind, kind))
     r, _, kinds, _ = g.blocks()
     free, empty, block = kinds == COMPLETE, kinds == EMPTY, g.block
+    identity = kinds == IDENTITY
     if kind == "clique":
         np.fill_diagonal(free, True)
         np.fill_diagonal(empty, False)
@@ -497,13 +513,20 @@ def _grid_transversal(g: GridGraph, kind: str):
     if kind == "biclique":
         top = np.ones_like(free)
         free = np.block([[top, free], [free.T, top]])
+        identity = np.block([[~top, identity], [identity.T, ~top]])
 
         def block(row, src):
-            if src < r:
-                return g.block(src, row - r).T
-            return g.block(row, src - r)
-    return _row_transversal(r, [np.flatnonzero(~f) for f in free],
-                            (~free).sum(axis=1), block)
+            return (g.block(src, row - r).T if src < r
+                    else g.block(row, src - r))
+    pairs, degree = ~free, (~free).sum(axis=1)
+    # Searched: the rows that a chain of pairs joins to a non-IDENTITY one.
+    searched = (pairs & ~identity).any(axis=1)
+    while not (pairs[searched].any(axis=0) <= searched).all():
+        searched = searched | pairs[searched].any(axis=0)
+    order = np.lexsort((np.arange(len(degree)), -degree))
+    if searched[order][:np.count_nonzero(searched)].all():    # the guard
+        pairs[~searched] = False
+    return _row_transversal(r, list(map(np.flatnonzero, pairs)), degree, block)
 
 
 def solve_row_clique(g: GridGraph) -> Optional[RowSelection]:

@@ -20,6 +20,7 @@ from permcsp.reductions import (BLOCK, IDENTITY, GridGraph,
 from permcsp.solvers import RowSelection
 
 _MAX_VIOLATIONS = 20
+_STACK_CELLS = 1 << 18      # block cells per stack of the checks
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ def _report(condition, violations):
 # ---------------------------------------------------------------------------
 # Condition checkers
 # ---------------------------------------------------------------------------
+
+def _stacks(g: GridGraph, pairs):
+    """(i, k, stack) per chunk of ``pairs`` (m x 2): stack[p] is pair
+    (i[p], k[p])'s block; at most ``_STACK_CELLS`` cells, or one block."""
+    step = max(1, _STACK_CELLS // g.blocks()[0] ** 2)
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo:lo + step]
+        yield *chunk.T, np.stack([g.block(*p) for p in chunk.tolist()])
+
 
 def _stored(g: GridGraph, condition: str, compute):
     """``compute(g)``, computed once per grid and ``condition``."""
@@ -69,14 +79,18 @@ def _regularity(g):
     sides = 2 if g.kind == "biclique" else 1
     deg = np.repeat(np.array([0, r, 1, 0])[kinds][:, :, None], sides, axis=2)
     violations = []
-    for (i, k), block in sorted(blocks.items()):
-        for s, col in enumerate((block.sum(axis=1), block.sum(axis=0))[:sides]):
-            deg[i, k, s] = col[0]
-            if (col != col[0]).any():
-                j = int(np.argmax(col != col[0]))
-                rows = (i + 1, offset + k + 1)
-                violations.append((rows[::-1] if s else rows) + (
-                    j + 1, "degree %d != %d" % (col[j], col[0])))
+    for i, k, stack in _stacks(g, np.array(sorted(blocks))):
+        # cols[p, s, j]: the degree of column j of pair p's side s.
+        cols = np.stack([stack.view(np.uint8).sum(axis=a, dtype=np.int32)
+                         for a in (2, 1)[:sides]], axis=1)
+        deg[i, k] = cols[:, :, 0]
+        bad = np.argwhere((cols != cols[:, :, :1]).any(axis=2))
+        for p, s in bad[:_MAX_VIOLATIONS - len(violations)].tolist():
+            col = cols[p, s]
+            j = int(np.argmax(col != col[0]))
+            rows = (int(i[p]) + 1, offset + int(k[p]) + 1)
+            violations.append((rows[::-1] if s else rows) + (
+                j + 1, "degree %d != %d" % (col[j], col[0])))
     report = _report("regularity", violations)
     if not report.holds:
         return report, None
@@ -114,8 +128,8 @@ def _stability(g):
     stable = np.ones((r, r - 1, r), dtype=bool)
     rows, others = np.nonzero(kinds == IDENTITY)
     stable[rows, :, others] = False
-    for (i, k), block in blocks.items():
-        stable[i, :, k] = (block[:-1] == block[1:]).all(axis=1)
+    for i, k, stack in _stacks(g, np.array(list(blocks))):
+        stable[i, :, k] = (stack[:, :-1] == stack[:, 1:]).all(axis=2)
     stable.setflags(write=False)
     return stable
 
@@ -136,17 +150,22 @@ def _structure(h):
     if h.kind != "biclique":
         raise InvalidInputError("symmetry only applies to biclique grids")
     n, _, kinds, _ = h.blocks()
-    # Violations in (i, j, i', j') order; a pair's first _MAX_VIOLATIONS
-    # hold all of its own that can be among the first overall.
-    found = []
-    for i, k in np.argwhere((kinds != kinds.T) | (kinds == BLOCK)).tolist():
-        js, ls = np.nonzero(h.block(i, k) != h.block(k, i).T)
-        found += [(i, j, k, l) for j, l in zip(js[:_MAX_VIOLATIONS].tolist(),
-                                               ls[:_MAX_VIOLATIONS].tolist())]
+    # Pair (i, k)'s violations (i, j, k, l) are pair (k, i)'s (k, l, i, j),
+    # so pairs i <= k are compared; keys (i, j, i', j') are base n.
+    pairs = np.argwhere(np.triu((kinds != kinds.T) | (kinds == BLOCK)))
+    first = np.zeros(0, dtype=np.int64)
+    for (i, k, stack), (_, _, partner) in zip(_stacks(h, pairs),
+                                              _stacks(h, pairs[:, ::-1])):
+        p, j, l = np.unravel_index(np.flatnonzero(
+            stack != partner.transpose(0, 2, 1)), stack.shape)
+        hits = np.array([i[p], j, k[p], l])
+        hits = np.hstack([hits, hits[[2, 3, 0, 1]][:, i[p] != k[p]]])
+        first = np.sort(np.concatenate(
+            [first, np.ravel_multi_index(hits, (n,) * 4)]))[:_MAX_VIOLATIONS]
+    found = np.transpose(np.unravel_index(first, (n,) * 4)).tolist()
     return _report("bipartite-symmetry",
                    [((i + 1, j + 1), (n + k + 1, n + l + 1),
-                     "symmetry partner missing")
-                    for i, j, k, l in sorted(found)[:_MAX_VIOLATIONS]])
+                     "symmetry partner missing") for i, j, k, l in found])
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +205,7 @@ def map_coloring_to_selection(coloring: Dict[int, int],
     Padding vertices (absent from the coloring) default to color 0; their
     color never matters because they are isolated.
     """
-    blocks = grid.meta.get("blocks")
-    x = grid.meta.get("x")
+    blocks, x = grid.meta.get("blocks"), grid.meta.get("x")
     if blocks is None or x is None:
         raise InvalidInputError("grid carries no block metadata")
     gray = ternary_gray(x)
@@ -201,9 +219,8 @@ def map_coloring_to_selection(coloring: Dict[int, int],
 def map_selection_to_coloring(sel: RowSelection,
                               grid: GridGraph) -> Dict[int, int]:
     """Row selection of the grid -> coloring of the original vertices."""
-    blocks = grid.meta.get("blocks")
-    x = grid.meta.get("x")
-    num_original = grid.meta.get("num_original")
+    blocks, x, num_original = (grid.meta.get(key) for key in
+                               ("blocks", "x", "num_original"))
     if blocks is None or x is None or num_original is None:
         raise InvalidInputError("grid carries no block metadata")
     if len(sel.choice) != len(blocks):

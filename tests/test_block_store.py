@@ -17,7 +17,8 @@ import pytest
 from conftest import cross_matrix
 from permcsp import validate
 from permcsp.formats import dump_grid, read_grid
-from permcsp.reductions import GridGraph, reduce_dcnnc_to_dcnnb
+from permcsp.reductions import (CnfFormula, GridGraph, reduce_coloring_to_dcnnc,
+                                reduce_dcnnc_to_dcnnb, reduce_sat_to_coloring)
 
 _MAX_VIOLATIONS = 20
 
@@ -199,6 +200,72 @@ def test_checkers_match_the_dense_checkers(seed):
     if kind == "biclique":
         assert list(validate.check_biclique_structure(g).violations) == \
             _structure_reference(side, matrix)
+
+
+def _irregular_grid_edges(seed, kind, r):
+    """Edges of a grid whose row pairs are mostly random blocks, so that
+    regularity, stability and (on a biclique grid) symmetry fail in most
+    of them, with a few empty, complete and identity pairs between."""
+    rng = random.Random(seed)
+    offset = r if kind == "biclique" else 0
+    edges = []
+    for i in range(r):
+        for k in range(i + 1 if kind == "clique" else 0, r):
+            shape = rng.choice(["random"] * 5 + ["empty", "complete",
+                                                 "identity"])
+            block = (np.zeros((r, r), dtype=bool) if shape == "empty" else
+                     np.ones((r, r), dtype=bool) if shape == "complete" else
+                     np.eye(r, dtype=bool) if shape == "identity" else
+                     np.array([[rng.random() < 0.5 for _ in range(r)]
+                               for _ in range(r)]))
+            edges += [((i + 1, j + 1), (offset + k + 1, offset + l + 1))
+                      for j, l in np.argwhere(block).tolist()]
+    return edges
+
+
+# Chunks of 1, 2 and 7 blocks, and one chunk for every block.
+@pytest.mark.parametrize("chunk", [1, 2, 7, 10 ** 6])
+@pytest.mark.parametrize("seed, kind, r", [(0, "clique", 7), (1, "clique", 9),
+                                           (2, "biclique", 6),
+                                           (3, "biclique", 8)])
+def test_stacked_checks_match_the_dense_checkers_across_chunks(
+        seed, kind, r, chunk, monkeypatch):
+    # More violating pairs than a chunk holds and than the report keeps:
+    # chunk edges and the cut at _MAX_VIOLATIONS both fall inside them.
+    monkeypatch.setattr(validate, "_STACK_CELLS", chunk * r * r)
+    side = 2 * r if kind == "biclique" else r
+    edges = _irregular_grid_edges(seed, kind, r)
+    g = GridGraph.from_edges(side, edges, kind=kind)
+    matrix = _from_edges_reference(side, kind, edges)
+    assert len(g.blocks()[3]) > 2 * chunk or chunk > 100
+    report, delta = validate.check_regularity(g)
+    violations, _ = _regularity_reference(side, kind, matrix)
+    assert len(violations) == _MAX_VIOLATIONS and delta is None
+    assert list(report.violations) == violations
+    assert np.array_equal(validate._stability(g),
+                          _stability_reference(side, kind, matrix))
+    if kind == "biclique":
+        report = validate.check_biclique_structure(g)
+        assert len(report.violations) == _MAX_VIOLATIONS
+        assert list(report.violations) == _structure_reference(side, matrix)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_stacked_checks_keep_the_delta_table_across_chunks(chunk,
+                                                           monkeypatch):
+    # A regular grid split over several chunks: the same delta table.
+    monkeypatch.setattr(validate, "_STACK_CELLS", chunk * 27 * 27)
+    g, bound = reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3))
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+    for x in (grid, reduce_dcnnc_to_dcnnb(grid)):
+        side, kind = x.side, x.kind
+        matrix = cross_matrix(x)
+        report, delta = validate._regularity(x)
+        assert report.holds
+        assert np.array_equal(delta, _regularity_reference(side, kind,
+                                                           matrix)[1])
+        assert np.array_equal(validate._stability(x),
+                              _stability_reference(side, kind, matrix))
 
 
 def test_structure_violations_keep_their_order_past_the_cap():

@@ -686,12 +686,13 @@ def test_input_too_deep_for_a_solver_is_a_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("kind, n", [("graph", 1500), ("cnf", 1500),
-                                     ("graph", 10000)],
-                         ids=["graph", "cnf", "graph-10000"])
+                                     ("graph", 10000), ("cnf", 10000)],
+                         ids=["graph", "cnf", "graph-10000", "cnf-10000"])
 def test_solve_runs_past_the_recursion_limit(tmp_path, kind, n):
     # The 3-coloring search and DPLL branch once per vertex or variable
     # here: a path graph, and the chain (x_i or x_{i+1}).  The coloring
-    # search keeps one trail of mask changes, so 10,000 vertices fit.
+    # search keeps one trail of mask changes, so 10,000 vertices fit;
+    # DPLL propagates from occurrence lists, so 10,000 variables do.
     path = tmp_path / ("chain." + kind)
     if kind == "graph":
         path.write_text("p edge %d %d\n" % (n, n - 1) + "".join(

@@ -30,6 +30,9 @@ from permcsp.core import (
     evaluate,
 )
 from permcsp.reductions import (
+    COMPLETE,
+    EMPTY,
+    IDENTITY,
     CnfFormula,
     GridGraph,
     reduce_clique_to_perm6,
@@ -508,6 +511,23 @@ def _seeded_cnf(seed):
 def test_sat_matches_recursive_reference(seed):
     # The same assignment, made in the same order.
     cnf = _seeded_cnf(seed)
+    got, want = solve_sat(cnf), _dpll_reference(cnf)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sat_matches_recursive_reference_with_repeated_literals(seed):
+    # Clauses may repeat a literal or hold both signs of a variable; unit
+    # propagation still sets the same variables in the same order.
+    rng = random.Random(1000 + seed)
+    nv = rng.randint(1, 30)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v
+              for v in rng.choices(range(1, nv + 1), k=rng.choice((1, 2, 3))))
+        for _ in range(int(nv * rng.uniform(0.5, 6.0))))
+    cnf = CnfFormula(nv, clauses)
     got, want = solve_sat(cnf), _dpll_reference(cnf)
     assert (got is None) == (want is None)
     if got is not None:
@@ -1016,6 +1036,138 @@ def test_row_transversal_kernel_matches_reference(seed):
     args = width, neighbors, degree, block
     assert (solvers._row_transversal(*args)
             == _row_transversal_reference(*args))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_row_transversal_kernel_leaves_out_rows_with_no_pair(seed):
+    # A random network with rows that have no pair spliced in anywhere:
+    # the kernel never asks for their blocks and puts them at column 0,
+    # as the search over every row would.
+    rng = random.Random(seed)
+    rows, width = rng.randint(2, 8), rng.choice([1, 3, 5, 9, 10])
+    lone = set(rng.sample(range(rows), rng.randint(1, rows - 1)))
+    pairs = [(a, c) for a in range(rows) for c in range(a + 1, rows)
+             if not {a, c} & lone and rng.random() < 0.7]
+    gen = np.random.default_rng(seed)
+    blocks = {pair: gen.random((width, width)) < 0.6 for pair in pairs}
+    neighbors = [np.array(sorted({c for a, c in pairs if a == k}
+                                 | {a for a, c in pairs if c == k}), int)
+                 for k in range(rows)]
+    degree = np.array([len(nbrs) for nbrs in neighbors])
+
+    def block(row, src):
+        assert not {row, src} & lone, "asked for a row with no pair"
+        return blocks[row, src] if row < src else blocks[src, row].T
+
+    got = solvers._row_transversal(width, neighbors, degree, block)
+    assert got == _row_transversal_reference(width, neighbors, degree, block)
+    assert got is None or all(got[k] == 0 for k in lone)
+
+
+def _full_network(g):
+    """(width, neighbors, degree, block) over every constrained row pair
+    of a grid: the row search's input before free rows were left out."""
+    r, _, kinds, _ = g.blocks()
+    free = kinds == COMPLETE
+    block = g.block
+    if g.kind == "clique":
+        free = free | np.eye(r, dtype=bool)
+    else:
+        top = np.ones_like(free)
+        free = np.block([[top, free], [free.T, top]])
+
+        def block(row, src):
+            if src < r:
+                return g.block(src, row - r).T
+            return g.block(row, src - r)
+    return r, [np.flatnonzero(~f) for f in free], (~free).sum(axis=1), block
+
+
+def _network_grids(rows, block_pairs, identity_pairs, seed):
+    """A clique grid on ``rows`` rows with random BLOCK pairs and IDENTITY
+    pairs (every other pair COMPLETE), and its doubling: the biclique grid
+    with G's pairs both ways and an IDENTITY pair (i, i) for every row."""
+    gen = np.random.default_rng(seed)
+    kinds = np.full((rows, rows), COMPLETE)
+    np.fill_diagonal(kinds, EMPTY)
+    for a, c in identity_pairs:
+        kinds[a, c] = kinds[c, a] = IDENTITY
+    blocks = {}
+    for a, c in block_pairs:
+        blocks[a, c] = gen.random((rows, rows)) < 0.6
+        blocks[a, c][gen.integers(rows), :] = False     # never COMPLETE
+        blocks[a, c][:, gen.integers(rows)] = True      # never EMPTY
+    g = GridGraph(rows, kinds=kinds, blocks=blocks)
+    np.fill_diagonal(kinds, IDENTITY)
+    h = GridGraph(2 * rows, kind="biclique", kinds=kinds,
+                  blocks=dict(g.blocks()[3]))
+    return g, h
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+# Networks of (rows, BLOCK pairs, IDENTITY pairs), with G's free rows and
+# whether the guard holds on G and on its doubling H.  Every searched row
+# of H has one pair more than in G, its diagonal identity.
+@pytest.mark.parametrize("rows, block_pairs, identity_pairs, free, holds", [
+    (6, _K4[1:], [], {4, 5}, (True, True)),
+    (8, _K4, [(4, 5), (6, 7)], {4, 5, 6, 7}, (True, True)),
+    (8, _K4, [(4, 5), (5, 6), (6, 7)], {4, 5, 6, 7}, (True, True)),
+    (6, _K4, [(4, 5), (5, 3)], set(), (True, True)),
+    # A searched degree-1 row numbered after an identity pair's rows.
+    (5, [(3, 4)], [(0, 1)], {0, 1, 2}, (False, False)),
+    # The chain's middle row ties with the searched rows in H.
+    (6, [(0, 1), (1, 2), (0, 2)], [(3, 4), (4, 5)], {3, 4, 5},
+     (True, False)),
+], ids=["no-pair rows", "identity pairs", "identity chain",
+        "identity inside a searched component", "guard fails",
+        "guard fails in H"])
+@pytest.mark.parametrize("seed", range(3))
+def test_free_rows_left_out_match_reference(rows, block_pairs, identity_pairs,
+                                            free, holds, seed, monkeypatch):
+    g, h = _network_grids(rows, block_pairs, identity_pairs, seed)
+    for x, x_free, x_holds in ((g, free, holds[0]),
+                               (h, free | {rows + k for k in free}, holds[1])):
+        want = _row_transversal_reference(*_full_network(x))
+        asked = set()
+        real_block = x.block
+
+        def block(i, k):
+            ends = {i, k + x.side - rows}
+            asked.update(ends)
+            # A biclique pair (i, i) of a row with no pair in G joins
+            # top row i to bottom row rows + i.
+            assert not (x_holds and ends & x_free), "asked for a free row"
+            return real_block(i, k)
+        monkeypatch.setattr(x, "block", block)
+        assert solvers._grid_transversal(x, x.kind) == want
+        # Where the guard fails, the identity rows are searched as before.
+        assert bool(asked & x_free) == (not x_holds and bool(identity_pairs))
+        if want is not None and x_holds:
+            assert all(want[k] == 0 for k in x_free)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_free_rows_on_random_networks_match_reference(seed):
+    # Rows that are, at random, in BLOCK components, in IDENTITY chains
+    # (cut into pairs and longer chains at random) or with no pair at all.
+    rng = random.Random(seed)
+    rows = rng.randint(3, 9)
+    order = rng.sample(range(rows), rows)
+    cut = rng.randint(0, rows)
+    searched, chained = order[:cut], order[cut:]
+    block_pairs = [(a, c) for a, c in itertools.combinations(sorted(searched),
+                                                            2)
+                   if rng.random() < 0.6]
+    identity_pairs = [(a, c) for a, c in zip(chained, chained[1:])
+                      if rng.random() < 0.7]
+    if searched and chained and rng.random() < 0.3:
+        identity_pairs.append((searched[0], chained[0]))
+    g, h = _network_grids(rows, block_pairs, identity_pairs, seed)
+    for x in (g, h):
+        assert (solvers._grid_transversal(x, x.kind)
+                == _row_transversal_reference(*_full_network(x)))
 
 
 # ---------------------------------------------------------------------------
