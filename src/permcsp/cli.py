@@ -143,12 +143,11 @@ def _integer(text):
 
 def _dummy_policy(text):
     """Parse --dummies: "paper", "sufficient" or an explicit count."""
-    if text in ("paper", "sufficient"):
-        return text
-    if not formats.INTEGER.fullmatch(text):
+    try:
+        return text if text in ("paper", "sufficient") else _integer(text)
+    except (argparse.ArgumentTypeError, ValueError):  # past the digit limit
         raise InvalidInputError("--dummies expects paper, sufficient or a "
-                                "count, got %r" % text)
-    return int(text)
+                                "count, got %r" % text) from None
 
 
 def _dummy_count(policy, kind, n, D, num_edges):
@@ -463,7 +462,7 @@ def main(argv=None):
     except (PermCspError, formats.FormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (RecursionError, MemoryError) as exc:    # too large an input
+    except (RecursionError, MemoryError, OverflowError) as exc:  # too large
         print("error: input too large: %s" % (str(exc) or "out of memory"),
               file=sys.stderr)
         return EXIT_USAGE

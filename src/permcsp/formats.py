@@ -19,7 +19,6 @@ from permcsp.core import (
     Ordering,
     PermCspError,
     PermCspInstance,
-    validate_instance,
 )
 from permcsp.reductions import CnfFormula, GridGraph, ReductionCertificate
 
@@ -132,12 +131,16 @@ class _Scanner:
                               "end of input")
 
     def ints(self, lineno: int, tokens: List[str]) -> List[int]:
-        """The tokens as integers (``-?[0-9]+``); the first that is not
-        one is named."""
+        """The tokens as integers (``-?[0-9]+``, within the digit limit
+        of Python's ``int``); the first that is not one is named."""
         for tok in tokens:
             if not INTEGER.fullmatch(tok):
                 raise self.error(lineno, "an integer", tok)
-        return list(map(int, tokens))
+        try:
+            return list(map(int, tokens))
+        except ValueError:          # past Python's int-string digit limit
+            tok = max(tokens, key=lambda t: len(t.lstrip("-")))
+            raise self.error(lineno, "fewer digits", tok[:20] + "...") from None
 
     def error(self, lineno: int, expected: str,
               found: Optional[str] = None) -> FormatError:
@@ -428,13 +431,14 @@ def write_grid(g: GridGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_pcsp(text: str):
-    """The instance and the scanner that read it (for its comment lines
-    and positioned errors)."""
+    """The instance and the scanner that read it, in one pass.  Past the
+    line faults: the count, then the first line not of 1..arity distinct
+    variables (solvers rely on the arity), then the variable count."""
     scan = _Scanner(text, "p pcsp <vars> <constraints> <arity>")
     constraints = []
-    linenos = []
+    misfit = None
     for lineno, tokens in scan:
-        num_vars = scan.fields[0]
+        num_vars, _, arity = scan.fields
         vals = scan.ints(lineno, tokens)
         if vals[-1] != 0:
             raise scan.error(lineno, "constraint terminated by 0")
@@ -443,23 +447,19 @@ def _parse_pcsp(text: str):
             raise scan.error(lineno, "one constraint per line")
         if any(not 1 <= v <= num_vars for v in body):
             raise scan.error(lineno, "indices within 1..%d" % num_vars)
+        if misfit is None and not 1 <= len(set(body)) == len(body) <= arity:
+            misfit = lineno
         constraints.append(tuple(body))
-        linenos.append(lineno)
     num_vars, num_constraints, arity = scan.fields
     if len(constraints) != num_constraints:
         raise scan.end_error("%d constraints" % num_constraints,
                              "%d constraints" % len(constraints))
-    instance = PermCspInstance(num_vars=num_vars,
-                               constraints=tuple(constraints), arity=arity)
-    if validate_instance(instance):
-        # Name the first offending line: the header arity is a promise
-        # that the solvers rely on.
-        for lineno, c in zip(linenos, constraints):
-            if validate_instance(PermCspInstance(num_vars, (c,), arity)):
-                raise scan.error(lineno, "1..%d distinct variables" % arity)
+    if misfit is not None:
+        raise scan.error(misfit, "1..%d distinct variables" % arity)
+    if num_vars < 1:
         raise scan.error(scan.header, "a positive variable count",
                          str(num_vars))
-    return instance, scan
+    return PermCspInstance(num_vars, tuple(constraints), arity), scan
 
 
 def read_instance(text: str) -> PermCspInstance:
@@ -494,7 +494,6 @@ def write_ordering(ordering: Ordering) -> str:
     return " ".join(str(v) for v in ordering.sequence()) + "\n"
 
 
-_ROLE_CODES = {"d": "dummy", "r": "row", "c": "column"}
 _INT_PARAMS = ("n", "D", "source-edges", "delta-sum")
 
 
@@ -530,7 +529,7 @@ def _certificate(instance, scan) -> ReductionCertificate:
                 raise scan.error(lineno, "role line 'c role <var> r|c|d "
                                  "<index>'")
             var, idx = scan.ints(lineno, [tokens[2], tokens[4]])
-            if tokens[3] not in _ROLE_CODES:
+            if tokens[3] not in ("d", "r", "c"):
                 raise scan.error(lineno, "role code r|c|d", tokens[3])
             roles[var] = (tokens[3], idx)
     required = ["kind", "n"] + (["D"] if params.get("kind") == "perm4" else [])

@@ -143,8 +143,7 @@ class GridGraph:
         self.meta = meta or {}
 
     @classmethod
-    def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None,
-                   meta=None):
+    def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None):
         """The grid with ``edges``, ((i, j), (i', j')) pairs or flat
         (i, j, i', j') rows in any orientation, checked as one array and
         set block by block (:meth:`set_edges`).  Raises
@@ -160,7 +159,7 @@ class GridGraph:
         blocks = {}
         cls.set_edges(blocks, side, kind, ends)
         return cls(side, kind=kind, D=D, blocks=blocks,
-                   delta_table=delta_table, meta=meta)
+                   delta_table=delta_table)
 
     @staticmethod
     def set_edges(blocks, side, kind, ends):
@@ -507,15 +506,13 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
     while len(blocks) < nprime:
         blocks.append([])
     next_id = n0 + 1
-    padding = []
     for block in blocks:
         while len(block) < x:
             block.append(next_id)
-            padding.append(next_id)
             next_id += 1
-    if len(padding) != nprime * x - n0:
+    if next_id - 1 != nprime * x:
         raise InternalConsistencyError("blocks hold %d padding vertices"
-                                       % len(padding))
+                                       % (next_id - 1 - n0))
 
     words = np.array(ternary_gray(x).words, dtype=np.int8)    # (nprime, x)
 
@@ -549,10 +546,8 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
     grid = GridGraph(nprime, kind="clique", D=degree_bound,
                      kinds=np.where(np.eye(nprime), EMPTY, COMPLETE),
                      blocks=compat, delta_table=delta,
-                     meta={"blocks": [tuple(b) for b in blocks],
-                           "x": x,
-                           "num_original": n0,
-                           "padding": tuple(padding)})
+                     meta={"blocks": [tuple(b) for b in blocks], "x": x,
+                           "num_original": n0})
 
     report, computed = validate.check_regularity(grid)
     if not report.holds or not np.array_equal(computed, delta):
@@ -596,7 +591,7 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
     for i in range(r):
         blocks[i, i] = g.block(i, i) | eye if kinds[i, i] else eye
     h = GridGraph(2 * g.side, kind="biclique", D=g.D, kinds=kinds,
-                  blocks=blocks, meta={"source_side": g.side})
+                  blocks=blocks)
 
     _require(validate.check_biclique_structure(h),
              "input adjacency is not symmetric")
@@ -608,10 +603,10 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
         # The diagonal pairing edges make row n+i differ between columns j
         # and j+1 for every top vertex (i, j): one more unstable row than
         # G allowed, at most.  Keep D when it suffices, else take D + 1.
-        report, stable = validate.check_stability(h, g.D + 1)
-        if not report.holds:
-            raise InternalConsistencyError("doubling broke stability")
-        h.D += int((~stable).sum(axis=2).max(initial=0) > g.D)
+        if not validate.check_stability(h, g.D)[0].holds:
+            if not validate.check_stability(h, g.D + 1)[0].holds:
+                raise InternalConsistencyError("doubling broke stability")
+            h.D += 1
     return h
 
 

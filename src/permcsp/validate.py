@@ -111,14 +111,20 @@ def check_stability(g: GridGraph, D: int
     count never exceeds D.  On a biclique grid the top vertices are
     checked, against the bottom rows.  Returns, when it holds, the boolean
     array ``stable[i, j, k]`` of rows where the neighborhoods agree (the
-    I_{i,j} witness sets), which is stored without D.
+    I_{i,j} witness sets); it and its per-vertex counts are stored without D.
     """
-    stable = _stored(g, "stability", _stability)
-    counts = stable.shape[2] - stable.sum(axis=2)
-    violations = [(i + 1, j + 1, "%d unstable rows > D=%d" % (counts[i, j], D))
-                  for i, j in np.argwhere(counts > D).tolist()]
-    report = _report("stability", violations)
+    stable, counts = _stored(g, "stability", _stability_counts)
+    bad = np.argwhere(counts > D)[:_MAX_VIOLATIONS].tolist()
+    report = _report("stability", [(i + 1, j + 1, "%d unstable rows > D=%d"
+                                    % (counts[i, j], D)) for i, j in bad])
     return report, (stable if report.holds else None)
+
+
+def _stability_counts(g):
+    stable = _stability(g)
+    counts = stable.shape[2] - stable.sum(axis=2)
+    counts.setflags(write=False)
+    return stable, counts
 
 
 def _stability(g):

@@ -250,6 +250,26 @@ def test_stacked_checks_match_the_dense_checkers_across_chunks(
         assert list(report.violations) == _structure_reference(side, matrix)
 
 
+@pytest.mark.parametrize("seed, kind, r", [(0, "clique", 7),
+                                           (2, "biclique", 6)])
+def test_stability_reports_match_the_dense_counts_past_the_cap(seed, kind, r):
+    # The unstable-row counts are stored once per grid; each D's report
+    # keeps the first _MAX_VIOLATIONS vertices over D, in (i, j) order.
+    side = 2 * r if kind == "biclique" else r
+    edges = _irregular_grid_edges(seed, kind, r)
+    g = GridGraph.from_edges(side, edges, kind=kind)
+    stable = _stability_reference(side, kind,
+                                  _from_edges_reference(side, kind, edges))
+    counts = r - stable.sum(axis=2)
+    assert (counts > 0).sum() > _MAX_VIOLATIONS
+    for D in range(r + 1):
+        want = [(i + 1, j + 1, "%d unstable rows > D=%d" % (counts[i, j], D))
+                for i, j in np.argwhere(counts > D).tolist()]
+        report, witness = validate.check_stability(g, D)
+        assert list(report.violations) == want[:_MAX_VIOLATIONS]
+        assert report.holds == (witness is not None) == (not want)
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_stacked_checks_keep_the_delta_table_across_chunks(chunk,
                                                            monkeypatch):

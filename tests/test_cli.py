@@ -727,6 +727,57 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     assert (code, err) == (2, "error: input too large: out of memory\n")
 
 
+def test_gen_graph_with_too_many_vertices_is_a_usage_error(capsys):
+    code, _, err = run(capsys, ["gen", "graph", "--num-vertices",
+                                "1" + "0" * 20, "--num-edges", "1"])
+    assert code == 2 and err.startswith("error: input too large: ")
+
+
+_LONG = "7" * 5000          # past Python's default int digit limit, 4,300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python's int() takes any number of digits")
+@pytest.mark.parametrize("how, text, line", [
+    ("solve", "p pcsp 2 1 2\n1 %s 0\n", 2),
+    ("solve", "p cnf 2 1\n1 %s 0\n", 2),
+    ("solve", "p edge 2 1\ne 1 %s\n", 2),
+    ("solve", "p grid %s\n", 1),
+    ("solve", "p grid 2\nc kind clique\ne 1 1 2 %s\n", 3),
+    ("solve", "p grid 2\nd 1 2 %s\n", 2),
+    ("solve", "p pcsp 1 0 1\nc target 0\nc param kind perm6\n"
+              "c param n %s\n", 4),
+    ("ordering", "2 %s 1\n", 1),
+    ("dummies", None, None),
+], ids=["pcsp", "dimacs", "graph", "grid-header", "grid-edge", "grid-delta",
+        "certificate", "ordering", "dummies"])
+def test_an_integer_past_the_digit_limit_is_an_error(tmp_path, capsys, how,
+                                                     text, line):
+    # int() refuses a decimal string past the limit; each reader names
+    # the token at its line, and --dummies refuses it as a count.
+    if how == "dummies":
+        src = tmp_path / "grid.grid"
+        src.write_text("p grid 2\nc kind clique\ne 1 1 2 2\n")
+        code, _, err = run(capsys, ["reduce", str(src), "--steps",
+                                    "clique2perm6", "--dummies", _LONG,
+                                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2 and err.startswith("error: --dummies expects ")
+        return
+    text %= _LONG
+    offset = sum(len(l) + 1 for l in text.split("\n")[:line - 1])
+    want = ("line %d (byte %d): expected fewer digits, found '%s...'"
+            % (line, offset, _LONG[:20]))
+    if how == "ordering":
+        with pytest.raises(formats.FormatError) as exc:
+            formats.read_ordering(text)
+        assert str(exc.value) == want
+        return
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert (code, err) == (2, "error: %s\n" % want)
+
+
 def test_no_package_path_reads_a_dense_grid_view(tmp_path, capsys,
                                                   monkeypatch):
     # Grids are stored by row pair; the dense view exists for tests and

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_error_at, grid_from_edges
-from permcsp.core import Graph, Ordering, PermCspInstance
+from permcsp.core import Graph, Ordering, PermCspInstance, validate_instance
 from permcsp.formats import (
     FormatError,
     _Scanner,
+    _parse_pcsp,
     dump_grid,
     read_certificate,
     read_dimacs,
@@ -745,3 +746,73 @@ def test_reader_fuzz_rejects_or_round_trips(name, data):
         return
     once = write(value)
     assert write(read(once)) == once
+
+
+def _parse_pcsp_reference(text):
+    """The pcsp reader that _parse_pcsp replaced: the lines in one pass,
+    then validate_instance over the whole instance and, on a fault, over
+    each line again to name the first line at fault."""
+    scan = _Scanner(text, "p pcsp <vars> <constraints> <arity>")
+    constraints = []
+    linenos = []
+    for lineno, tokens in scan:
+        num_vars = scan.fields[0]
+        vals = scan.ints(lineno, tokens)
+        if vals[-1] != 0:
+            raise scan.error(lineno, "constraint terminated by 0")
+        body = vals[:-1]
+        if 0 in body:
+            raise scan.error(lineno, "one constraint per line")
+        if any(not 1 <= v <= num_vars for v in body):
+            raise scan.error(lineno, "indices within 1..%d" % num_vars)
+        constraints.append(tuple(body))
+        linenos.append(lineno)
+    num_vars, num_constraints, arity = scan.fields
+    if len(constraints) != num_constraints:
+        raise scan.end_error("%d constraints" % num_constraints,
+                             "%d constraints" % len(constraints))
+    instance = PermCspInstance(num_vars=num_vars,
+                               constraints=tuple(constraints), arity=arity)
+    if validate_instance(instance):
+        for lineno, c in zip(linenos, constraints):
+            if validate_instance(PermCspInstance(num_vars, (c,), arity)):
+                raise scan.error(lineno, "1..%d distinct variables" % arity)
+        raise scan.error(scan.header, "a positive variable count",
+                         str(num_vars))
+    return instance, scan
+
+
+def _pcsp_outcome(parse, text):
+    """The instance and comments that parsing ``text`` gives, or the
+    FormatError's position, expectation and finding."""
+    try:
+        instance, scan = parse(text)
+    except FormatError as exc:
+        return "error", exc.line, exc.offset, exc.expected, exc.found
+    return instance, scan.comments
+
+
+@pytest.mark.parametrize("text, error", [
+    # A repeated variable before an out-of-range index: the line fault.
+    ("p pcsp 3 2 3\n1 1 0\n1 9 0\n", (3, "indices within 1..3")),
+    # An arity fault and a count mismatch: the count.
+    ("p pcsp 3 2 2\n1 2 3 0\n", (3, "2 constraints")),
+    # No variables, one empty constraint: the empty line, then the header.
+    ("p pcsp 0 1 3\n0\n", (2, "1..3 distinct variables")),
+    ("p pcsp 0 0 3\n", (1, "a positive variable count")),
+    ("p pcsp 3 3 2\n1 2 0\n2 2 0\n3 1 2 0\n",
+     (3, "1..2 distinct variables")),
+])
+def test_parse_pcsp_names_the_first_fault_as_the_reference(text, error):
+    got = _pcsp_outcome(_parse_pcsp, text)
+    assert got == _pcsp_outcome(_parse_pcsp_reference, text)
+    assert (got[1], got[3]) == error
+
+
+@pytest.mark.parametrize("name", ["instance", "certificate"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_pcsp_matches_the_reference(name, data):
+    text = data.draw(_FUZZ[name][2])
+    assert (_pcsp_outcome(_parse_pcsp, text)
+            == _pcsp_outcome(_parse_pcsp_reference, text))
