@@ -14,6 +14,7 @@ Exit codes: 0 success/pass, 1 fail or below target, 2 usage error,
 """
 
 import argparse
+import bisect
 import logging
 import os
 import random
@@ -71,23 +72,35 @@ def _read(path):
 # ---------------------------------------------------------------------------
 
 def gen_sat(num_vars, num_clauses, freq, seed):
-    """Random CNF where every variable occurs at most ``freq`` times."""
+    """Random CNF where every variable occurs at most ``freq`` times.
+
+    Each clause samples its variables from those still below ``freq``, in
+    ascending order.  Only the full ones are kept, sorted, so memory grows
+    with the clauses and not with ``num_vars``."""
     if num_vars < 1 or num_clauses < 0 or freq < 1:
         raise InvalidInputError("need num-vars >= 1, clauses >= 0, freq >= 1")
     rng = random.Random(seed)
-    counts = {v: 0 for v in range(1, num_vars + 1)}
-    clauses = []
+    counts, full, clauses = {}, [], []
+    size = min(3, num_vars)
+
+    def gap(i):         # free variables below the i-th full one, plus one
+        return full[i] - i
+
     for _ in range(num_clauses):
-        size = min(3, num_vars)
-        avail = [v for v, c in counts.items() if c + 1 <= freq]
-        if len(avail) < size:
+        if num_vars - len(full) < size:
             raise InvalidInputError(
                 "cannot place %d clauses with %d variables at frequency %d"
                 % (num_clauses, num_vars, freq)
             )
-        vs = rng.sample(sorted(avail), size)
+        # Sampling indices draws as sampling the free variables would; the
+        # j-th free one is j + 1 plus the full ones whose gap is <= j + 1.
+        picks = rng.sample(range(num_vars - len(full)), size)
+        vs = [j + 1 + bisect.bisect_right(range(len(full)), j + 1, key=gap)
+              for j in picks] if full else [j + 1 for j in picks]
         for v in vs:
-            counts[v] += 1
+            counts[v] = counts.get(v, 0) + 1
+            if counts[v] == freq:
+                bisect.insort(full, v)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return reductions.CnfFormula(num_vars, tuple(clauses), freq)
 

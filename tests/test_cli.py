@@ -9,8 +9,9 @@ import time
 import pytest
 
 from permcsp import cli, formats
-from permcsp.core import Ordering, PermCspInstance, evaluate
-from permcsp.reductions import GridGraph, reduce_dcnnc_to_dcnnb
+from permcsp.core import (InvalidInputError, Ordering, PermCspInstance,
+                          evaluate)
+from permcsp.reductions import CnfFormula, GridGraph, reduce_dcnnc_to_dcnnb
 
 
 def run(capsys, argv):
@@ -43,6 +44,72 @@ def test_gen_sat_respects_frequency_budget(capsys):
                                 "--num-clauses", "5", "--freq", "3"])
     assert code == 2
     assert "cannot place" in err
+
+
+def _gen_sat_reference(num_vars, num_clauses, freq, seed):
+    """gen_sat with a count per variable, drawing from the sorted list of
+    the free ones rebuilt for every clause."""
+    if num_vars < 1 or num_clauses < 0 or freq < 1:
+        raise InvalidInputError("need num-vars >= 1, clauses >= 0, freq >= 1")
+    rng = random.Random(seed)
+    counts = {v: 0 for v in range(1, num_vars + 1)}
+    clauses = []
+    for _ in range(num_clauses):
+        size = min(3, num_vars)
+        avail = [v for v, c in counts.items() if c + 1 <= freq]
+        if len(avail) < size:
+            raise InvalidInputError(
+                "cannot place %d clauses with %d variables at frequency %d"
+                % (num_clauses, num_vars, freq)
+            )
+        vs = rng.sample(sorted(avail), size)
+        for v in vs:
+            counts[v] += 1
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return CnfFormula(num_vars, tuple(clauses), freq)
+
+
+def _gen_sat_outcome(gen, *args):
+    try:
+        return gen(*args)
+    except InvalidInputError as exc:
+        return "error: %s" % exc
+
+
+def _gen_sat_cases():
+    cases = [(nv, m, freq, seed) for nv in range(1, 14) for m in range(13)
+             for freq in range(1, 4) for seed in range(2)]
+    cases += [(0, 1, 1, 0), (3, -1, 1, 0), (3, 1, 0, 0), (600, 400, 2, 5)]
+    # The chain81 pool draws and criterion 7's, failed draws included.
+    for k in range(1, 70):
+        rng = random.Random(7000 + k)
+        nv = rng.randint(2, 6)
+        cases.append((nv, rng.randint(1, min(nv, 4)), 3, 7000 + k))
+    rng = random.Random(7777)
+    for k in range(1, 30):
+        nv = rng.randint(2, 6)
+        cases.append((nv, rng.randint(1, min(nv, 4)), 3, 1000 + k))
+    return cases
+
+
+def test_gen_sat_matches_reference():
+    outcomes = [_gen_sat_outcome(cli.gen_sat, *args)
+                for args in _gen_sat_cases()]
+    assert outcomes == [_gen_sat_outcome(_gen_sat_reference, *args)
+                        for args in _gen_sat_cases()]
+    # Both kinds of outcome occur, and full variables do.
+    assert any(isinstance(o, str) and "cannot place" in o for o in outcomes)
+    assert any(isinstance(o, CnfFormula) and o.clauses and
+               max(o.frequencies().values()) == o.freq_bound
+               for o in outcomes)
+
+
+def test_gen_sat_memory_follows_the_clauses_not_the_variables(capsys):
+    code, out, err = run(capsys, ["gen", "sat", "--num-vars",
+                                  "100000000000", "--num-clauses", "3"])
+    assert (code, err) == (0, "")
+    cnf = formats.read_dimacs(out)
+    assert cnf.num_vars == 10 ** 11 and len(cnf.clauses) == 3
 
 
 def test_gen_graph_degree_bound(tmp_path, capsys):

@@ -300,6 +300,90 @@ def test_brute_matches_unpacked_reference(inst):
         == _brute_unpacked_reference(inst)
 
 
+def _prefix_bounds(instance):
+    """Per prefix of the first n - 9 positions, in lexicographic order: the
+    constraints with no consecutive pair out of order under it (unplaced
+    variables tie after the prefix)."""
+    n = instance.num_vars
+    plen = max(0, n - 9)
+    bounds = []
+    for prefix in itertools.permutations(range(1, n + 1), plen):
+        rank = {v: prefix.index(v) if v in prefix else plen
+                for v in range(1, n + 1)}
+        bounds.append(sum(all(rank[a] <= rank[b] for a, b in zip(c, c[1:]))
+                          for c in instance.constraints))
+    return bounds
+
+
+def _solved(instance, limit=11):
+    res = solve_brute(instance, limit=limit)
+    return res.optimum, res.witness.sequence(), res.nodes_explored
+
+
+def test_brute_tie_goes_to_the_first_prefix_not_the_best_bound():
+    # (3, 1) and (1, 3) cannot both hold.  Prefix (1,) kills (3, 1), so
+    # its bound is one below that of prefix (2,), which is searched first
+    # and also reaches the optimum; the first maximizer starts with 1.
+    inst = PermCspInstance.make(10, [(3, 1), (1, 3), (4, 5, 6), (9, 8)])
+    bounds = _prefix_bounds(inst)
+    assert bounds[1] > bounds[0] == 3
+    assert _solved(inst) == _brute_reference(inst)
+    assert _solved(inst)[:2] == (3, (1, 2, 3, 4, 5, 6, 7, 9, 8, 10))
+
+
+@pytest.mark.parametrize("seed", [445, 446, 476, 487])
+def test_brute_ties_across_prefixes_match_reference(seed):
+    # Few short constraints on 10 variables.  On these seeds a prefix of
+    # larger bound after the first maximizer's also reaches the optimum.
+    inst = random_instance(random.Random(seed), 10, 6, max_arity=4)
+    expected = _brute_reference(inst)
+    bounds = _prefix_bounds(inst)
+    first = expected[1][0] - 1
+    assert max(bounds[first + 1:]) > bounds[first] >= expected[0]
+    assert _solved(inst) == expected
+
+
+def test_brute_searches_every_prefix_when_no_bound_excludes_one():
+    # Every prefix's bound is above the optimum, so none can be skipped.
+    rng = random.Random(11)
+    inst = PermCspInstance.make(10, [tuple(rng.sample(range(1, 11), 2))
+                                     for _ in range(30)])
+    expected = _brute_reference(inst)
+    assert min(_prefix_bounds(inst)) > expected[0]
+    assert _solved(inst) == expected
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_brute_empty_constraint_set_gives_the_identity(n):
+    inst = PermCspInstance.make(n, [])
+    assert _solved(inst) == (0, tuple(range(1, n + 1)), math.factorial(n))
+
+
+def test_brute_arity_one_and_duplicate_constraints_match_reference():
+    inst = PermCspInstance.make(10, [(4,), (4,), (2, 1), (2, 1), (1, 2),
+                                     (7, 3, 5), (7, 3, 5), (10,), (9, 6)])
+    assert _solved(inst) == _brute_reference(inst)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
+def test_brute_one_prefix_up_to_nine_variables(n):
+    inst = random_instance(random.Random(n), n, 12, max_arity=5) if n \
+        else PermCspInstance.make(0, [])
+    assert len(_prefix_bounds(inst)) == 1
+    assert _solved(inst) == _brute_reference(inst)
+
+
+def test_brute_twelve_variables_under_a_raised_limit():
+    # Variables that no constraint names add no score, and the first
+    # maximizer puts them last in ascending order: it is the 10-variable
+    # one followed by 11, 12.
+    core = _low_variable_instance(2, 10)
+    optimum, seq, _ = _brute_reference(core)
+    inst = PermCspInstance.make(12, core.constraints)
+    assert _solved(inst, limit=12) == (optimum, seq + (11, 12),
+                                       math.factorial(12))
+
+
 # ---------------------------------------------------------------------------
 # solve_dp3
 # ---------------------------------------------------------------------------

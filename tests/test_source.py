@@ -39,6 +39,54 @@ def test_cli_import_builds_no_suffix_table_and_no_thread_pool():
     assert proc.stdout.split() == ["0", "False"]
 
 
+def _import_time_numpy_calls(tree, prefix):
+    """The lines of ``tree`` that call ``np.*`` or ``numpy.*`` while the
+    module is imported: top-level statements and class bodies, and the
+    decorators and default arguments of functions, but not their bodies."""
+    found = []
+
+    def run_at_import(statements):
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                roots = node.decorator_list + node.args.defaults + \
+                    [d for d in node.args.kw_defaults if d is not None]
+            elif isinstance(node, ast.ClassDef):
+                run_at_import(node.body)
+                roots = node.decorator_list + node.bases + \
+                    [k.value for k in node.keywords]
+            else:
+                roots = [node]
+            for root in roots:
+                for call in ast.walk(root):
+                    if isinstance(call, ast.Call) and \
+                            _attribute_root(call.func) in ("np", "numpy"):
+                        found.append("%s%d" % (prefix, call.lineno))
+
+    run_at_import(tree.body)
+    return found
+
+
+def _attribute_root(func):
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def test_no_module_calls_numpy_at_import_time():
+    # Every CLI process and every benchmark worker pays for what the
+    # package does at import, so array work waits for the first call.
+    sample = ("import numpy as np\nA = np.zeros(3)\n"
+              "def f(x=np.int8(0)) -> np.ndarray:\n    return np.ones(2)\n"
+              "class C:\n    B = np.random.default_rng(1).random()\n"
+              "    def m(self):\n        return np.eye(2)\n")
+    assert _import_time_numpy_calls(ast.parse(sample), "") == ["2", "3", "6"]
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found += _import_time_numpy_calls(
+            ast.parse(path.read_text(), filename=str(path)), path.name + ":")
+    assert found == []
+
+
 def test_cached_suffix_tables_are_read_only():
     from permcsp import solvers
 
