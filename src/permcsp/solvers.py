@@ -1,8 +1,9 @@
 """Exact solvers and decision oracles.
 
 - :func:`solve_brute`: exhaustive search over all orderings; every prefix
-  reuses one bit-packed table of the 9! suffix orders, cached per process,
-  and prefixes are searched best bound first until none left can win.
+  reuses one cached bit-packed table of slot precedences in the 9! suffix
+  orders, the best order is unranked from its index, and prefixes are
+  bounded in blocks and searched best bound first until none can win.
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
   the dichotomy, vectorized over each popcount layer of subsets.
 - :func:`solve_convenient`: optimum over convenient orderings of an
@@ -70,43 +71,84 @@ _BATCH_SUFFIX = 9
 
 @lru_cache(maxsize=None)
 def _suffix_table(m):
-    """The m! suffix orders as int8 rows in lexicographic order, and
-    ``before[a, b]``: bit i of its little-endian ``<u8`` words is set when
-    slot a precedes slot b in order i.  Both read-only, built once."""
-    rest = np.zeros((1, 0), dtype=np.int8)
+    """``before[a, b]`` over the m! suffix orders in lexicographic order:
+    bit i of its little-endian ``<u8`` words is set when slot a precedes
+    slot b in order i; the bits past m! are clear.  Read-only, built once,
+    a slot at a time: as booleans up to 8 slots, then in whole words."""
+    table = np.zeros((0, 0, 1), dtype=bool)          # no slots: one order
     for k in range(1, m + 1):
-        # First element f, then the shorter table relabelled to skip f.
-        first = np.repeat(np.arange(k, dtype=np.int8), len(rest))[:, None]
-        tail = np.tile(rest, (k, 1))
-        rest = np.hstack([first, tail + (tail >= first)])
-    # Columns past m! tie every slot at 0, so their bits stay clear.
-    slot_pos = np.zeros((m, -(-len(rest) // 64) * 64), dtype=np.int8)
-    slot_pos[rest.T, np.arange(len(rest))] = np.arange(m)[:, None]
-    before = np.empty((m, m, slot_pos.shape[1] // 8), dtype=np.uint8)
-    for a in range(m):                       # one slot row at a time
-        before[a] = np.packbits(slot_pos[a] < slot_pos, axis=1,
-                                bitorder="little")
-    before = before.view("<u8")
-    rest.flags.writeable = before.flags.writeable = False
-    return rest, before
+        if k == 9:                               # 8! orders are 630 words
+            table = np.packbits(table, axis=-1, bitorder="little").view("<u8")
+        # Block f holds the orders that start with slot f: f precedes every
+        # other slot, no slot precedes f, and the orders of k - 1 slots fill
+        # the rest, relabelled to skip f.
+        prev, table = table, np.zeros((k, k, k) + table.shape[2:], table.dtype)
+        for f in range(k):
+            others = np.arange(k) != f
+            table[f, others, f] = ~np.zeros((), table.dtype)   # all bits set
+            table[np.ix_(others, others, [f])] = prev[:, :, None]
+        table = table.reshape(k, k, -1)
+    if table.dtype == bool:                      # pad to whole words
+        bits = np.packbits(table, axis=-1, bitorder="little")
+        table = np.pad(bits, [(0, 0), (0, 0), (0, -bits.shape[2] % 8)])
+        table = table.view("<u8")
+    table.flags.writeable = False
+    return table
+
+
+def _unrank(index, items, length):
+    """Arrangement ``index`` of ``length`` of ``items`` in the order of
+    ``itertools.permutations``: lexicographic for sorted ``items``."""
+    items, out = list(items), []
+    for k in range(length - 1, -1, -1):
+        digit, index = divmod(index, math.perm(len(items) - 1, k))
+        out.append(items.pop(digit))
+    return tuple(out)
+
+
+_BOUND_CELLS = 1 << 20   # (constraint, prefix) pairs bounded at a time
+
+
+def _prefix_bounds(n, plen, chains):
+    """Per prefix of ``plen`` positions, in lexicographic order, one small
+    integer: the chains with no pair (u, w) placed w before u, unplaced
+    variables tied after the prefix.  Prefixes are made a block at a time."""
+    width = max(map(len, chains), default=0)
+    # Pairs (0, 0) pad the chains and are never out of order.
+    ends = np.array([c + [(0, 0)] * (width - len(c)) for c in chains],
+                    dtype=np.intp).reshape(len(chains), width, 2)
+    bound = np.empty(math.perm(n, plen), np.min_scalar_type(len(chains)))
+    step = max(1, _BOUND_CELLS // max(1, len(chains)))
+    prefixes = itertools.permutations(range(n), plen)       # lex order
+    for lo in range(0, len(bound), step):
+        block = np.array(list(itertools.islice(prefixes, step)), np.intp,
+                         ndmin=2)
+        # [variable, prefix]: prefix variables rank by position.
+        ranks = np.full((n, len(block)), plen, dtype=np.min_scalar_type(n))
+        np.put_along_axis(ranks, block.T, np.arange(plen)[:, None], axis=0)
+        alive = np.ones((len(chains), len(block)), dtype=bool)
+        for t in range(width):
+            alive &= ranks[ends[:, t, 0]] <= ranks[ends[:, t, 1]]
+        bound[lo:lo + len(block)] = alive.sum(axis=0)
+    return bound
 
 
 def solve_brute(instance: PermCspInstance, limit: int = 11,
                 threads: int = 1) -> SolveResult:
     """Exact optimum by exhaustive enumeration of all n! orderings.
 
-    Each prefix of the first n - 9 positions shares one table of the 9!
-    suffix orders in lexicographic order, and ``before[a, b]``: the
-    orders in which suffix slot a precedes slot b, one bit per order.
-    Both are built once per process (:func:`_suffix_table`).  Under a
-    prefix each constraint is constant, dead, or an AND of ``before``
-    rows, added into bit-sliced counters, so no ordering is materialized.
+    Each prefix of the first n - 9 positions shares ``before[a, b]``, built
+    once per process (:func:`_suffix_table`): the 9! suffix orders, in
+    lexicographic order, in which suffix slot a precedes slot b, one bit
+    per order.  Only these precedences are kept.  Under a prefix each
+    constraint is constant, dead, or an AND of ``before`` rows, added into
+    bit-sliced counters; the best order is unranked from its index.
 
-    A prefix's bound is the number of constraints it leaves alive: those
-    with no consecutive pair (u, w) placed w before u.  Prefixes are
-    searched in one thread by descending bound, ties in lexicographic
-    order, and the search stops at the first bound below the best count,
-    or equal to it after the best prefix: no prefix left can win.
+    A prefix's bound is the number of constraints it leaves alive
+    (:func:`_prefix_bounds`).  Prefixes are unranked and searched in one
+    thread by descending bound, ties in lexicographic order, and the
+    search stops at the first bound below the best count, or equal to it
+    after the best prefix: no prefix left can win.
 
     The witness is the lexicographically first maximizer, in terms of the
     sequence of variables listed in position order: a prefix's first
@@ -122,30 +164,20 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
             "(raise the limit explicitly to override)" % (n, limit)
         )
     plen = max(0, n - _BATCH_SUFFIX)
-    rest, before = _suffix_table(n - plen)
+    before = _suffix_table(n - plen)
     chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
               for c in instance.constraints]
-    prefixes = list(itertools.permutations(range(n), plen))  # lex order
-    # Prefix variables rank by position; suffix variables tie at plen.
-    ranks = np.full((len(prefixes), n), plen)
-    np.put_along_axis(ranks, np.array(prefixes, dtype=np.intp, ndmin=2),
-                      np.arange(plen), axis=1)
-    # A constraint is dead under a prefix when one of its pairs is out of
-    # order there; pairs (0, 0) pad the chains and never are.
-    width = max(map(len, chains), default=0)
-    ends = np.array([c + [(0, 0)] * (width - len(c)) for c in chains],
-                    dtype=np.intp).reshape(len(chains), width, 2)
-    dead = (ranks[:, ends[..., 0]] > ranks[:, ends[..., 1]]).any(axis=2)
-    bound = (len(chains) - dead.sum(axis=1)).tolist()
-    best, best_at, best_seq = -1, len(prefixes), None
+    bound = _prefix_bounds(n, plen, chains)
+    best, best_at, best_seq = -1, len(bound), None
     # Best bound first, ties in lexicographic order, until no prefix left
     # can beat the best or, from before the best's prefix, tie it.
-    for at in sorted(range(len(prefixes)), key=lambda k: -bound[k]):
+    for at in (at for value in np.unique(bound)[::-1].tolist()
+               for at in np.flatnonzero(bound == value).tolist()):
         if bound[at] < best or bound[at] == best and at > best_at:
             break
-        prefix = prefixes[at]
+        prefix = _unrank(at, range(n), plen)
         remaining = [v for v in range(n) if v not in prefix]
-        rank = ranks[at].tolist()
+        rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
         slot = {v: k for k, v in enumerate(remaining)}
         sure, alive, planes = 0, 0, []
         for chain in chains:
@@ -181,7 +213,7 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
             low = int(top[w])
             idx = 64 * w + (low & -low).bit_length() - 1
             best, best_at = sure + count, at
-            best_seq = prefix + tuple(remaining[s] for s in rest[idx])
+            best_seq = prefix + _unrank(idx, remaining, len(remaining))
     return SolveResult(best, Ordering.from_sequence(
         tuple(v + 1 for v in best_seq)), math.factorial(n))
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import networkx as nx
@@ -382,6 +383,56 @@ def test_brute_twelve_variables_under_a_raised_limit():
     inst = PermCspInstance.make(12, core.constraints)
     assert _solved(inst, limit=12) == (optimum, seq + (11, 12),
                                        math.factorial(12))
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_suffix_table_is_the_packed_unpacked_table(m):
+    _, unpacked = _unpacked_suffix_table(m)
+    words = -(-unpacked.shape[-1] // 64)          # padding bits stay clear
+    padded = np.zeros((m, m, 64 * words), dtype=bool)
+    padded[..., :unpacked.shape[-1]] = unpacked
+    expected = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    table = solvers._suffix_table(m)
+    assert (table.shape, table.dtype) == ((m, m, words), np.dtype("<u8"))
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_unranked_suffix_orders_are_the_order_rows(m):
+    rest, _ = _unpacked_suffix_table(m)
+    for i in range(0, len(rest), 1 if m <= 8 else 97):
+        assert solvers._unrank(i, range(m), m) == tuple(rest[i].tolist())
+
+
+def test_suffix_table_of_nine_slots_builds_in_little_memory():
+    # The 9 x 9 words per order, and nothing of the 9! x 9 orders.
+    solvers._suffix_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = solvers._suffix_table(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+    assert table.nbytes <= 3.6 * 2 ** 20
+
+
+def test_brute_thirteen_variables_bounds_prefixes_in_blocks():
+    # Pairs (v, v + 1) twice and 200 ascending triples: the identity
+    # satisfies all 224, and only its prefix has a bound that high.  The
+    # 13! / 9! = 17,160 prefixes are bounded a block at a time.
+    rng = random.Random(13)
+    pairs = [(v, v + 1) for v in range(1, 13)] * 2
+    triples = [tuple(sorted(rng.sample(range(1, 14), 3))) for _ in range(200)]
+    inst = PermCspInstance.make(13, pairs + triples)
+    tracemalloc.start()
+    try:
+        solved = _solved(inst, limit=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved == (224, tuple(range(1, 14)), math.factorial(13))
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
