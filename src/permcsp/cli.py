@@ -5,8 +5,8 @@ Subcommands:
 * ``gen sat|graph`` — seeded random f-sparse CNF / bounded-degree graph.
 * ``reduce`` — run reduction steps, writing every intermediate artifact
   under --out-dir with step-numbered filenames.
-* ``solve`` — solve an instance file; with a certificate trailer the
-  optimum is compared against the embedded target.
+* ``solve`` — solve a file by the kind its header names; a certificate's
+  optimum is compared against its embedded target.
 * ``verify`` — recheck a certificate against its source instance.
 
 Exit codes: 0 success/pass, 1 fail or below target, 2 usage error,
@@ -36,24 +36,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# step name -> (input kind, output kind)
+# step -> (input kind, output kind); a kind's first word is its extension
 _STEPS = {
     "sat2col": ("cnf", "graph"),
     "col2clique": ("graph", "grid-clique"),
     "clique2biclique": ("grid-clique", "grid-biclique"),
-    "clique2perm6": ("grid-clique", "cert"),
-    "biclique2perm4": ("grid-biclique", "cert"),
+    "clique2perm6": ("grid-clique", "pcsp"),
+    "biclique2perm4": ("grid-biclique", "pcsp"),
 }
 
-_EXT = {"cnf": "cnf", "graph": "graph", "grid-clique": "grid",
-        "grid-biclique": "grid", "cert": "pcsp"}
 
-_KINDS = {"cnf": "cnf", "edge": "graph", "grid": "grid", "pcsp": "pcsp"}
-
-
-def _write(path, text):
+def _write(path, value):
     with open(path, "w") as fh:
-        fh.write(text)
+        formats.dump(value, fh)
     log.info("wrote %s", path)
 
 
@@ -130,16 +125,14 @@ def gen_graph(num_vertices, num_edges, max_degree, seed):
 
 def cmd_gen(args):
     if args.kind == "sat":
-        cnf = gen_sat(args.num_vars, args.num_clauses, args.freq, args.seed)
-        text = formats.write_dimacs(cnf)
+        value = gen_sat(args.num_vars, args.num_clauses, args.freq, args.seed)
     else:
-        g = gen_graph(args.num_vertices, args.num_edges, args.max_degree,
-                      args.seed)
-        text = formats.write_graph(g)
+        value = gen_graph(args.num_vertices, args.num_edges, args.max_degree,
+                          args.seed)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, value)
     else:
-        sys.stdout.write(text)
+        formats.dump(value, sys.stdout)
     return EXIT_OK
 
 
@@ -163,16 +156,20 @@ def _dummy_policy(text):
                                 "count, got %r" % text) from None
 
 
-def _dummy_count(policy, kind, n, D, num_edges):
+def _dummy_count(policy, sufficient):
     """Resolve a parsed --dummies policy to an explicit count (None =
-    default)."""
-    if policy == "paper":
-        return None
+    default); ``sufficient()`` computes the sufficient one."""
     if policy == "sufficient":
-        if kind == "perm6":
-            return reductions.sufficient_dummies_perm6(n)
-        return reductions.sufficient_dummies_perm4(n, D, num_edges)
-    return policy
+        return sufficient()
+    return None if policy == "paper" else policy
+
+
+def _kind(value):
+    """The kind of a value read from a file, as in _STEPS."""
+    if isinstance(value, reductions.GridGraph):
+        return "grid-" + value.kind
+    return {reductions.CnfFormula: "cnf", Graph: "graph"}.get(type(value),
+                                                              "pcsp")
 
 
 def _parse_steps(spec_text):
@@ -200,17 +197,8 @@ def cmd_reduce(args):
             raise InvalidInputError("--stop-after names a step not in --steps")
         steps = steps[:steps.index(args.stop_after) + 1]
 
-    text = _read(args.input)
-    kind = _KINDS.get(formats.header_word(text))
-    if kind == "grid":
-        value = formats.read_grid(text)
-        kind = "grid-biclique" if value.kind == "biclique" else "grid-clique"
-    elif kind == "cnf":
-        value = formats.read_dimacs(text)
-    elif kind == "graph":
-        value = formats.read_graph(text)
-    else:
-        raise InvalidInputError("unrecognized input format in %s" % args.input)
+    value = formats.read(_read(args.input))
+    kind = _kind(value)
     if _STEPS[steps[0]][0] != kind:
         raise InvalidInputError("step %s consumes %s, input is %s"
                                 % (steps[0], _STEPS[steps[0]][0], kind))
@@ -219,10 +207,8 @@ def cmd_reduce(args):
     degree_bound = args.degree_bound
     for num, step in enumerate(steps, start=1):
         log.info("running step %s", step)
-        text = None
         if step == "sat2col":
             value, degree_bound = reductions.reduce_sat_to_coloring(value)
-            text = formats.write_graph(value)
         elif step == "col2clique":
             if degree_bound is None:
                 degree_bound = max((d for _, d in value.degree()), default=1)
@@ -231,31 +217,21 @@ def cmd_reduce(args):
         elif step == "clique2biclique":
             value = reductions.reduce_dcnnc_to_dcnnb(value)
         elif step == "clique2perm6":
-            n = value.side
-            count = _dummy_count(dummies, "perm6", n, None, None)
+            count = _dummy_count(dummies, lambda: (
+                reductions.sufficient_dummies_perm6(value.side)))
             value = reductions.reduce_clique_to_perm6(value, dummy_count=count)
-            text = formats.write_certificate(value)
         else:  # biclique2perm4
-            n = value.side // 2
             D = value.D if value.D is not None else args.degree_bound
             if D is None:
                 raise InvalidInputError(
                     "biclique grid carries no D; pass --degree-bound")
-            count = _dummy_count(dummies, "perm4", n, D,
-                                 value.num_edges())
+            count = _dummy_count(dummies, lambda: (
+                reductions.sufficient_dummies_perm4(
+                    value.side // 2, D, value.num_edges())))
             value = reductions.reduce_dcnnb_to_perm4(value, D=D,
                                                      dummy_count=count)
-            text = formats.write_certificate(value)
-        out_kind = _STEPS[step][1]
-        path = os.path.join(args.out_dir,
-                            "step%d-%s.%s" % (num, step, _EXT[out_kind]))
-        if text is None:
-            # Grids can be huge; stream instead of building one string.
-            with open(path, "w") as fh:
-                formats.dump_grid(value, fh)
-            log.info("wrote %s", path)
-        else:
-            _write(path, text)
+        _write(os.path.join(args.out_dir, "step%d-%s.%s" % (
+            num, step, _STEPS[step][1].split("-")[0])), value)
     print("wrote %d artifact(s) to %s" % (len(steps), args.out_dir))
     return EXIT_OK
 
@@ -282,48 +258,40 @@ def _report_result(instance, result, target):
 
 
 def cmd_solve(args):
-    text = _read(args.instance)
-    kind = _KINDS.get(formats.header_word(text))
+    value = formats.read(_read(args.instance))
     method = args.method
+    if method != "auto" and _kind(value) != "pcsp":
+        raise InvalidInputError("--method %s applies to pcsp files only"
+                                % method)
 
-    if kind == "cnf":
-        if method not in ("auto", "sat"):
-            raise InvalidInputError("a CNF file needs --method sat")
-        assign = solvers.solve_sat(formats.read_dimacs(text))
+    if isinstance(value, reductions.CnfFormula):
+        assign = solvers.solve_sat(value)
         if assign is None:
             print("UNSAT")
             return EXIT_FAIL
         print("SAT " + " ".join(str(v if assign[v] else -v)
                                 for v in sorted(assign)))
         return EXIT_OK
-    if kind == "graph":
-        if method not in ("auto", "coloring"):
-            raise InvalidInputError("a graph file needs --method coloring")
-        col = solvers.solve_3coloring(formats.read_graph(text))
+    if isinstance(value, Graph):
+        col = solvers.solve_3coloring(value)
         if col is None:
             print("NOT 3-COLORABLE")
             return EXIT_FAIL
         print("COLORING " + " ".join("%d:%d" % (v, col[v])
                                      for v in sorted(col)))
         return EXIT_OK
-    if kind == "grid":
-        grid = formats.read_grid(text)
-        wanted = "biclique" if grid.kind == "biclique" else "clique"
-        if method not in ("auto", wanted):
-            raise InvalidInputError("this grid file needs --method " + wanted)
-        sel = (solvers.solve_row_biclique(grid) if wanted == "biclique"
-               else solvers.solve_row_clique(grid))
+    if isinstance(value, reductions.GridGraph):
+        sel = (solvers.solve_row_biclique if value.kind == "biclique"
+               else solvers.solve_row_clique)(value)
         if sel is None:
             print("NO ROW TRANSVERSAL")
             return EXIT_FAIL
         print("SELECTION " + " ".join(str(j) for j in sel.choice))
         return EXIT_OK
-    if kind != "pcsp":
-        raise InvalidInputError("unrecognized input format in %s"
-                                % args.instance)
 
-    instance, cert = formats.read_pcsp(text)
-
+    cert = value if isinstance(value, reductions.ReductionCertificate) \
+        else None
+    instance = cert.instance if cert else value
     if method == "auto":
         if cert is not None and (cert.kind == "perm6"
                                  or args.source is not None):
@@ -343,7 +311,7 @@ def cmd_solve(args):
         result = solvers.solve_dp3(instance)
     elif method == "brute":
         result = solvers.solve_brute(instance, limit=args.limit)
-    elif method == "convenient":
+    else:  # convenient
         if cert is None:
             raise InvalidInputError(
                 "--method convenient needs a certificate trailer")
@@ -353,9 +321,6 @@ def cmd_solve(args):
                 % cert.kind[-1])
         grid = formats.read_grid(_read(args.source))
         result = solvers.solve_convenient(cert, grid)
-    else:
-        raise InvalidInputError("method %s does not apply to a pcsp file"
-                                % method)
     return _report_result(instance, result, cert.target if cert else None)
 
 
@@ -446,8 +411,8 @@ def build_parser():
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "brute", "dp3", "convenient", "sat",
-                            "coloring", "clique", "biclique"])
+                   choices=["auto", "brute", "dp3", "convenient"],
+                   help="the solver for a pcsp file")
     p.add_argument("--limit", type=_integer, default=11,
                    help="brute-force variable cap")
     p.add_argument("--source",

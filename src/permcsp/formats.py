@@ -75,7 +75,7 @@ class _Scanner:
     per text.  Given a header grammar such as ``p grid <side> [D]``
     (``[D]`` marks an optional field), the header must match it and come
     before any body line, and its integers are :attr:`fields`.  Without a
-    grammar, any header word is taken (see :func:`header_word`).
+    grammar, any header word is taken, as :attr:`word` (see :func:`read`).
     """
 
     def __init__(self, text: str, grammar: Optional[str] = None):
@@ -158,14 +158,6 @@ class _Scanner:
         """A FormatError at the start of the text's last line."""
         return FormatError(self.text.count("\n") + 1,
                            self.text.rfind("\n") + 1, expected, found)
-
-
-def header_word(text: str) -> Optional[str]:
-    """The word of the ``p <word>`` header that opens ``text`` (after
-    comments and blank lines), or None when a body line comes first."""
-    scan = _Scanner(text)
-    next(iter(scan), None)              # stop at the first body line
-    return scan.word
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +489,6 @@ def write_ordering(ordering: Ordering) -> str:
 _INT_PARAMS = ("n", "D", "source-edges", "delta-sum")
 
 
-def read_pcsp(text: str
-              ) -> Tuple[PermCspInstance, Optional[ReductionCertificate]]:
-    """The instance of a pcsp file, and the certificate it is when a
-    comment's second token is exactly ``target`` (else None)."""
-    instance, scan = _parse_pcsp(text)
-    marked = any(tokens[1:2] == ["target"] for _, tokens in scan.comments)
-    return instance, (_certificate(instance, scan) if marked else None)
-
-
 def read_certificate(text: str) -> ReductionCertificate:
     return _certificate(*_parse_pcsp(text))
 
@@ -557,10 +540,9 @@ def _certificate(instance, scan) -> ReductionCertificate:
 
 
 def write_certificate(cert: ReductionCertificate) -> str:
-    out = write_instance(cert.instance).rstrip("\n").split("\n")
-    out.append("c target %d" % cert.target)
-    out.append("c param kind %s" % cert.kind)
-    out.append("c param n %d" % cert.n)
+    out = ["c target %d" % cert.target,
+           "c param kind %s" % cert.kind,
+           "c param n %d" % cert.n]
     if cert.D is not None:
         out.append("c param D %d" % cert.D)
     out.append("c param source-edges %d" % cert.source_edges)
@@ -571,4 +553,52 @@ def write_certificate(cert: ReductionCertificate) -> str:
         out.append("c role %d r %d" % (var, idx))
     for idx, var in enumerate(cert.col_vars, start=1):
         out.append("c role %d c %d" % (var, idx))
-    return "\n".join(out) + "\n"
+    return write_instance(cert.instance) + "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Any artifact
+# ---------------------------------------------------------------------------
+
+# Readers and writers are called by their module names, with the text and
+# file positional: perfbench/spans.py patches and reads them there.
+def read(text: str):
+    """The artifact a text holds, read by the reader its header names:
+    ``p cnf`` a CNF formula, ``p edge`` a graph, ``p grid`` a grid and
+    ``p pcsp`` an instance, or a certificate when a comment's second
+    token is exactly ``target``.  A missing header is an error at line
+    1, byte 0; a body line first, or another word, at its own line."""
+    scan = _Scanner(text)
+    first = next(iter(scan), None)          # stop at the first body line
+    if scan.word == "cnf":
+        return read_dimacs(text)
+    if scan.word == "edge":
+        return read_graph(text)
+    if scan.word == "grid":
+        return read_grid(text)
+    if scan.word == "pcsp":
+        instance, scan = _parse_pcsp(text)
+        if any(tokens[1:2] == ["target"] for _, tokens in scan.comments):
+            return _certificate(instance, scan)
+        return instance
+    expected = "a 'p cnf|edge|grid|pcsp' header"
+    if scan.header is None and first is None:
+        raise FormatError(1, 0, expected, "end of input")
+    raise scan.error(scan.header or first[0], expected)
+
+
+def dump(value, fh) -> None:
+    """Write any value :func:`read` returns to a file object, in its
+    canonical form; a grid is streamed (:func:`dump_grid`)."""
+    if isinstance(value, GridGraph):
+        dump_grid(value, fh)
+    elif isinstance(value, ReductionCertificate):
+        fh.write(write_certificate(value))
+    elif isinstance(value, PermCspInstance):
+        fh.write(write_instance(value))
+    elif isinstance(value, Graph):
+        fh.write(write_graph(value))
+    elif isinstance(value, CnfFormula):
+        fh.write(write_dimacs(value))
+    else:
+        raise TypeError("no format for %s" % type(value).__name__)

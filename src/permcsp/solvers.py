@@ -117,7 +117,10 @@ def _prefix_bounds(n, plen, chains):
     # Pairs (0, 0) pad the chains and are never out of order.
     ends = np.array([c + [(0, 0)] * (width - len(c)) for c in chains],
                     dtype=np.intp).reshape(len(chains), width, 2)
-    bound = np.empty(math.perm(n, plen), np.min_scalar_type(len(chains)))
+    count, dtype = math.perm(n, plen), np.min_scalar_type(len(chains))
+    if count > np.iinfo(np.intp).max // dtype.itemsize:
+        raise SizeLimitError("%d variables: too many prefixes to bound" % n)
+    bound = np.empty(count, dtype)
     step = max(1, _BOUND_CELLS // max(1, len(chains)))
     prefixes = itertools.permutations(range(n), plen)       # lex order
     for lo in range(0, len(bound), step):

@@ -276,6 +276,46 @@ def test_reduce_rejects_wrong_input_kind(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, step", [
+    ("p pcsp 2 1 2\n1 2 0\n", "col2clique"),
+    ("p pcsp 1 0 1\nc target 0\nc param kind perm6\nc param n 1\n",
+     "clique2perm6"),
+], ids=["instance", "certificate"])
+def test_reduce_names_the_step_a_pcsp_input_does_not_fit(tmp_path, capsys,
+                                                          text, step):
+    src = tmp_path / "x.pcsp"
+    src.write_text(text)
+    code, _, err = run(capsys, ["reduce", str(src), "--steps", step,
+                                "--out-dir", str(tmp_path / "o")])
+    assert (code, err) == (2, "error: step %s consumes %s, input is pcsp\n"
+                           % (step, cli._STEPS[step][0]))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, line, found", [
+    ("", 1, "end of input"),
+    ("c only a comment\n\n", 1, "end of input"),
+    ("e 1 2\n", 1, "e 1 2"),
+    ("c made by hand\n\ne 1 2\np edge 2 1\n", 3, "e 1 2"),
+    ("p foo 1\n", 1, "p foo 1"),
+    ("c x\np\n", 2, "p"),
+], ids=["empty", "comments", "body-first", "body-before-header", "unknown",
+        "no-word"])
+@pytest.mark.parametrize("command", ["solve", "reduce"])
+def test_a_missing_or_unknown_header_is_a_positioned_error(
+        tmp_path, capsys, command, text, line, found):
+    src = tmp_path / "input"
+    src.write_text(text)
+    argv = [command, str(src)]
+    if command == "reduce":
+        argv += ["--steps", "col2clique", "--out-dir", str(tmp_path / "o")]
+    code, out, err = run(capsys, argv)
+    offset = sum(len(l) + 1 for l in text.split("\n")[:line - 1])
+    assert (code, out) == (2, "")
+    assert err == ("error: line %d (byte %d): expected a 'p cnf|edge|grid|"
+                   "pcsp' header, found %r\n" % (line, offset, found))
+
+
 def test_graph_self_loop_is_usage_error(tmp_path, capsys):
     # No proper coloring exists, so neither a coloring nor a grid may come
     # out: the reader names the loop's line.
@@ -335,6 +375,41 @@ def test_solve_pcsp_dp3_and_brute(tmp_path, capsys):
     assert "optimum 1" in out
     code, out, _ = run(capsys, ["solve", str(f), "--method", "brute"])
     assert code == 0 and "optimum 1" in out
+
+
+@pytest.mark.parametrize("method", ["sat", "coloring", "clique",
+                                    "biclique"])
+def test_solve_method_names_only_a_pcsp_solver(tmp_path, capsys, method):
+    # The header picks the solver of a CNF, graph or grid file.
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", str(f), "--method", method])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "invalid choice: %r" % method in err
+
+
+@pytest.mark.parametrize("text", ["p cnf 1 1\n1 0\n", "p edge 2 1\ne 1 2\n",
+                                  "p grid 2\nc kind clique\n"],
+                         ids=["cnf", "graph", "grid"])
+def test_solve_method_applies_to_pcsp_files_only(tmp_path, capsys, text):
+    f = tmp_path / "input"
+    f.write_text(text)
+    code, out, err = run(capsys, ["solve", str(f), "--method", "brute"])
+    assert (code, out, err) == (
+        2, "", "error: --method brute applies to pcsp files only\n")
+
+
+def test_solve_brute_past_the_prefix_table_is_a_usage_error(tmp_path,
+                                                            capsys):
+    # 30! / 9! prefixes cannot be counted in one array: the limit raised
+    # to 30 ends in an error line, not a traceback.
+    f = tmp_path / "i.pcsp"
+    f.write_text("p pcsp 30 1 4\n1 2 3 4 0\n")
+    code, out, err = run(capsys, ["solve", str(f), "--limit", "30"])
+    assert (code, out) == (2, "")
+    assert err == "error: 30 variables: too many prefixes to bound\n"
 
 
 def _random_pcsp(path, seed, n, arities, count):

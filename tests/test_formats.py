@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import pathlib
 import random
 import re
 
@@ -15,7 +16,9 @@ from permcsp.formats import (
     FormatError,
     _Scanner,
     _parse_pcsp,
+    dump,
     dump_grid,
+    read,
     read_certificate,
     read_dimacs,
     read_graph,
@@ -32,6 +35,7 @@ from permcsp.formats import (
 from permcsp.reductions import (
     CnfFormula,
     GridGraph,
+    ReductionCertificate,
     reduce_clique_to_perm6,
     reduce_dcnnb_to_perm4,
     reduce_dcnnc_to_dcnnb,
@@ -816,3 +820,65 @@ def test_parse_pcsp_matches_the_reference(name, data):
     text = data.draw(_FUZZ[name][2])
     assert (_pcsp_outcome(_parse_pcsp, text)
             == _pcsp_outcome(_parse_pcsp_reference, text))
+
+
+# ---------------------------------------------------------------------------
+# Any artifact: read picks the reader by the header, dump writes it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, kind", [
+    ("p cnf 3 2\n1 -2 3 0\n-1 0\n", CnfFormula),
+    ("p edge 3 2\ne 1 2\ne 2 3\n", Graph),
+    ("p grid 2 1\nc kind clique\ne 1 1 2 2\ne 1 2 2 1\n", GridGraph),
+    ("p grid 4 1\nc kind biclique\ne 1 1 3 3\ne 1 2 4 3\ne 2 1 3 4\n"
+     "d 1 2 1\nd 2 1 1\n", GridGraph),
+    ("p pcsp 3 2 3\n1 2 3 0\n3 1 0\n", PermCspInstance),
+    ((pathlib.Path(__file__).parent / "golden" / "chain-n1-perm4.pcsp")
+     .read_text(), ReductionCertificate),
+], ids=["cnf", "graph", "clique-grid", "biclique-grid", "instance",
+        "certificate"])
+def test_dump_writes_back_what_read_read(text, kind):
+    value = read(text)
+    assert type(value) is kind
+    buf = io.StringIO()
+    dump(value, buf)
+    assert buf.getvalue() == text
+
+
+@pytest.mark.parametrize("comment, kind", [
+    ("c target 5", ReductionCertificate),
+    ("c target: a tiny example", PermCspInstance),
+    ("c my target 5", PermCspInstance),
+])
+def test_read_takes_a_pcsp_file_with_a_target_comment_as_a_certificate(
+        comment, kind):
+    text = "p pcsp 1 0 1\n%s\nc param kind perm6\nc param n 1\n" % comment
+    assert type(read(text)) is kind
+
+
+@pytest.mark.parametrize("text, line, found", [
+    ("", 1, "end of input"),
+    ("c a comment\n\n", 1, "end of input"),
+    ("e 1 2\n", 1, "e 1 2"),
+    ("c a\n1 2 0\np pcsp 2 1 2\n", 2, "1 2 0"),
+    ("p foo 1\n", 1, "p foo 1"),
+    ("c a\n\np ordering 3\n", 3, "p ordering 3"),
+], ids=["empty", "comments", "body-first", "body-before-header", "unknown",
+        "unknown-after-comments"])
+def test_read_header_errors_are_positioned(text, line, found):
+    with pytest.raises(FormatError) as exc:
+        read(text)
+    offset = sum(len(l) + 1 for l in text.split("\n")[:line - 1])
+    assert (exc.value.line, exc.value.offset) == (line, offset)
+    assert exc.value.found == found
+
+
+def test_read_refuses_a_second_header_at_its_line():
+    with pytest.raises(FormatError) as exc:
+        read("p edge 2 0\np edge 2 0\n")
+    assert (exc.value.line, exc.value.offset) == (2, 11)
+
+
+def test_dump_refuses_a_value_read_does_not_return():
+    with pytest.raises(TypeError):
+        dump(Ordering.from_sequence([1]), io.StringIO())

@@ -81,6 +81,14 @@ def test_brute_size_guard():
     assert solve_brute(PermCspInstance.make(4, []), limit=4).optimum == 0
 
 
+def test_brute_refuses_a_prefix_table_past_the_array_size():
+    # 30! / 9! prefix bounds do not fit in one array; under a raised
+    # limit that is a SizeLimitError, not numpy's ValueError.
+    inst = PermCspInstance.make(30, [(1, 2, 3, 4)])
+    with pytest.raises(SizeLimitError, match="30 variables: too many"):
+        solve_brute(inst, limit=30)
+
+
 def test_brute_witness_is_lex_first():
     # Every ordering scores 0, so the witness must be the identity.
     inst = PermCspInstance.make(4, [])
