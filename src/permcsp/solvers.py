@@ -5,7 +5,8 @@
   orders, the best order is unranked from its index, and prefixes are
   bounded in blocks and searched best bound first until none can win.
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
-  the dichotomy, vectorized over each popcount layer of subsets.
+  the dichotomy, vectorized over blocks of each popcount layer of subsets,
+  with the table in the smallest dtype that holds its counts.
 - :func:`solve_convenient`: optimum over convenient orderings of an
   arity-4 or arity-6 reduction certificate, via the closed-form count.
   The phi oracle scores the phis in blocks and still checks every phi's
@@ -226,6 +227,20 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
 # ---------------------------------------------------------------------------
 
 _DP_MAX_VARS = 24
+_DP_BLOCK = 1 << 14      # subsets of a layer taken at a time
+
+
+@lru_cache(maxsize=1)
+def _subsets_by_size(n):
+    """Every subset mask of n variables in one read-only ``<i4`` array, by
+    popcount and then ascending; popcount k fills ``starts[k]:starts[k+1]``."""
+    size = np.bitwise_count(np.arange(1 << n, dtype="<i4"))
+    starts = (0, *np.bincount(size).cumsum().tolist())
+    masks = np.empty(1 << n, dtype="<i4")
+    for k in range(n + 1):
+        masks[starts[k]:starts[k + 1]] = (size == k).nonzero()[0]
+    masks.flags.writeable = False
+    return masks, starts
 
 
 def solve_dp3(instance: PermCspInstance) -> SolveResult:
@@ -245,9 +260,14 @@ def solve_dp3(instance: PermCspInstance) -> SolveResult:
     last is not -- so each constraint is credited exactly once, and the
     final value f(V) is the true optimum.
 
-    Subsets are processed one popcount layer at a time, as int32 numpy
-    mask arrays.  Candidates v are tried in ascending order and replace
-    the best only on a strict gain, so ties go to the smallest v.
+    Subsets are taken one popcount layer at a time, in blocks of at most
+    ``_DP_BLOCK`` masks.  f is in the smallest signed dtype that holds
+    -(m + 1)..m for m constraints; subsets not yet reached hold -(m + 1),
+    so a candidate v outside T reads the next layer and loses to every v
+    in T.  Constraint terms read the block's bit rows: bit a of T minus v
+    is bit a of T, as a != v.  The witness is read back from f, taking at
+    each T the smallest v that attains f(T): ties go to the smallest v,
+    as when ascending candidates replace the best only on a strict gain.
     """
     # The header arity is a claim; the constraints themselves decide.
     arity = max([instance.arity] + [len(c) for c in instance.constraints])
@@ -262,46 +282,51 @@ def solve_dp3(instance: PermCspInstance) -> SolveResult:
         raise SizeLimitError("instance has %d variables, DP cap is %d"
                              % (n, _DP_MAX_VARS))
 
-    gain1 = [0] * n
-    pairs2: List[List[int]] = [[] for _ in range(n)]
-    trips: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    # Each constraint as (a, c) under its key v (its middle or only element),
+    # credited at T = S + v when a is in T and c is not.  A pair (a, v) is
+    # (a, n) and an arity-1 (v) is (v, n), as bit n is never set.
+    terms: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for c in instance.constraints:
-        if len(c) == 1:
-            gain1[c[0] - 1] += 1
-        elif len(c) == 2:
-            pairs2[c[1] - 1].append(c[0] - 1)
-        else:
-            trips[c[1] - 1].append((c[0] - 1, c[2] - 1))
+        v = c[1] if len(c) > 1 else c[0]
+        terms[v - 1].append((c[0] - 1, c[2] - 1 if len(c) == 3 else n))
 
-    full = (1 << n) - 1
-    f = np.zeros(full + 1, dtype=np.int32)
-    back = np.zeros(full + 1, dtype=np.int8)
-    popcount = np.bitwise_count(np.arange(full + 1, dtype=np.int32))
+    def gain(v, t):
+        return sum(t >> a & ~t >> c & 1 for a, c in terms[v])
+
+    masks, starts = _subsets_by_size(n)
+    unset = -len(instance.constraints) - 1
+    f = np.full(1 << n, unset, dtype=np.min_scalar_type(unset))
+    f[0] = 0
+    width = min(_DP_BLOCK, math.comb(n, n // 2))     # buffers for one block
+    s, gt, bits = (np.empty(width, "<i4"), np.empty(width, bool),
+                   np.empty((n + 1, width), np.int8))
+    val, best = np.empty((2, width), f.dtype)
     for k in range(1, n + 1):
-        layer = (popcount == k).nonzero()[0].astype(np.int32)
-        best = np.full(len(layer), -1, dtype=np.int32)
-        bestv = np.zeros(len(layer), dtype=np.int8)
-        for v in range(n):
-            s = layer ^ (1 << v)                 # T minus v, if v is in T
-            val = f[s] + gain1[v]
-            for a in pairs2[v]:
-                val += s >> a & 1
-            for a, cc in trips[v]:
-                val += s >> a & ~(s >> cc) & 1
-            better = (val > best) & (s < layer)  # ties go to the smallest v
-            best = np.where(better, val, best)
-            bestv[better] = v
-        f[layer] = best
-        back[layer] = bestv
+        for lo in range(starts[k], starts[k + 1], _DP_BLOCK):
+            t = masks[lo:min(lo + _DP_BLOCK, starts[k + 1])]
+            sb, vb, bb, gb, rows = (x[..., :len(t)]
+                                    for x in (s, val, best, gt, bits))
+            raw = t.view(np.uint8).reshape(-1, 4)       # each mask's bytes
+            rows[:] = np.unpackbits(raw, axis=1, count=n + 1,
+                                    bitorder="little").view(np.int8).T
+            bb.fill(unset)
+            for v in range(n):
+                np.bitwise_xor(t, 1 << v, out=sb)   # T minus v, if v is in T
+                f.take(sb, out=vb, mode="clip")   # "raise" would buffer
+                for a, c in terms[v]:       # rows[a] > rows[n] is rows[a]
+                    vb += (rows[a] if c == n else
+                           np.greater(rows[a], rows[c], out=gb).view(np.int8))
+                np.maximum(bb, vb, out=bb)
+            f[t] = bb
 
-    seq_rev = []
-    t = full
+    seq_rev, t = [], (1 << n) - 1
     while t:
-        v = int(back[t])
+        v = next(v for v in range(n) if t >> v & 1
+                 and int(f[t ^ 1 << v]) + gain(v, t) == f[t])
         seq_rev.append(v + 1)
         t ^= 1 << v
     witness = Ordering.from_sequence(tuple(reversed(seq_rev)))
-    return SolveResult(int(f[full]), witness, full + 1)
+    return SolveResult(int(f[-1]), witness, 1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ hold and its output must match the digest recorded in
 ``perfbench/digests.json``: a package change that breaks the traced path
 (a renamed module attribute, a keyword argument where the tracer reads a
 positional one, a call that no longer goes through the patched name)
-fails here.  Nothing is written under ``perfbench/``, and no timing is
-asserted.
+fails here.  The full exact profile's 64 subset DPs also run, untraced,
+against their digests.  Nothing is written under ``perfbench/``, and no
+timing is asserted.
 """
 
 import json
@@ -53,4 +54,20 @@ def test_tiny_workloads_match_their_digests_traced(perfbench, tmp_path):
     names = {s[0] for s in tracer.spans}
     assert {"formats.read_grid", "formats.dump_grid",
             "formats.read_certificate", "formats.write_certificate",
-            "solvers.solve_brute", "solvers.solve_convenient"} <= names
+            "solvers.solve_brute", "solvers.solve_convenient",
+            "solvers.solve_dp3"} <= names
+
+
+def test_full_exact_dp_pool_matches_its_digests(perfbench, tmp_path):
+    # The 64 n=18 subset DPs of the full exact profile, untraced: every
+    # witness scores its optimum and every output matches its digest.
+    _, workloads, expected = perfbench
+    wl = workloads.Exact("full", str(tmp_path / "exact"), in_process=True)
+    cids = [cid for cid in wl.components() if cid.startswith("dp3-")]
+    assert len(cids) == workloads.DP3_POOL
+    got = {}
+    for cid in cids:
+        problems, digests = wl.check_item([cid], wl.run_item([cid]))
+        assert problems == [], cid
+        got.update(digests)
+    assert got == {wl.key(cid): expected[wl.key(cid)] for cid in cids}

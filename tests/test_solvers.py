@@ -549,6 +549,126 @@ def test_dp3_matches_brute_randomly(rng):
         assert evaluate(inst, d.witness) == d.optimum
 
 
+def _dp3_layers_reference(instance):
+    """(optimum, witness sequence, states) by the earlier layered kernel:
+    int32 tables, every candidate v over a whole popcount layer, shift
+    passes for the constraint terms, and back pointers."""
+    n = instance.num_vars
+    gain1 = [0] * n
+    pairs2 = [[] for _ in range(n)]
+    trips = [[] for _ in range(n)]
+    for c in instance.constraints:
+        if len(c) == 1:
+            gain1[c[0] - 1] += 1
+        elif len(c) == 2:
+            pairs2[c[1] - 1].append(c[0] - 1)
+        else:
+            trips[c[1] - 1].append((c[0] - 1, c[2] - 1))
+
+    full = (1 << n) - 1
+    f = np.zeros(full + 1, dtype=np.int32)
+    back = np.zeros(full + 1, dtype=np.int8)
+    popcount = np.bitwise_count(np.arange(full + 1, dtype=np.int32))
+    for k in range(1, n + 1):
+        layer = (popcount == k).nonzero()[0].astype(np.int32)
+        best = np.full(len(layer), -1, dtype=np.int32)
+        bestv = np.zeros(len(layer), dtype=np.int8)
+        for v in range(n):
+            s = layer ^ (1 << v)                 # T minus v, if v is in T
+            val = f[s] + gain1[v]
+            for a in pairs2[v]:
+                val += s >> a & 1
+            for a, cc in trips[v]:
+                val += s >> a & ~(s >> cc) & 1
+            better = (val > best) & (s < layer)  # ties go to the smallest v
+            best = np.where(better, val, best)
+            bestv[better] = v
+        f[layer] = best
+        back[layer] = bestv
+
+    seq_rev = []
+    t = full
+    while t:
+        v = int(back[t])
+        seq_rev.append(v + 1)
+        t ^= 1 << v
+    return int(f[full]), tuple(reversed(seq_rev)), full + 1
+
+
+def _dp3_solved(inst):
+    res = solve_dp3(inst)
+    return res.optimum, res.witness.sequence(), res.nodes_explored
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+def test_dp3_matches_layers_reference(n):
+    # Seeded instances per n: sparse ones (many tied optima), dense ones,
+    # arity-1 constraints only, and explicit duplicates.
+    rng = random.Random(2000 + n)
+    sparse = random_instance(rng, n, 2)
+    dense = random_instance(rng, n, 6 * n)
+    unary = PermCspInstance.make(
+        n, [(rng.randint(1, n),) for _ in range(2 * n)])
+    mixed = random_instance(rng, n, 3 * n)
+    doubled = PermCspInstance.make(n, mixed.constraints * 2
+                                   + mixed.constraints[:5])
+    for inst in (sparse, dense, unary, doubled):
+        assert _dp3_solved(inst) == _dp3_layers_reference(inst)
+
+
+@pytest.mark.parametrize("optimum", [127, 128, 32767, 32768])
+def test_dp3_table_dtype_boundaries(optimum):
+    # m constraints, all satisfied together by 2, 3, 1: the optimum is m,
+    # at the largest count of int8 and int16 and one past it.
+    rest = optimum - 3
+    cons = ([(2, 3)] * (rest // 2) + [(3, 1)] * (rest - rest // 2)
+            + [(2, 3, 1), (2, 1), (3,)])
+    inst = PermCspInstance.make(3, cons)
+    assert _dp3_solved(inst) == _dp3_layers_reference(inst) \
+        == (optimum, (2, 3, 1), 8)
+
+
+def test_dp3_table_dtype_boundary_with_conflicts():
+    # 127 constraints, not all satisfiable: the unreached subsets hold
+    # -128 in int8 and every candidate outside T stays below 0.
+    cons = [(1, 2)] * 60 + [(2, 1)] * 40 + [(1, 3, 2)] * 27
+    inst = PermCspInstance.make(3, cons)
+    assert _dp3_solved(inst) == _dp3_layers_reference(inst)
+    assert _dp3_solved(inst)[0] == 87
+
+
+@pytest.mark.parametrize("inst, expected", [
+    (PermCspInstance.make(0, []), (0, (), 1)),
+    (PermCspInstance.make(1, []), (0, (1,), 2)),
+    (PermCspInstance.make(1, [(1,), (1,)]), (2, (1,), 2)),
+    (PermCspInstance.make(4, [(3,), (1,), (3,), (4,)]), (4, (4, 3, 2, 1), 16)),
+])
+def test_dp3_smallest_and_unary_instances(inst, expected):
+    assert _dp3_solved(inst) == _dp3_layers_reference(inst) == expected
+
+
+def test_dp3_eighteen_variables_stays_in_little_memory():
+    # An n=18 DP of the benchmark's kind: 54 arity-2/3 constraints.  The
+    # layered kernel peaked at 2.92 MiB; the first call for an n also
+    # builds the cached subset order, a warm call reuses it.
+    rng = random.Random(9000)
+    inst = PermCspInstance.make(18, [
+        tuple(rng.sample(range(1, 19), rng.randint(2, 3)))
+        for _ in range(54)])
+    solve_dp3(PermCspInstance.make(17, []))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            solve_dp3(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert solvers._subsets_by_size.cache_info().currsize == 1
+    assert max(peaks) < 2.92 * 2 ** 20
+    assert peaks[1] < peaks[0]
+
+
 # ---------------------------------------------------------------------------
 # solve_sat
 # ---------------------------------------------------------------------------
