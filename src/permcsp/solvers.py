@@ -1,9 +1,9 @@
 """Exact solvers and decision oracles.
 
 - :func:`solve_brute`: exhaustive search over all orderings; every prefix
-  reuses one cached bit-packed table of slot precedences in the 9! suffix
-  orders, the best order is unranked from its index, and prefixes are
-  bounded in blocks and searched best bound first until none can win.
+  ANDs rows of one cached bit-packed table of slot precedences in the 9!
+  suffix orders into carry-save adders, is searched best bound first until
+  none can win, and its best 8!-block first.
 - :func:`solve_dp3`: the O*(2^n) subset DP covering the arity <= 3 side of
   the dichotomy, vectorized over blocks of each popcount layer of subsets,
   with the table in the smallest dtype that holds its counts.
@@ -23,7 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,9 +65,7 @@ class RowSelection:
 # Brute force
 # ---------------------------------------------------------------------------
 
-# Batch size for the vectorized path: permutations of the last 9 positions
-# are enumerated as one numpy block, shared by every prefix.
-_BATCH_SUFFIX = 9
+_BATCH_SUFFIX = 9        # suffix slots: one table shared by every prefix
 
 
 @lru_cache(maxsize=None)
@@ -110,31 +108,89 @@ def _unrank(index, items, length):
 _BOUND_CELLS = 1 << 20   # (constraint, prefix) pairs bounded at a time
 
 
-def _prefix_bounds(n, plen, chains):
-    """Per prefix of ``plen`` positions, in lexicographic order, one small
-    integer: the chains with no pair (u, w) placed w before u, unplaced
-    variables tied after the prefix.  Prefixes are made a block at a time."""
-    width = max(map(len, chains), default=0)
-    # Pairs (0, 0) pad the chains and are never out of order.
-    ends = np.array([c + [(0, 0)] * (width - len(c)) for c in chains],
-                    dtype=np.intp).reshape(len(chains), width, 2)
-    count, dtype = math.perm(n, plen), np.min_scalar_type(len(chains))
+def _prefix_bounds(n, ends, prefixes, count):
+    """Per prefix of one length (``count`` from ``prefixes``), one small
+    integer: the chains (pairs padded with (0, 0) in ``ends``) with no pair
+    (u, w) placed w before u, unplaced variables tied after the prefix."""
+    dtype = np.min_scalar_type(len(ends))
     if count > np.iinfo(np.intp).max // dtype.itemsize:
         raise SizeLimitError("%d variables: too many prefixes to bound" % n)
     bound = np.empty(count, dtype)
-    step = max(1, _BOUND_CELLS // max(1, len(chains)))
-    prefixes = itertools.permutations(range(n), plen)       # lex order
+    step = max(1, _BOUND_CELLS // max(1, len(ends)))
     for lo in range(0, len(bound), step):
         block = np.array(list(itertools.islice(prefixes, step)), np.intp,
                          ndmin=2)
-        # [variable, prefix]: prefix variables rank by position.
+        plen = block.shape[1]    # [variable, prefix]: rank by position
         ranks = np.full((n, len(block)), plen, dtype=np.min_scalar_type(n))
         np.put_along_axis(ranks, block.T, np.arange(plen)[:, None], axis=0)
-        alive = np.ones((len(chains), len(block)), dtype=bool)
-        for t in range(width):
+        alive = np.ones((len(ends), len(block)), dtype=bool)
+        for t in range(ends.shape[1]):
             alive &= ranks[ends[:, t, 0]] <= ranks[ends[:, t, 1]]
         bound[lo:lo + len(block)] = alive.sum(axis=0)
     return bound
+
+
+def _best_first(bound):
+    """Indices by descending unsigned ``bound``, ties ascending."""
+    return np.argsort(~bound, kind="stable")
+
+
+def _best_order(table, chains, rank, slot, pools):
+    """(count, index) of the first order of largest count among the orders
+    of ``table`` (``before`` or a slice of its words) under ``rank``.  An
+    alive chain is constant or an AND of rows.  Masks of one weight wait
+    in pairs; a third makes a sum and a carry (a full adder), all in
+    ``pools`` buffers of this width that are free again after the pass."""
+    pool = pools.setdefault(table.shape[-1], [])
+    free, sums = list(pool), [[] for _ in range(len(chains).bit_length() + 1)]
+
+    def new():
+        if not free:
+            pool.append(np.empty(table.shape[-1], np.uint64))
+            free.append(pool[-1])
+        return free.pop()
+
+    def push(x, k):                     # a pooled mask of weight k
+        while len(sums[k]) == 2:        # a full adder: b is the carry
+            a, b = sums[k]
+            s = np.bitwise_xor(a, b, out=new())
+            np.bitwise_and(a, b, out=b)
+            b |= np.bitwise_and(s, x, out=a)
+            s ^= x
+            free.extend((a, x))
+            sums[k], x, k = [s], b, k + 1
+        sums[k].append(x)
+
+    sure = 0
+    for chain in chains:
+        lookups = []
+        for u, w in chain:
+            if rank[u] > rank[w]:               # dead under this prefix
+                break
+            if rank[u] == rank[w]:
+                lookups.append(table[slot[u], slot[w]])
+        else:
+            if not lookups:
+                sure += 1
+                continue
+            x = np.bitwise_and(lookups[0], lookups[-1], out=new())
+            for y in lookups[1:-1]:
+                x &= y
+            push(x, 0)
+    # A zero mask added to each pair leaves plane k (bit k of the counts).
+    # The best orders are kept top plane down; the lowest bit is the first.
+    for k in range(len(sums)):
+        if len(sums[k]) == 2:
+            push(np.zeros_like(sums[k][0]), k)
+    top, count = np.full(table.shape[-1], ~np.uint64(0)), 0
+    for k in range(len(sums) - 1, -1, -1):
+        for plane in sums[k]:
+            both = np.bitwise_and(top, plane, out=new())
+            if both.any():
+                top, count = both, count | 1 << k
+    w = int((top != 0).argmax())
+    low = int(top[w])
+    return sure + count, 64 * w + (low & -low).bit_length() - 1
 
 
 def solve_brute(instance: PermCspInstance, limit: int = 11,
@@ -144,15 +200,19 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
     Each prefix of the first n - 9 positions shares ``before[a, b]``, built
     once per process (:func:`_suffix_table`): the 9! suffix orders, in
     lexicographic order, in which suffix slot a precedes slot b, one bit
-    per order.  Only these precedences are kept.  Under a prefix each
-    constraint is constant, dead, or an AND of ``before`` rows, added into
-    bit-sliced counters; the best order is unranked from its index.
+    per order.  Under a prefix each constraint is constant, dead, or an
+    AND of ``before`` rows, added by carry-save adders
+    (:func:`_best_order`); the best order is unranked from its index.
 
     A prefix's bound is the number of constraints it leaves alive
-    (:func:`_prefix_bounds`).  Prefixes are unranked and searched in one
-    thread by descending bound, ties in lexicographic order, and the
-    search stops at the first bound below the best count, or equal to it
-    after the best prefix: no prefix left can win.
+    (:func:`_prefix_bounds`).  Prefixes are searched in one thread by
+    descending bound, ties in lexicographic order, until a bound is below
+    the best count, or equal to it after the best prefix.  With 9 slots
+    left, a prefix bounds its 8!-blocks (the orders whose first suffix
+    slot is f fill words [630 f, 630 (f + 1))) and searches the best one,
+    ties to the lowest f.  That settles the prefix if no other block's
+    bound beats the count found, or ties it before the block; if not, this
+    prefix and every later one get the full pass.
 
     The witness is the lexicographically first maximizer, in terms of the
     sequence of variables listed in position order: a prefix's first
@@ -171,53 +231,33 @@ def solve_brute(instance: PermCspInstance, limit: int = 11,
     before = _suffix_table(n - plen)
     chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
               for c in instance.constraints]
-    bound = _prefix_bounds(n, plen, chains)
-    best, best_at, best_seq = -1, len(bound), None
-    # Best bound first, ties in lexicographic order, until no prefix left
-    # can beat the best or, from before the best's prefix, tie it.
-    for at in (at for value in np.unique(bound)[::-1].tolist()
-               for at in np.flatnonzero(bound == value).tolist()):
+    width = max(map(len, chains), default=0)     # (0, 0) pads, in order
+    ends = np.array([c + [(0, 0)] * (width - len(c)) for c in chains],
+                    dtype=np.intp).reshape(len(chains), width, 2)
+    bound = _prefix_bounds(n, ends, itertools.permutations(range(n), plen),
+                           math.perm(n, plen))
+    best, best_at, best_seq, pools = -1, len(bound), None, {}
+    blocks = n - plen == 9                   # 8! = 630 words per block
+    for at in _best_first(bound).tolist():
         if bound[at] < best or bound[at] == best and at > best_at:
             break
         prefix = _unrank(at, range(n), plen)
         remaining = [v for v in range(n) if v not in prefix]
         rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
         slot = {v: k for k, v in enumerate(remaining)}
-        sure, alive, planes = 0, 0, []
-        for chain in chains:
-            lookups = []
-            for u, w in chain:
-                if rank[u] > rank[w]:            # dead under this prefix
-                    break
-                if rank[u] == rank[w]:
-                    lookups.append(before[slot[u], slot[w]])
-            else:
-                if not lookups:
-                    sure += 1
-                    continue
-                # Bit-sliced counts: plane k holds bit k of every order's
-                # count.  Add the mask with a ripple carry.
-                x, alive = reduce(np.bitwise_and, lookups), alive + 1
-                for p in planes:
-                    carry = p & x
-                    p ^= x
-                    x = carry
-                if not alive & (alive - 1):      # the count may need a bit
-                    planes.append(x.copy())      # (x may be a before row)
-        # Keep the orders of largest count, top plane down; the lowest set
-        # bit is the first maximizer in lexicographic order.
-        top, count = np.full(before.shape[-1], ~np.uint64(0)), 0
-        for k in range(len(planes) - 1, -1, -1):
-            both = top & planes[k]
-            if both.any():
-                top, count = both, count | 1 << k
+        if blocks:
+            ext = _prefix_bounds(n, ends, (prefix + (v,) for v in remaining), 9)
+            f, words = int(ext.argmax()), before.shape[-1] // 9
+            count, idx = _best_order(before[..., f * words:(f + 1) * words],
+                                     chains, rank, slot, pools)
+            found = count, 64 * words * f + idx
+            blocks = (ext[:f] < count).all() and (ext[f + 1:] <= count).all()
+        if not blocks:
+            found = _best_order(before, chains, rank, slot, pools)
         # A tie goes to the prefix first in lexicographic order.
-        if sure + count > best or sure + count == best and at < best_at:
-            w = int((top != 0).argmax())
-            low = int(top[w])
-            idx = 64 * w + (low & -low).bit_length() - 1
-            best, best_at = sure + count, at
-            best_seq = prefix + _unrank(idx, remaining, len(remaining))
+        if found[0] > best or found[0] == best and at < best_at:
+            best, best_at = found[0], at
+            best_seq = prefix + _unrank(found[1], remaining, len(remaining))
     return SolveResult(best, Ordering.from_sequence(
         tuple(v + 1 for v in best_seq)), math.factorial(n))
 

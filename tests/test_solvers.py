@@ -443,6 +443,217 @@ def test_brute_thirteen_variables_bounds_prefixes_in_blocks():
     assert peak < 16 * 2 ** 20
 
 
+def _brute_ripple_reference(instance):
+    """(optimum, first maximizing sequence, orderings tried) by the full
+    pass of the packed kernel with ripple-carry counting: every alive
+    chain's AND of ``before`` rows ripples through every bit plane, each
+    prefix in lexicographic order, a strict ``>`` across prefixes."""
+    n = instance.num_vars
+    plen = max(0, n - 9)
+    before = solvers._suffix_table(n - plen)
+    chains = [[(c[k] - 1, c[k + 1] - 1) for k in range(len(c) - 1)]
+              for c in instance.constraints]
+    best, best_seq = -1, None
+    for prefix in itertools.permutations(range(n), plen):
+        remaining = [v for v in range(n) if v not in prefix]
+        rank = [prefix.index(v) if v in prefix else plen for v in range(n)]
+        slot = {v: k for k, v in enumerate(remaining)}
+        sure, alive, planes = 0, 0, []
+        for chain in chains:
+            lookups = []
+            for u, w in chain:
+                if rank[u] > rank[w]:
+                    break
+                if rank[u] == rank[w]:
+                    lookups.append(before[slot[u], slot[w]])
+            else:
+                if not lookups:
+                    sure += 1
+                    continue
+                x, alive = functools.reduce(np.bitwise_and, lookups), alive + 1
+                for p in planes:
+                    carry = p & x
+                    p ^= x
+                    x = carry
+                if not alive & (alive - 1):
+                    planes.append(x.copy())
+        top, count = np.full(before.shape[-1], ~np.uint64(0)), 0
+        for k in range(len(planes) - 1, -1, -1):
+            both = top & planes[k]
+            if both.any():
+                top, count = both, count | 1 << k
+        if sure + count > best:
+            w = int((top != 0).argmax())
+            low = int(top[w])
+            idx = 64 * w + (low & -low).bit_length() - 1
+            best = sure + count
+            best_seq = prefix + solvers._unrank(idx, remaining, len(remaining))
+    return best, tuple(v + 1 for v in best_seq), math.factorial(n)
+
+
+@pytest.mark.parametrize("inst", _brute_kernel_cases() + [
+    _arity_mix_instance(500 + seed, seed % 12) for seed in range(24)])
+def test_brute_matches_ripple_carry_reference(inst):
+    assert _solved(inst) == _brute_ripple_reference(inst)
+
+
+def _pass_counts(table, chains):
+    """Per order of ``table`` (every prefix empty): the chains whose pairs
+    all hold, summed from ``np.unpackbits`` of the table rows."""
+    bits = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little")
+    counts = np.zeros(bits.shape[-1], dtype=np.int64)
+    for chain in chains:
+        counts += np.logical_and.reduce([bits[u, w] for u, w in chain])
+    return counts
+
+
+@pytest.mark.parametrize("alive", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+@pytest.mark.parametrize("m,block", [(9, None), (9, 4), (6, None)])
+def test_best_order_adder_boundaries(alive, m, block):
+    # ``alive`` chains of 2 to 4 slots, none dead or constant; the count
+    # of every order comes from the unpacked rows.
+    rng = random.Random(100 * alive + m)
+    chains = [list(itertools.pairwise(rng.sample(range(m), rng.randint(2, 4))))
+              for _ in range(alive)]
+    chains[:alive // 4] = [[(0, 1)]] * (alive // 4)      # repeated rows
+    table = solvers._suffix_table(m)
+    if block is not None:
+        table = table[..., 630 * block:630 * (block + 1)]
+    counts = _pass_counts(table, chains)
+    pools = {}
+    for _ in range(2):                  # the second pass reuses the buffers
+        got = solvers._best_order(table, chains, [0] * m, list(range(m)),
+                                  pools)
+        assert got == (int(counts.max()), int(counts.argmax()))
+    # Two masks waiting per weight, up to weight alive.bit_length(), and
+    # two more in flight.
+    assert len(pools[table.shape[-1]]) <= 2 * alive.bit_length() + 4
+
+
+def _block_passes(monkeypatch):
+    """The words of every table :func:`solvers._best_order` is given."""
+    widths, best_order = [], solvers._best_order
+
+    def counted(table, *args):
+        widths.append(table.shape[-1])
+        return best_order(table, *args)
+    monkeypatch.setattr(solvers, "_best_order", counted)
+    return widths
+
+
+def test_brute_falls_back_when_an_earlier_block_ties_the_best_block(
+        monkeypatch):
+    # Block 1 (variable 2 first) has the largest bound, 5, and reaches 4,
+    # the bound of block 0: the full pass finds the optimum in block 0.
+    inst = PermCspInstance.make(9, [(8,), (1, 3), (6,), (4, 7, 5, 1), (1, 4)])
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths == [630, 5670]
+    assert solved == _brute_ripple_reference(inst)
+    assert solved[:2] == (4, tuple(range(1, 10)))
+
+
+def test_brute_keeps_the_best_block_when_a_later_block_ties_it(monkeypatch):
+    # Block 0 has the largest bound, 9, and reaches 8, the bound of later
+    # blocks: its first maximizer stands without the full pass.
+    inst = PermCspInstance.make(9, [(2, 5, 4), (8, 2), (6, 2, 8), (6,),
+                                    (2, 4, 7), (3,), (8, 9, 6), (8, 3, 5),
+                                    (5,)])
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths == [630]
+    assert solved == _brute_ripple_reference(inst)
+    assert solved[1][0] == 1
+
+
+def test_brute_searches_the_block_of_largest_bound(monkeypatch):
+    # Only block 4 (variable 5 first) can satisfy all six constraints,
+    # and it does: that one block settles the prefix.
+    inst = PermCspInstance.make(9, [(5, 6, 7), (6, 1), (8, 4, 9), (3, 8),
+                                    (6, 7, 2), (6, 3)])
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths == [630]
+    assert solved == _brute_ripple_reference(inst)
+    assert solved[:2] == (6, (5, 6, 1, 3, 7, 2, 8, 4, 9))
+
+
+def test_brute_stops_trying_blocks_after_one_fails(monkeypatch):
+    # The first searched prefix's block does not settle it, so it and
+    # every later prefix get the full pass.
+    inst = PermCspInstance.make(10, [(9, 4, 3, 7), (10, 3, 2, 4), (3, 2, 1),
+                                     (8, 3, 1, 7), (1,), (4,), (10, 1)])
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths[0] == 630 and widths[1:] == [5670] * (len(widths) - 1)
+    assert len(widths) > 2
+    assert solved == _brute_ripple_reference(inst)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_brute_has_no_blocks_up_to_eight_variables(n, monkeypatch):
+    inst = _arity_mix_instance(900 + n, n)
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert set(widths) <= {solvers._suffix_table(n).shape[-1]}
+    assert solved == _brute_ripple_reference(inst)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_brute_nine_variables_blocks_the_empty_prefix(seed, monkeypatch):
+    inst = _arity_mix_instance(950 + seed, 9)
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths[0] == 630 and len(widths) <= 2
+    assert solved == _brute_ripple_reference(inst)
+
+
+def _exact_certificates():
+    """The arity-6 certificates of every 2 x 2 grid, one per subset of
+    its four cross-row edges."""
+    cross = all_cross_row_edges(2)
+    return [reduce_clique_to_perm6(
+        grid_from_edges(2, [e for k, e in enumerate(cross) if mask >> k & 1]),
+        dummy_count=sufficient_dummies_perm6(2)).instance
+        for mask in range(16)]
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_certificates_settle_with_one_block_pass(k, monkeypatch):
+    inst = _exact_certificates()[k]
+    widths = _block_passes(monkeypatch)
+    solved = _solved(inst)
+    assert widths == [630]
+    assert solved == _brute_unpacked_reference(inst)
+
+
+def test_warm_certificate_search_stays_in_little_memory():
+    # The buffers of one block pass, and no table beyond the cached one.
+    inst = _exact_certificates()[15]
+    solve_brute(inst)
+    tracemalloc.start()
+    try:
+        solve_brute(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _best_first_reference(bound):
+    """The order of the search loop that scanned for each distinct bound."""
+    return [at for value in np.unique(bound)[::-1].tolist()
+            for at in np.flatnonzero(bound == value).tolist()]
+
+
+@pytest.mark.parametrize("size,values,dtype", [
+    (0, 1, np.uint8), (1, 1, np.uint8), (200, 3, np.uint8),
+    (5000, 256, np.uint8), (3000, 700, np.uint16), (17160, 225, np.uint8)])
+def test_best_first_is_the_distinct_value_scan(size, values, dtype):
+    bound = np.random.default_rng(size).integers(0, values, size, dtype=dtype)
+    assert solvers._best_first(bound).tolist() == _best_first_reference(bound)
+
+
 # ---------------------------------------------------------------------------
 # solve_dp3
 # ---------------------------------------------------------------------------
