@@ -301,13 +301,13 @@ def read_grid(text: str) -> GridGraph:
     (:func:`_edge_lines`); every other line goes through the scanner, one
     line at a time, under the same grammar.  The kind comes from the
     ``c kind`` lines first (:func:`_grid_kind`), so each block's edges
-    are checked (:meth:`GridGraph.misfit`) and set in the grid's blocks
-    (:meth:`GridGraph.set_edges`) as they are read.  Faults are named in
-    the order of a whole-file check: a bad line, the kind comment, then
-    the header or the first misfit edge."""
+    are checked (:meth:`GridGraph.misfit`) and set in the grid's stack
+    of blocks (:meth:`GridGraph.set_edges`) as they are read.  Faults are
+    named in the order of a whole-file check: a bad line, the kind
+    comment, then the header or the first misfit edge."""
     scan = _Scanner(text, "p grid <side> [D]")
     kind, bad_kind = _grid_kind(text)
-    blocks = {}
+    blocks = []                 # (stack, at), as set_edges builds them
     fault = failure = None      # (line or None, expected); an exception
     deltas = []
     for first, block in _blocks(text):

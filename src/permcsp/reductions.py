@@ -14,8 +14,9 @@ characterizes yes-instances.
 
 import itertools
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
@@ -85,6 +86,27 @@ def _constant(r, kind):
     return block
 
 
+@lru_cache(maxsize=16)
+def _lower(r):
+    """The read-only indices of an r x r table's strictly lower triangle."""
+    lower = np.tril_indices(r, -1)
+    for index in lower:
+        index.flags.writeable = False
+    return lower
+
+
+class BlockStack:
+    """A grid's distinct blocks as one read-only (m, r, r) ``array``,
+    shared by a clique grid and its doubling, with the ``facts`` that
+    :mod:`permcsp.validate` computes from them (and only it writes)."""
+
+    __slots__ = ("array", "facts")
+
+    def __init__(self, array):
+        array.flags.writeable = False
+        self.array, self.facts = array, None
+
+
 class GridGraph:
     """A graph on [side] x [side], stored block-sparse by row pair.
 
@@ -97,17 +119,25 @@ class GridGraph:
     a clique grid (r = side, offset 0), or top row i and bottom row n + k
     of a biclique grid (r = offset = n).  An r x r table holds each
     pair's kind, EMPTY, COMPLETE, IDENTITY (column j to column j) or
-    BLOCK; only BLOCK pairs keep an r x r block, [column of row i, column
-    of row offset + k].  In the paper's grids those are the row pairs a
-    source-graph matching joins.  A clique grid's pair (k, i) is a
-    transposed view of (i, k), and doubling shares its blocks.
+    BLOCK.  Only BLOCK pairs have an r x r block, [column of row i,
+    column of row offset + k]: an entry of the grid's one read-only
+    :class:`BlockStack` of distinct blocks, as stored or transposed (the
+    signed table of :meth:`stack`).  In the paper's grids those are the
+    row pairs a source-graph matching joins.  A clique grid's pair (k, i)
+    is the transposed orientation of (i, k)'s entry, and doubling shares
+    the stack.
 
     The adjacency is fixed at construction, by ``kinds`` (of the pairs
-    not in ``blocks``; default EMPTY) and ``blocks`` (by pair, on a
-    clique grid i <= k; taken over, made read-only), or by
-    :meth:`from_edges`.  Every array a grid hands out is read-only, so
-    :mod:`permcsp.validate` decides each condition once.  ``adj`` is a
-    dense view made on request, which no package path reads.
+    without a block; default EMPTY) and ``blocks``: a mapping of blocks
+    by pair (copied into a stack), or ``(stack, at)`` as :meth:`stack`
+    hands them out and :meth:`set_edges` builds them, with an (m, r, r)
+    array (taken over, made read-only) or another grid's
+    :class:`BlockStack` (shared with its facts).  On a clique grid pairs
+    i > k are mirrored from (k, i).  One pass over a new stack classifies
+    its blocks; EMPTY, COMPLETE and IDENTITY ones become kinds only.
+    Every array a grid hands out is read-only, so :mod:`permcsp.validate`
+    decides each condition once.  ``adj`` is a dense view made on
+    request, which no package path reads.
     """
 
     def __init__(self, side, kind="clique", D=None, kinds=None, blocks=None,
@@ -120,33 +150,66 @@ class GridGraph:
         table = np.zeros((r, r), dtype=np.int8)
         if kinds is not None:
             table[...] = kinds
-        stored = {}
-        for (i, k), block in (blocks or {}).items():
-            if block.shape != (r, r):
+        if not blocks or isinstance(blocks, Mapping):
+            blocks = dict(blocks or {})
+            if any(np.shape(block) != (r, r) for block in blocks.values()):
                 raise InvalidInputError("blocks must be %d x %d" % (r, r))
-            count = np.count_nonzero(block)
-            table[i, k] = (EMPTY if count == 0 else
-                           COMPLETE if count == r * r else
-                           IDENTITY if count == r == block.trace() else BLOCK)
-            if table[i, k] == BLOCK:
-                block.flags.writeable = False
-                stored[i, k] = block
+            at = np.zeros((r, r), dtype=np.int64)
+            for e, pair in enumerate(blocks, 1):
+                at[pair] = e
+            stack = np.array(list(blocks.values()), dtype=bool).reshape(
+                -1, r, r)
+        else:
+            stack, at = blocks
+            at = np.array(at, dtype=np.int64)
+        lower = _lower(r)
         if kind == "clique":
-            lower = np.tril_indices(r, -1)
+            at[lower] = -at.T[lower]
+        used = at != 0
+        if isinstance(stack, BlockStack):
+            table[used] = BLOCK
+        else:
+            stack = self._classified(stack, at, used, table)
+        if kind == "clique":
             table[lower] = table.T[lower]
-            stored.update({(k, i): block.T for (i, k), block
-                           in list(stored.items()) if i < k})
         table.flags.writeable = False
-        self._r, self._kinds, self._blocks = r, table, stored
+        at = at.astype(np.min_scalar_type(-1 - len(stack.array)))
+        at.flags.writeable = False
+        self._r, self._kinds, self._stack, self._at = r, table, stack, at
         self._conditions = {}           # written by permcsp.validate only
         self.delta_table = delta_table
         self.meta = meta or {}
+
+    @staticmethod
+    def _classified(array, at, used, table):
+        """The :class:`BlockStack` of ``array``'s BLOCK blocks that ``at``
+        places, classified in one pass: ``table`` takes each placed
+        block's kind, and ``at`` (in place) the kept entries' numbers."""
+        m, r = len(array), table.shape[0]
+        if not m:
+            return BlockStack(array)
+        cells = array.reshape(m, r * r)
+        kind = np.full(m, BLOCK, dtype=np.int8)
+        diagonal = np.flatnonzero(np.trace(array, axis1=1, axis2=2) == r)
+        if len(diagonal):               # the identity, or more cells
+            kind[diagonal[np.count_nonzero(cells[diagonal], axis=1) == r]] = \
+                IDENTITY
+        kind[cells.all(axis=1)] = COMPLETE
+        kind[~cells.any(axis=1)] = EMPTY
+        entry = np.abs(at[used]) - 1
+        table[used] = kind[entry]
+        keep = np.zeros(m, dtype=bool)          # placed BLOCK blocks only
+        keep[entry] = kind[entry] == BLOCK
+        if keep.all():
+            return BlockStack(array)
+        at[used] = np.sign(at[used]) * (np.cumsum(keep) * keep)[entry]
+        return BlockStack(array[keep])
 
     @classmethod
     def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None):
         """The grid with ``edges``, ((i, j), (i', j')) pairs or flat
         (i, j, i', j') rows in any orientation, checked as one array and
-        set block by block (:meth:`set_edges`).  Raises
+        set as one stack (:meth:`set_edges`).  Raises
         :class:`InvalidInputError` naming the first fault :meth:`misfit`
         finds."""
         ends = _edge_rows(edges, side)
@@ -156,7 +219,7 @@ class GridGraph:
             raise InvalidInputError(expected if k is None else
                                     "edge (%d, %d)-(%d, %d): expected %s"
                                     % (tuple(ends[k]) + (expected,)))
-        blocks = {}
+        blocks = []
         cls.set_edges(blocks, side, kind, ends)
         return cls(side, kind=kind, D=D, blocks=blocks,
                    delta_table=delta_table)
@@ -164,9 +227,11 @@ class GridGraph:
     @staticmethod
     def set_edges(blocks, side, kind, ends):
         """Set edges, (i, j, i', j') rows that :meth:`misfit` passed, in
-        ``blocks``, the dict of writable blocks by row pair that the
-        constructor takes: a zero block is made for each new pair, and an
-        edge inside a clique grid's row is set both ways."""
+        ``blocks``, a list (empty at first) that holds the ``(stack, at)``
+        the constructor takes: a zero block is made for each new pair, and
+        an edge inside a clique grid's row is set both ways.  A later call
+        sets the blocks of known pairs in place, and grows the stack by
+        doubling for new ones."""
         if not len(ends):
             return
         r = side // 2 if kind == "biclique" else side
@@ -181,14 +246,25 @@ class GridGraph:
             rows = np.concatenate([rows, rows[same]])
             cols = np.concatenate([cols, cols[same, ::-1]])
         # Beyond int64 no block can be made, and making the stack raises.
-        pairs, at = np.unique(rows[:, 0] * min(r, 2 ** 62) + rows[:, 1],
-                              return_inverse=True)
-        stack = np.zeros((len(pairs), r, r), dtype=bool)
-        stack[at, cols[:, 0], cols[:, 1]] = True
-        for pair, block in zip(pairs.tolist(), stack):
-            pair = divmod(pair, r)
-            blocks[pair] = (blocks[pair] | block if pair in blocks
-                            else block.copy())
+        pairs, where = np.unique(rows[:, 0] * min(r, 2 ** 62) + rows[:, 1],
+                                 return_inverse=True)
+        part = np.zeros((len(pairs), r, r), dtype=bool)
+        part[where, cols[:, 0], cols[:, 1]] = True
+        i, k = np.divmod(pairs, r)
+        if not blocks:
+            at = np.zeros((r, r), dtype=np.int64)
+            at[i, k] = np.arange(1, len(pairs) + 1)
+            blocks[:] = part, at
+            return
+        stack, at = blocks
+        fresh = at[i, k] == 0
+        at[i[fresh], k[fresh]] = at.max() + 1 + np.arange(np.sum(fresh))
+        if at.max() > len(stack):
+            grown = np.zeros((max(2 * len(stack), at.max()), r, r),
+                             dtype=bool)
+            grown[:len(stack)] = stack
+            blocks[0] = stack = grown
+        stack[at[i, k] - 1] |= part
 
     def index(self, i, j):
         if not (1 <= i <= self.side and 1 <= j <= self.side):
@@ -230,14 +306,30 @@ class GridGraph:
         """(r, offset, kinds, blocks): the rows on each side of a row
         pair, the row offset of the second side, the read-only r x r
         table of pair kinds and the BLOCK pairs' blocks by (i, k)."""
-        return (self._r, self.side - self._r, self._kinds,
-                MappingProxyType(self._blocks))
+        return self._r, self.side - self._r, self._kinds, self._views
+
+    @cached_property
+    def _views(self):
+        """The BLOCK pairs' blocks by (i, k): views of the stack."""
+        array, at = self._stack.array, self._at
+        i, k = np.nonzero(at)
+        return MappingProxyType({
+            (i, k): array[e - 1] if e > 0 else array[-e - 1].T
+            for i, k, e in zip(i.tolist(), k.tolist(), at[i, k].tolist())})
+
+    def stack(self):
+        """(stack, at): the grid's :class:`BlockStack` and the read-only
+        signed r x r table that places its entries: pair (i, k) holds
+        entry at - 1 as stored when at > 0, entry -at - 1 transposed when
+        at < 0, and no block when at = 0 (every pair that is not BLOCK)."""
+        return self._stack, self._at
 
     def block(self, i, k):
         """Row pair (i, k)'s r x r block, read-only; EMPTY, COMPLETE and
-        IDENTITY pairs share one block each."""
+        IDENTITY pairs share one block each, BLOCK pairs are views of the
+        stack."""
         kind = int(self._kinds[i, k])
-        return self._blocks[i, k] if kind == BLOCK else _constant(self._r, kind)
+        return self._views[i, k] if kind == BLOCK else _constant(self._r, kind)
 
     def _band(self, i, out):
         """Write row i's blocks side by side into ``out``:
@@ -275,7 +367,7 @@ class GridGraph:
         r = self._r
         kinds = np.bincount(self._kinds.ravel(), minlength=4)
         count = int(kinds[COMPLETE]) * r * r + int(kinds[IDENTITY]) * r + sum(
-            int(np.count_nonzero(block)) for block in self._blocks.values())
+            int(np.count_nonzero(block)) for block in self._views.values())
         return count // 2 if self.kind == "clique" else count
 
     def edges(self):
@@ -529,23 +621,25 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
         if bu > bv:
             (bu, ku), (bv, kv) = (bv, kv), (bu, ku)
         pair_edges[(bu, bv)].append((ku, kv))
-    # Rows of blocks that no edge joins are complete to each other.
-    compat = {}
+    # Rows of blocks that no edge joins are complete to each other; each
+    # joined pair (bu < bv) is one entry of the stack.
+    compat = np.ones((len(pair_edges), nprime, nprime), dtype=bool)
+    at = np.zeros((nprime, nprime), dtype=np.int64)
     mm = np.zeros((nprime, nprime), dtype=np.int64)    # edges per row pair
-    for (bu, bv), matched in pair_edges.items():
+    for p, ((bu, bv), matched) in enumerate(pair_edges.items()):
         if any(len(set(ends)) != len(matched) for ends in zip(*matched)):
             raise InternalConsistencyError(
                 "blocks %d and %d do not induce a matching" % (bu + 1, bv + 1))
         mm[bu, bv] = mm[bv, bu] = len(matched)
-        compat[bu, bv] = np.ones((nprime, nprime), dtype=bool)
+        at[bu, bv] = p + 1
         for ku, kv in matched:
-            compat[bu, bv] &= words[:, ku][:, None] != words[:, kv][None, :]
+            compat[p] &= words[:, ku][:, None] != words[:, kv][None, :]
     delta = 2 ** mm * 3 ** (x - mm)
     np.fill_diagonal(delta, 0)
 
     grid = GridGraph(nprime, kind="clique", D=degree_bound,
                      kinds=np.where(np.eye(nprime), EMPTY, COMPLETE),
-                     blocks=compat, delta_table=delta,
+                     blocks=(compat, at), delta_table=delta,
                      meta={"blocks": [tuple(b) for b in blocks], "x": x,
                            "num_original": n0})
 
@@ -574,24 +668,30 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
     """Double a clique grid into a biclique grid.
 
     (i,j)(n+i',n+j') is an edge of H iff (i,j)(i',j') is an edge of G or
-    i = i' and j = j', so H's row pairs are G's, sharing G's blocks, with
-    the identity added on the diagonal (one shared block where G's
-    diagonal pair is empty).  The delta table is recomputed from H, never
-    copied.  H is row-pair regular exactly when G is, so only H is
-    checked for it; G's stability is checked on G, since H may hold at
-    D + 1 where G fails at D.
+    i = i' and j = j', so H's row pairs are G's, with the identity added
+    on the diagonal: H takes G's stack unchanged, with its facts (a new
+    one only where a row of G has edges inside it), and an empty diagonal
+    pair of G becomes an IDENTITY pair.  The delta table is recomputed
+    from H, never copied.  H is row-pair regular exactly when G is, so
+    only H is checked for it; G's stability is checked on G, since H may
+    hold at D + 1 where G fails at D.
     """
     from permcsp import validate
 
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    r, _, kinds, blocks = g.blocks()
-    blocks = dict(blocks)
+    r, _, kinds, _ = g.blocks()
+    stack, at = g.stack()
     eye = _constant(r, IDENTITY)
-    for i in range(r):
-        blocks[i, i] = g.block(i, i) | eye if kinds[i, i] else eye
-    h = GridGraph(2 * g.side, kind="biclique", D=g.D, kinds=kinds,
-                  blocks=blocks)
+    rows = np.flatnonzero(np.diagonal(kinds) == BLOCK)
+    if len(rows):       # edges inside a row: G's block plus the identity
+        at = at.astype(np.int64)
+        inside = stack.array[at[rows, rows] - 1] | eye
+        at[rows, rows] = len(stack.array) + 1 + np.arange(len(rows))
+        stack = np.concatenate([stack.array, inside])
+    h = GridGraph(2 * g.side, kind="biclique", D=g.D,
+                  kinds=np.where(eye & (kinds == EMPTY), IDENTITY, kinds),
+                  blocks=(stack, at))
 
     _require(validate.check_biclique_structure(h),
              "input adjacency is not symmetric")

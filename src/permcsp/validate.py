@@ -6,6 +6,15 @@ adjacency, and stored on the grid (by this module only, with read-only
 arrays); every later request, whoever makes it, reads the stored result.
 Stability is stored without D.  Delta tables carried by a grid, such as
 those read from files, are advisory and never trusted.
+
+The checks read four facts of each block in a grid's stack of distinct
+blocks (:meth:`GridGraph.stack`): its row degrees, its column degrees,
+and which consecutive rows and which consecutive columns are equal.
+They are computed once per stack, at most ``_STACK_CELLS`` block cells
+at a time, and stored with it, so a clique grid and its doubling, which
+shares the stack, read one computation.  Each check gathers its grid's
+answer from them by the BLOCK pairs' entries, with rows and columns
+swapped for a transposed entry.
 """
 
 from dataclasses import dataclass
@@ -20,7 +29,7 @@ from permcsp.reductions import (BLOCK, IDENTITY, GridGraph,
 from permcsp.solvers import RowSelection
 
 _MAX_VIOLATIONS = 20
-_STACK_CELLS = 1 << 18      # block cells per stack of the checks
+_STACK_CELLS = 1 << 18      # block cells per chunk of the checks
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,55 @@ def _stacks(g: GridGraph, pairs):
         yield *chunk.T, np.stack([g.block(*p) for p in chunk.tolist()])
 
 
+# Each fact of a block is the swapped fact of its transpose.
+_SWAP = {"rows": "cols", "cols": "rows",
+         "same_rows": "same_cols", "same_cols": "same_rows"}
+
+
+def _count(cells, per):
+    """The true cells of each row (``per`` "ei") or each column ("ej") of
+    each boolean matrix in ``cells``, counted in the smallest dtype that
+    holds the longer side: exact, and much faster than a bool sum."""
+    return np.einsum("eij->" + per, cells.view(np.uint8),
+                     dtype=np.min_scalar_type(max(cells.shape[1:])))
+
+
+def _facts(blocks):
+    """The facts of each block e of the (m, r, r) array ``blocks``, by
+    name: its row and column degrees, rows[e] and cols[e], and whether
+    its row (column) j equals row (column) j + 1, same_rows[e, j]
+    (same_cols[e, j]); at most ``_STACK_CELLS`` cells at a time, or one
+    block.  Read-only."""
+    step = max(1, _STACK_CELLS // blocks.shape[1] ** 2)
+    parts = []
+    for lo in range(0, max(1, len(blocks)), step):
+        part = blocks[lo:lo + step]
+        parts.append((_count(part, "ei"), _count(part, "ej"),
+                      _count(part[:, :-1] != part[:, 1:], "ei") == 0,
+                      _count(part[:, :, :-1] != part[:, :, 1:], "ej") == 0))
+    facts = {name: np.concatenate(fact) for name, fact in
+             zip(("rows", "cols", "same_rows", "same_cols"), zip(*parts))}
+    for fact in facts.values():
+        fact.flags.writeable = False
+    return facts
+
+
+def _block_pairs(g: GridGraph):
+    """(i, k, fact): g's BLOCK pairs in (i, k) order, and ``fact(name)``,
+    that fact of each one's block, read from the facts of g's stack,
+    which are computed once per stack (:func:`_facts`)."""
+    stack, at = g.stack()
+    if stack.facts is None:
+        stack.facts = _facts(stack.array)
+    i, k = np.nonzero(at)
+    e, flip = np.abs(at[i, k].astype(np.intp)) - 1, (at[i, k] < 0)[:, None]
+
+    def fact(name):
+        facts = stack.facts
+        return np.where(flip, facts[_SWAP[name]][e], facts[name][e])
+    return i, k, fact
+
+
 def _stored(g: GridGraph, condition: str, compute):
     """``compute(g)``, computed once per grid and ``condition``."""
     if condition not in g._conditions:
@@ -72,25 +130,25 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
 
 
 def _regularity(g):
-    r, offset, kinds, blocks = g.blocks()
+    r, offset, kinds, _ = g.blocks()
     # deg[i, k, s]: the row-pair degree of pair (i, k) by its kind, or of
     # column 0 of a BLOCK pair: s = 0 from row i into row offset+k; on a
     # biclique grid s = 1 from bottom row n+k into top row i.
     sides = 2 if g.kind == "biclique" else 1
     deg = np.repeat(np.array([0, r, 1, 0])[kinds][:, :, None], sides, axis=2)
+    i, k, fact = _block_pairs(g)
+    # cols[p, s, j]: the degree of column j of pair p's side s, its
+    # block's row j (s = 0) or column j (s = 1).
+    cols = np.stack([fact(name) for name in ("rows", "cols")[:sides]], axis=1)
+    deg[i, k] = cols[:, :, 0]
     violations = []
-    for i, k, stack in _stacks(g, np.array(sorted(blocks))):
-        # cols[p, s, j]: the degree of column j of pair p's side s.
-        cols = np.stack([stack.view(np.uint8).sum(axis=a, dtype=np.int32)
-                         for a in (2, 1)[:sides]], axis=1)
-        deg[i, k] = cols[:, :, 0]
-        bad = np.argwhere((cols != cols[:, :, :1]).any(axis=2))
-        for p, s in bad[:_MAX_VIOLATIONS - len(violations)].tolist():
-            col = cols[p, s]
-            j = int(np.argmax(col != col[0]))
-            rows = (int(i[p]) + 1, offset + int(k[p]) + 1)
-            violations.append((rows[::-1] if s else rows) + (
-                j + 1, "degree %d != %d" % (col[j], col[0])))
+    bad = np.argwhere((cols != cols[:, :, :1]).any(axis=2))
+    for p, s in bad[:_MAX_VIOLATIONS].tolist():
+        col = cols[p, s]
+        j = int(np.argmax(col != col[0]))
+        rows = (int(i[p]) + 1, offset + int(k[p]) + 1)
+        violations.append((rows[::-1] if s else rows) + (
+            j + 1, "degree %d != %d" % (col[j], col[0])))
     report = _report("regularity", violations)
     if not report.holds:
         return report, None
@@ -122,20 +180,20 @@ def check_stability(g: GridGraph, D: int
 
 def _stability_counts(g):
     stable = _stability(g)
-    counts = stable.shape[2] - stable.sum(axis=2)
+    counts = stable.shape[2] - _count(stable, "ei").astype(np.int64)
     counts.setflags(write=False)
     return stable, counts
 
 
 def _stability(g):
     # EMPTY and COMPLETE pairs are stable, IDENTITY pairs unstable at
-    # every column; only BLOCK pairs are compared.
-    r, _, kinds, blocks = g.blocks()
+    # every column; a BLOCK pair where its block's rows j and j + 1 agree.
+    r, _, kinds, _ = g.blocks()
     stable = np.ones((r, r - 1, r), dtype=bool)
     rows, others = np.nonzero(kinds == IDENTITY)
     stable[rows, :, others] = False
-    for i, k, stack in _stacks(g, np.array(list(blocks))):
-        stable[i, :, k] = (stack[:, :-1] == stack[:, 1:]).all(axis=2)
+    i, k, fact = _block_pairs(g)
+    stable[i, :, k] = fact("same_rows")
     stable.setflags(write=False)
     return stable
 
@@ -146,8 +204,11 @@ def check_biclique_structure(h: GridGraph) -> ConditionReport:
 
     Bipartite placement needs no check: a biclique grid stores only its
     top-vs-bottom row pairs, so no other edge can exist.  Pairs (i, i')
-    and (i', i) of one kind other than BLOCK are symmetric by inspection;
-    every other pair's block is compared with its partner's transpose.
+    and (i', i) of one kind other than BLOCK are symmetric by inspection,
+    and so are two BLOCK pairs where (i', i) is the transposed
+    orientation of (i, i')'s own stack entry (as a doubling places
+    them); every other pair's block is compared with its partner's
+    transpose.
     """
     return _stored(h, "structure", _structure)
 
@@ -156,9 +217,11 @@ def _structure(h):
     if h.kind != "biclique":
         raise InvalidInputError("symmetry only applies to biclique grids")
     n, _, kinds, _ = h.blocks()
+    _, at = h.stack()
     # Pair (i, k)'s violations (i, j, k, l) are pair (k, i)'s (k, l, i, j),
     # so pairs i <= k are compared; keys (i, j, i', j') are base n.
-    pairs = np.argwhere(np.triu((kinds != kinds.T) | (kinds == BLOCK)))
+    pairs = np.argwhere(np.triu((kinds != kinds.T) | (kinds == BLOCK))
+                        & ((at == 0) | (at != -at.T)))
     first = np.zeros(0, dtype=np.int64)
     for (i, k, stack), (_, _, partner) in zip(_stacks(h, pairs),
                                               _stacks(h, pairs[:, ::-1])):

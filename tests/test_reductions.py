@@ -151,13 +151,22 @@ def test_grid_adjacency_is_read_only():
 
 
 def test_grid_takes_over_its_blocks_and_doubling_shares_them():
+    # A stack of blocks is taken over; a mapping's blocks are copied.
     block = np.array([[False, True], [True, False]])
-    g = GridGraph(2, blocks={(0, 1): block})
+    stack = block[None].copy()
+    g = GridGraph(2, blocks=(stack, [[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = True
-    assert g.num_edges() == 2 and g.has_edge((2, 1), (1, 2))
+        stack[0, 0, 0] = True
+    assert g.stack()[0].array is stack
+    copied = GridGraph(2, blocks={(0, 1): block})
+    block[0, 0] = True
+    for x in (g, copied):
+        assert x.stack()[1].tolist() == [[0, 1], [-1, 0]]
+        assert x.num_edges() == 2 and x.has_edge((2, 1), (1, 2))
     h = reduce_dcnnc_to_dcnnb(g)
-    assert h.block(0, 1) is block and h.block(1, 0).base is block
+    assert h.stack()[0] is g.stack()[0]
+    assert h.block(0, 1).base is stack and h.block(1, 0).base is stack
+    assert np.array_equal(h.block(1, 0), h.block(0, 1).T)
     assert h.block(0, 0) is h.block(1, 1)           # one identity block
     assert np.array_equal(h.block(0, 0), np.eye(2))
     # Empty, complete and identity blocks are kept as kinds only.
