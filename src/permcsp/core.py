@@ -226,12 +226,11 @@ def evaluate_many(instance: PermCspInstance, positions) -> np.ndarray:
     return counts
 
 
-def validate_instance(instance: PermCspInstance, flag_duplicates: bool = False) -> list:
+def validate_instance(instance: PermCspInstance) -> list:
     """Report every invariant breach, each with its constraint index.
 
     Returns an empty list for a well-formed instance.  Duplicate
-    constraints are legal (they count multiply); pass ``flag_duplicates``
-    to get diagnostics for them anyway.
+    constraints are legal (they count multiply).
     """
     violations = []
     if instance.num_vars < 1:
@@ -250,13 +249,4 @@ def validate_instance(instance: PermCspInstance, flag_duplicates: bool = False) 
                     "index out of range in constraint %d: %d not in [1, %d]"
                     % (idx, v, instance.num_vars)
                 )
-    if flag_duplicates:
-        seen = {}
-        for idx, c in enumerate(instance.constraints):
-            if c in seen:
-                violations.append(
-                    "note: constraint %d duplicates constraint %d" % (idx, seen[c])
-                )
-            else:
-                seen[c] = idx
     return violations

@@ -307,7 +307,7 @@ def read_grid(text: str) -> GridGraph:
     comment, then the header or the first misfit edge."""
     scan = _Scanner(text, "p grid <side> [D]")
     kind, bad_kind = _grid_kind(text)
-    blocks = []                 # (stack, at), as set_edges builds them
+    blocks = None               # (stack, at), as set_edges builds them
     fault = failure = None      # (line or None, expected); an exception
     deltas = []
     for first, block in _blocks(text):
@@ -357,7 +357,8 @@ def read_grid(text: str) -> GridGraph:
                          fault[1])
             elif fault is None and failure is None:
                 try:
-                    GridGraph.set_edges(blocks, scan.fields[0], kind, found)
+                    blocks = GridGraph.set_edges(blocks, scan.fields[0],
+                                                 kind, found)
                 except (MemoryError, ValueError) as exc:
                     failure = exc
     scan.finish()
@@ -397,7 +398,7 @@ def dump_grid(g: GridGraph, fh) -> None:
         header += " %d" % g.D
     fh.write(header + "\n")
     fh.write("c kind %s\n" % g.kind)
-    r, offset, _, _ = g.blocks()
+    r, offset, _ = g.blocks()
     cells = [divmod(u, r) for u in range(r * r)]
     left = np.array(["e %d %d " % (i + 1, j + 1) for i, j in cells],
                     dtype=object)

@@ -14,11 +14,9 @@ characterizes yes-instances.
 
 import itertools
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,6 +73,7 @@ class CnfFormula:
 
 # Row-pair kinds of a GridGraph; only BLOCK pairs keep a block.
 EMPTY, COMPLETE, IDENTITY, BLOCK = range(4)
+_GRAY_DIGITS = 12       # the most digit positions of a ternary Gray code
 
 
 @lru_cache(maxsize=16)
@@ -96,8 +95,8 @@ def _lower(r):
 
 
 class BlockStack:
-    """A grid's distinct blocks as one read-only (m, r, r) ``array``,
-    shared by a clique grid and its doubling, with the ``facts`` that
+    """A grid's blocks as one read-only (m, r, r) ``array``, shared by a
+    clique grid and its doubling, with the ``facts`` that
     :mod:`permcsp.validate` computes from them (and only it writes)."""
 
     __slots__ = ("array", "facts")
@@ -119,25 +118,24 @@ class GridGraph:
     a clique grid (r = side, offset 0), or top row i and bottom row n + k
     of a biclique grid (r = offset = n).  An r x r table holds each
     pair's kind, EMPTY, COMPLETE, IDENTITY (column j to column j) or
-    BLOCK.  Only BLOCK pairs have an r x r block, [column of row i,
-    column of row offset + k]: an entry of the grid's one read-only
-    :class:`BlockStack` of distinct blocks, as stored or transposed (the
-    signed table of :meth:`stack`).  In the paper's grids those are the
-    row pairs a source-graph matching joins.  A clique grid's pair (k, i)
-    is the transposed orientation of (i, k)'s entry, and doubling shares
-    the stack.
+    BLOCK (in the paper's grids, the row pairs a source-graph matching
+    joins).  A BLOCK pair's r x r block, [column of row i, column of row
+    offset + k], is an entry of the grid's read-only :class:`BlockStack`,
+    one entry per BLOCK pair, shared by a transposed partner, placed as
+    stored or transposed by the signed table of :meth:`stack`.
 
     The adjacency is fixed at construction, by ``kinds`` (of the pairs
-    without a block; default EMPTY) and ``blocks``: a mapping of blocks
-    by pair (copied into a stack), or ``(stack, at)`` as :meth:`stack`
-    hands them out and :meth:`set_edges` builds them, with an (m, r, r)
-    array (taken over, made read-only) or another grid's
-    :class:`BlockStack` (shared with its facts).  On a clique grid pairs
-    i > k are mirrored from (k, i).  One pass over a new stack classifies
-    its blocks; EMPTY, COMPLETE and IDENTITY ones become kinds only.
-    Every array a grid hands out is read-only, so :mod:`permcsp.validate`
-    decides each condition once.  ``adj`` is a dense view made on
-    request, which no package path reads.
+    without a block; default EMPTY) and ``blocks=(stack, at)``, as
+    :meth:`stack` hands them out and :meth:`set_edges` builds them: an
+    (m, r, r) array, taken over and made read-only, or another grid's
+    :class:`BlockStack`, shared with its facts.  A clique pair (k, i),
+    k > i, is (i, k)'s entry transposed.  One pass over a new array sets
+    the layout: placed EMPTY, COMPLETE and IDENTITY blocks become kinds,
+    a biclique pair (k, i), k > i, whose block is the transpose of
+    (i, k)'s is placed as that entry transposed, and unplaced entries are
+    dropped.  Every array a grid hands out is read-only, so
+    :mod:`permcsp.validate` decides each condition once.  ``adj`` is a
+    dense view made on request, which no package path reads.
     """
 
     def __init__(self, side, kind="clique", D=None, kinds=None, blocks=None,
@@ -148,65 +146,67 @@ class GridGraph:
         self.side, self.kind, self.D = side, kind, D
         r = side // 2 if kind == "biclique" else side
         table = np.zeros((r, r), dtype=np.int8)
-        if kinds is not None:
-            table[...] = kinds
-        if not blocks or isinstance(blocks, Mapping):
-            blocks = dict(blocks or {})
-            if any(np.shape(block) != (r, r) for block in blocks.values()):
-                raise InvalidInputError("blocks must be %d x %d" % (r, r))
-            at = np.zeros((r, r), dtype=np.int64)
-            for e, pair in enumerate(blocks, 1):
-                at[pair] = e
-            stack = np.array(list(blocks.values()), dtype=bool).reshape(
-                -1, r, r)
-        else:
-            stack, at = blocks
-            at = np.array(at, dtype=np.int64)
+        table[...] = EMPTY if kinds is None else kinds
+        stack, at = blocks or (np.zeros((0, r, r), bool), np.zeros((r, r)))
+        shared = isinstance(stack, BlockStack)
+        array = stack.array if shared else np.asarray(stack, dtype=bool)
+        at = np.array(at, dtype=np.int64)
+        if (array.shape[1:] != (r, r) or at.shape != (r, r)
+                or abs(at).max() > len(array)):
+            raise InvalidInputError("blocks and placements must be %d x %d, "
+                                    "with entries 1..%d" % (r, r, len(array)))
         lower = _lower(r)
         if kind == "clique":
             at[lower] = -at.T[lower]
-        used = at != 0
-        if isinstance(stack, BlockStack):
-            table[used] = BLOCK
+        if shared:
+            table[at != 0] = BLOCK
         else:
-            stack = self._classified(stack, at, used, table)
+            stack = self._classified(array, at, table, kind)
         if kind == "clique":
             table[lower] = table.T[lower]
-        table.flags.writeable = False
         at = at.astype(np.min_scalar_type(-1 - len(stack.array)))
-        at.flags.writeable = False
+        table.flags.writeable = at.flags.writeable = False
         self._r, self._kinds, self._stack, self._at = r, table, stack, at
         self._conditions = {}           # written by permcsp.validate only
-        self.delta_table = delta_table
-        self.meta = meta or {}
+        self.delta_table, self.meta = delta_table, meta or {}
 
     @staticmethod
-    def _classified(array, at, used, table):
-        """The :class:`BlockStack` of ``array``'s BLOCK blocks that ``at``
-        places, classified in one pass: ``table`` takes each placed
-        block's kind, and ``at`` (in place) the kept entries' numbers."""
-        m, r = len(array), table.shape[0]
+    def _classified(array, at, table, kind):
+        """The :class:`BlockStack` of ``array``'s entries that ``at``
+        places at BLOCK pairs, in one pass: ``table`` takes each placed
+        block's kind, and ``at`` (in place) the layout of the class
+        docstring, numbered in the kept entries."""
+        m, r = len(array), len(table)
         if not m:
             return BlockStack(array)
         cells = array.reshape(m, r * r)
-        kind = np.full(m, BLOCK, dtype=np.int8)
-        diagonal = np.flatnonzero(np.trace(array, axis1=1, axis2=2) == r)
+        kinds = np.full(m, BLOCK, dtype=np.int8)
+        diagonal = np.flatnonzero(array.trace(axis1=1, axis2=2) == r)
         if len(diagonal):               # the identity, or more cells
-            kind[diagonal[np.count_nonzero(cells[diagonal], axis=1) == r]] = \
+            kinds[diagonal[np.count_nonzero(cells[diagonal], axis=1) == r]] = \
                 IDENTITY
-        kind[cells.all(axis=1)] = COMPLETE
-        kind[~cells.any(axis=1)] = EMPTY
-        entry = np.abs(at[used]) - 1
-        table[used] = kind[entry]
-        keep = np.zeros(m, dtype=bool)          # placed BLOCK blocks only
-        keep[entry] = kind[entry] == BLOCK
-        if keep.all():
+        kinds[cells.all(axis=1)] = COMPLETE
+        kinds[~cells.any(axis=1)] = EMPTY
+        used = at != 0
+        table[used] = kinds[np.abs(at[used]) - 1]
+        at[table != BLOCK] = 0
+        if kind == "biclique":          # (k, i) as (i, k)'s entry transposed
+            pairs = np.triu((at != 0) & (at.T != 0) & (at != -at.T), 1)
+            for i, k in np.argwhere(pairs).tolist():
+                e, f = at[i, k], at[k, i]
+                block = array[abs(e) - 1]
+                if np.array_equal(array[abs(f) - 1],
+                                  block.T if e * f > 0 else block):
+                    at[k, i] = -e
+        keep = np.zeros(m + 1, dtype=bool)      # keep[e]: entry e - 1 placed
+        keep[abs(at)] = True
+        if keep[1:].all():
             return BlockStack(array)
-        at[used] = np.sign(at[used]) * (np.cumsum(keep) * keep)[entry]
-        return BlockStack(array[keep])
+        at[...] = np.sign(at) * np.cumsum(keep[1:])[abs(at) - 1]
+        return BlockStack(array[keep[1:]])
 
     @classmethod
-    def from_edges(cls, side, edges, kind="clique", D=None, delta_table=None):
+    def from_edges(cls, side, edges, kind="clique", D=None):
         """The grid with ``edges``, ((i, j), (i', j')) pairs or flat
         (i, j, i', j') rows in any orientation, checked as one array and
         set as one stack (:meth:`set_edges`).  Raises
@@ -219,21 +219,19 @@ class GridGraph:
             raise InvalidInputError(expected if k is None else
                                     "edge (%d, %d)-(%d, %d): expected %s"
                                     % (tuple(ends[k]) + (expected,)))
-        blocks = []
-        cls.set_edges(blocks, side, kind, ends)
-        return cls(side, kind=kind, D=D, blocks=blocks,
-                   delta_table=delta_table)
+        return cls(side, kind=kind, D=D,
+                   blocks=cls.set_edges(None, side, kind, ends))
 
     @staticmethod
     def set_edges(blocks, side, kind, ends):
-        """Set edges, (i, j, i', j') rows that :meth:`misfit` passed, in
-        ``blocks``, a list (empty at first) that holds the ``(stack, at)``
-        the constructor takes: a zero block is made for each new pair, and
-        an edge inside a clique grid's row is set both ways.  A later call
-        sets the blocks of known pairs in place, and grows the stack by
-        doubling for new ones."""
+        """The ``(stack, at)`` the constructor takes, with edges, (i, j,
+        i', j') rows that :meth:`misfit` passed, set in ``blocks``: None
+        at first, or what an earlier call returned.  A zero block is made
+        for each new pair, and an edge inside a clique grid's row is set
+        both ways.  A later call sets the blocks of known pairs in place,
+        and grows the stack by doubling for new ones."""
         if not len(ends):
-            return
+            return blocks
         r = side // 2 if kind == "biclique" else side
         rows, cols = ends[:, 0::2] - 1, ends[:, 1::2] - 1
         flip = rows[:, 0] > rows[:, 1]          # the lower row first
@@ -251,11 +249,10 @@ class GridGraph:
         part = np.zeros((len(pairs), r, r), dtype=bool)
         part[where, cols[:, 0], cols[:, 1]] = True
         i, k = np.divmod(pairs, r)
-        if not blocks:
+        if blocks is None:
             at = np.zeros((r, r), dtype=np.int64)
             at[i, k] = np.arange(1, len(pairs) + 1)
-            blocks[:] = part, at
-            return
+            return part, at
         stack, at = blocks
         fresh = at[i, k] == 0
         at[i[fresh], k[fresh]] = at.max() + 1 + np.arange(np.sum(fresh))
@@ -263,8 +260,9 @@ class GridGraph:
             grown = np.zeros((max(2 * len(stack), at.max()), r, r),
                              dtype=bool)
             grown[:len(stack)] = stack
-            blocks[0] = stack = grown
+            stack = grown
         stack[at[i, k] - 1] |= part
+        return stack, at
 
     def index(self, i, j):
         if not (1 <= i <= self.side and 1 <= j <= self.side):
@@ -303,19 +301,10 @@ class GridGraph:
         return min(hits, key=lambda hit: hit[0], default=None)
 
     def blocks(self):
-        """(r, offset, kinds, blocks): the rows on each side of a row
-        pair, the row offset of the second side, the read-only r x r
-        table of pair kinds and the BLOCK pairs' blocks by (i, k)."""
-        return self._r, self.side - self._r, self._kinds, self._views
-
-    @cached_property
-    def _views(self):
-        """The BLOCK pairs' blocks by (i, k): views of the stack."""
-        array, at = self._stack.array, self._at
-        i, k = np.nonzero(at)
-        return MappingProxyType({
-            (i, k): array[e - 1] if e > 0 else array[-e - 1].T
-            for i, k, e in zip(i.tolist(), k.tolist(), at[i, k].tolist())})
+        """(r, offset, kinds): the rows on each side of a row pair, the
+        row offset of the second side and the read-only r x r table of
+        pair kinds."""
+        return self._r, self.side - self._r, self._kinds
 
     def stack(self):
         """(stack, at): the grid's :class:`BlockStack` and the read-only
@@ -327,9 +316,12 @@ class GridGraph:
     def block(self, i, k):
         """Row pair (i, k)'s r x r block, read-only; EMPTY, COMPLETE and
         IDENTITY pairs share one block each, BLOCK pairs are views of the
-        stack."""
-        kind = int(self._kinds[i, k])
-        return self._views[i, k] if kind == BLOCK else _constant(self._r, kind)
+        stack entry that the placement table names."""
+        e = int(self._at[i, k])
+        if not e:
+            return _constant(self._r, int(self._kinds[i, k]))
+        block = self._stack.array[abs(e) - 1]
+        return block if e > 0 else block.T
 
     def _band(self, i, out):
         """Write row i's blocks side by side into ``out``:
@@ -364,10 +356,11 @@ class GridGraph:
         return bool(self.block(i - 1, k - offset - 1)[j - 1, l - offset - 1])
 
     def num_edges(self):
-        r = self._r
+        r, array, at = self._r, self._stack.array, self._at
         kinds = np.bincount(self._kinds.ravel(), minlength=4)
-        count = int(kinds[COMPLETE]) * r * r + int(kinds[IDENTITY]) * r + sum(
-            int(np.count_nonzero(block)) for block in self._views.values())
+        cells = np.count_nonzero(array.reshape(len(array), r * r), axis=1)
+        count = int(kinds[COMPLETE]) * r * r + int(kinds[IDENTITY]) * r + int(
+            cells[np.abs(at[at != 0]) - 1].sum())
         return count // 2 if self.kind == "clique" else count
 
     def edges(self):
@@ -443,15 +436,16 @@ class ReductionCertificate:
 # Combinatorial helpers
 # ---------------------------------------------------------------------------
 
-def ternary_gray(x: int, cap: int = 12) -> GrayCode:
+def ternary_gray(x: int) -> GrayCode:
     """Reflected ternary Gray code on x digits.
 
     All 3^x words are distinct and consecutive words differ in exactly one
     digit.  Digit 0 is the most significant (slowest) position: even
     positions run 0,1,2 ascending, odd positions descending.
     """
-    if not 1 <= x <= cap:
-        raise InvalidInputError("digit count %d outside [1, %d]" % (x, cap))
+    if not 1 <= x <= _GRAY_DIGITS:
+        raise InvalidInputError("digit count %d outside [1, %d]"
+                                % (x, _GRAY_DIGITS))
     words = [()]
     for _ in range(x):
         nxt = []
@@ -680,7 +674,7 @@ def reduce_dcnnc_to_dcnnb(g: GridGraph) -> GridGraph:
 
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    r, _, kinds, _ = g.blocks()
+    r, _, kinds = g.blocks()
     stack, at = g.stack()
     eye = _constant(r, IDENTITY)
     rows = np.flatnonzero(np.diagonal(kinds) == BLOCK)
@@ -747,7 +741,7 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
     """
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
-    n, _, kinds, _ = g.blocks()
+    n, _, kinds = g.blocks()
     for i in range(n):
         if kinds[i, i] != EMPTY:
             raise InvalidInputError("grid has an edge inside row %d" % (i + 1))

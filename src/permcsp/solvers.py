@@ -628,7 +628,7 @@ def _grid_transversal(g: GridGraph, kind: str):
     if g.kind != kind:
         raise InvalidInputError("row-%s search expects a %s grid"
                                 % (kind, kind))
-    r, _, kinds, _ = g.blocks()
+    r, _, kinds = g.blocks()
     free, empty, block = kinds == COMPLETE, kinds == EMPTY, g.block
     identity = kinds == IDENTITY
     if kind == "clique":
@@ -750,7 +750,7 @@ def _best_convenient(cert: ReductionCertificate, h: GridGraph) -> SolveResult:
     n, perm4 = cert.n, cert.kind == "perm4"
     if not perm4 and n > 4:
         raise InvalidInputError("phi enumeration is limited to n <= 4")
-    r, offset, _, _ = h.blocks()
+    r, offset, _ = h.blocks()
     width = 2 * r if perm4 else r
     digits = r ** np.arange(width - 1, -1, -1)
     first = np.ones(width, dtype=np.int64)       # each row's first interval

@@ -7,9 +7,9 @@ arrays); every later request, whoever makes it, reads the stored result.
 Stability is stored without D.  Delta tables carried by a grid, such as
 those read from files, are advisory and never trusted.
 
-The checks read four facts of each block in a grid's stack of distinct
-blocks (:meth:`GridGraph.stack`): its row degrees, its column degrees,
-and which consecutive rows and which consecutive columns are equal.
+The checks read four facts of each entry of a grid's block stack
+(:meth:`GridGraph.stack`): its row degrees, its column degrees, and
+which consecutive rows and which consecutive columns are equal.
 They are computed once per stack, at most ``_STACK_CELLS`` block cells
 at a time, and stored with it, so a clique grid and its doubling, which
 shares the stack, read one computation.  Each check gathers its grid's
@@ -130,7 +130,7 @@ def check_regularity(g: GridGraph) -> Tuple[ConditionReport, Optional[np.ndarray
 
 
 def _regularity(g):
-    r, offset, kinds, _ = g.blocks()
+    r, offset, kinds = g.blocks()
     # deg[i, k, s]: the row-pair degree of pair (i, k) by its kind, or of
     # column 0 of a BLOCK pair: s = 0 from row i into row offset+k; on a
     # biclique grid s = 1 from bottom row n+k into top row i.
@@ -188,7 +188,7 @@ def _stability_counts(g):
 def _stability(g):
     # EMPTY and COMPLETE pairs are stable, IDENTITY pairs unstable at
     # every column; a BLOCK pair where its block's rows j and j + 1 agree.
-    r, _, kinds, _ = g.blocks()
+    r, _, kinds = g.blocks()
     stable = np.ones((r, r - 1, r), dtype=bool)
     rows, others = np.nonzero(kinds == IDENTITY)
     stable[rows, :, others] = False
@@ -206,9 +206,9 @@ def check_biclique_structure(h: GridGraph) -> ConditionReport:
     top-vs-bottom row pairs, so no other edge can exist.  Pairs (i, i')
     and (i', i) of one kind other than BLOCK are symmetric by inspection,
     and so are two BLOCK pairs where (i', i) is the transposed
-    orientation of (i, i')'s own stack entry (as a doubling places
-    them); every other pair's block is compared with its partner's
-    transpose.
+    orientation of (i, i')'s own stack entry (as every grid places a
+    pair whose block is its partner's transpose); every other pair's
+    block is compared with its partner's transpose.
     """
     return _stored(h, "structure", _structure)
 
@@ -216,7 +216,7 @@ def check_biclique_structure(h: GridGraph) -> ConditionReport:
 def _structure(h):
     if h.kind != "biclique":
         raise InvalidInputError("symmetry only applies to biclique grids")
-    n, _, kinds, _ = h.blocks()
+    n, _, kinds = h.blocks()
     _, at = h.stack()
     # Pair (i, k)'s violations (i, j, k, l) are pair (k, i)'s (k, l, i, j),
     # so pairs i <= k are compared; keys (i, j, i', j') are base n.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from permcsp.core import Graph, PermCspInstance
-from permcsp.reductions import GridGraph
+from permcsp.reductions import BLOCK, GridGraph
 
 
 def grid_from_edges(side, edges, kind="clique", D=None):
@@ -18,10 +18,25 @@ def grid_from_edges(side, edges, kind="clique", D=None):
     return GridGraph.from_edges(side, edges, kind=kind, D=D)
 
 
+def stacked(blocks, r):
+    """The ``(stack, at)`` that places each of ``blocks``, r x r blocks by
+    (i, k) pair, as its own entry, in the mapping's order."""
+    at = np.zeros((r, r), dtype=np.int64)
+    for e, pair in enumerate(blocks, 1):
+        at[pair] = e
+    return np.array(list(blocks.values()), dtype=bool).reshape(-1, r, r), at
+
+
+def blocks_by_pair(g):
+    """The blocks of g's BLOCK pairs by (i, k), in (i, k) order."""
+    return {(i, k): g.block(i, k)
+            for i, k in np.argwhere(g.blocks()[2] == BLOCK).tolist()}
+
+
 def dense_blocks(h):
     """r, offset and the grid's blocks as one dense [i, j, k, l] array,
     read through ``h.block``."""
-    r, offset, _, _ = h.blocks()
+    r, offset, _ = h.blocks()
     blocks = np.array([[h.block(i, k) for k in range(r)] for i in range(r)])
     return r, offset, blocks.transpose(0, 2, 1, 3)
 

@@ -16,8 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cross_matrix
-from permcsp import validate
+from conftest import blocks_by_pair, cross_matrix, stacked
+from permcsp import formats, validate
 from permcsp.core import Graph, InvalidInputError
 from permcsp.formats import dump_grid, read_grid, write_grid
 from permcsp.reductions import (BLOCK, COMPLETE, EMPTY, IDENTITY, CnfFormula,
@@ -241,7 +241,7 @@ def test_stacked_checks_match_the_dense_checkers_across_chunks(
     edges = _irregular_grid_edges(seed, kind, r)
     g = GridGraph.from_edges(side, edges, kind=kind)
     matrix = _from_edges_reference(side, kind, edges)
-    assert len(g.blocks()[3]) > 2 * chunk or chunk > 100
+    assert len(blocks_by_pair(g)) > 2 * chunk or chunk > 100
     report, delta = validate.check_regularity(g)
     violations, _ = _regularity_reference(side, kind, matrix)
     assert len(violations) == _MAX_VIOLATIONS and delta is None
@@ -339,7 +339,7 @@ def _stacks_reference(g, pairs):
 
 
 def _regularity_pairs_reference(g):
-    r, offset, kinds, blocks = g.blocks()
+    (r, offset, kinds), blocks = g.blocks(), blocks_by_pair(g)
     sides = 2 if g.kind == "biclique" else 1
     deg = np.repeat(np.array([0, r, 1, 0])[kinds][:, :, None], sides, axis=2)
     violations = []
@@ -364,7 +364,7 @@ def _regularity_pairs_reference(g):
 
 
 def _stability_pairs_reference(g):
-    r, _, kinds, blocks = g.blocks()
+    (r, _, kinds), blocks = g.blocks(), blocks_by_pair(g)
     stable = np.ones((r, r - 1, r), dtype=bool)
     rows, others = np.nonzero(kinds == IDENTITY)
     stable[rows, :, others] = False
@@ -374,7 +374,7 @@ def _stability_pairs_reference(g):
 
 
 def _structure_pairs_reference(h):
-    n, _, kinds, _ = h.blocks()
+    n, _, kinds = h.blocks()
     pairs = np.argwhere(np.triu((kinds != kinds.T) | (kinds == BLOCK)))
     first = np.zeros(0, dtype=np.int64)
     for (i, k, stack), (_, _, partner) in zip(
@@ -388,6 +388,16 @@ def _structure_pairs_reference(h):
     found = np.transpose(np.unravel_index(first, (n,) * 4)).tolist()
     return [((i + 1, j + 1), (n + k + 1, n + l + 1), "symmetry partner missing")
             for i, j, k, l in found]
+
+
+def _signs_reference(kind, stored):
+    """The sign of each BLOCK pair's placement in ``stored``, blocks by
+    pair: a clique pair (k, i) with k > i is (i, k)'s entry transposed
+    (-1), and so is a biclique pair (k, i) whose block is the transpose
+    of (i, k)'s; every other pair is stored as it is (+1)."""
+    return {(k, i): -1 if i < k and (kind == "clique" or (i, k) in stored
+                                     and np.array_equal(block, stored[i, k].T))
+            else 1 for (k, i), block in stored.items()}
 
 
 def _kind_reference(block):
@@ -497,8 +507,9 @@ def test_doubling_shares_the_stack_and_its_facts(monkeypatch):
     grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
     h = reduce_dcnnc_to_dcnnb(grid)
     stack = grid.stack()[0]
-    r, _, kinds, blocks = h.blocks()
-    assert h.stack()[0] is stack and len(blocks) == 2 * len(stack.array)
+    r, _, kinds = h.blocks()
+    assert h.stack()[0] is stack
+    assert len(blocks_by_pair(h)) == 2 * len(stack.array)
     assert (np.diagonal(kinds) == IDENTITY).all()
     for i, k in np.argwhere(kinds == BLOCK).tolist():
         assert np.shares_memory(h.block(i, k), stack.array)
@@ -510,16 +521,25 @@ def test_doubling_shares_the_stack_and_its_facts(monkeypatch):
     assert calls == [len(stack.array)]          # once for G and H together
 
 
-def test_an_asymmetric_doubled_grid_from_a_file_is_rejected():
-    # The file's H has its own entry for every pair, so each pair is
-    # compared cell by cell; one edge less breaks the symmetry.
+def test_an_asymmetric_doubled_grid_from_a_file_is_rejected(monkeypatch):
+    # The file's H places each pair (k, i) as (i, k)'s entry transposed,
+    # as the doubling does, so no pair is compared cell by cell; one edge
+    # less breaks the symmetry, and that pair and its partner are.
+    compared = []
+    stacks = validate._stacks
+    monkeypatch.setattr(validate, "_stacks", lambda g, pairs: compared.append(
+        sorted(map(tuple, pairs.tolist()))) or stacks(g, pairs))
     g, bound = reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3))
     h = reduce_dcnnc_to_dcnnb(reduce_coloring_to_dcnnc(g, bound))
     text = write_grid(h)
+    compared.clear()
     assert validate.check_biclique_structure(read_grid(text)).holds
+    assert compared == [[], []]
     (i, j), (k, l) = next(e for e in h.edges() if e[0][0] != e[1][0] - 27)
     cut = read_grid(text.replace("e %d %d %d %d\n" % (i, j, k, l), ""))
     report = validate.check_biclique_structure(cut)
+    pair = min((i - 1, k - 28), (k - 28, i - 1))
+    assert compared[2:] == [[pair], [pair[::-1]]]
     assert list(report.violations) == _structure_pairs_reference(cut)
     assert sorted(report.violations) == sorted([
         ((k - 27, l - 27), (i + 27, j + 27), "symmetry partner missing"),
@@ -549,26 +569,28 @@ def test_classification_over_the_stack_matches_the_block_loop(kind, r):
              if kind == "biclique" or i < k]
     for _ in range(8):
         blocks = {pair: rng.choice(cases) for pair in pairs}
-        # The mapping form, and the stack form with a spare entry that no
+        # One entry per pair, and the same with a spare entry that no
         # pair places, which the constructor drops.
-        spare = np.stack(list(blocks.values()) + [cases[3]])
-        at = np.zeros((r, r), dtype=np.int64)
-        for e, (i, k) in enumerate(blocks, 1):
-            at[i, k] = e
-        for g in (GridGraph(side, kind=kind, blocks=blocks),
+        stack, at = stacked(blocks, r)
+        spare = np.concatenate([stack, cases[3][None]])
+        for g in (GridGraph(side, kind=kind, blocks=(stack, at)),
                   GridGraph(side, kind=kind, blocks=(spare, at))):
-            r_, _, kinds, stored = g.blocks()
-            stack, where = g.stack()
+            kinds, stored = g.blocks()[2], blocks_by_pair(g)
+            stack_, where = g.stack()
             for (i, k), block in blocks.items():
                 assert kinds[i, k] == _kind_reference(block)
                 assert np.array_equal(g.block(i, k), block)
                 if kind == "clique":
                     assert kinds[k, i] == kinds[i, k]
                     assert np.array_equal(g.block(k, i), block.T)
-            assert len(stack.array) == len(stored) // (
-                2 if kind == "clique" else 1)
+            signs = _signs_reference(kind, stored)
+            assert {pair: int(np.sign(where[pair])) for pair in stored} == \
+                signs
+            assert all(where[k, i] == -where[i, k]
+                       for (i, k), sign in signs.items() if sign < 0)
+            assert len(stack_.array) == list(signs.values()).count(1)
             assert (where != 0).sum() == len(stored)
-            for array in (stack.array, where, kinds, *stored.values(),
+            for array in (stack_.array, where, kinds, *stored.values(),
                           *(g.block(i, k) for i in range(r)
                             for k in range(r))):
                 with pytest.raises(ValueError, match="read-only"):
@@ -580,7 +602,7 @@ def test_counts_past_255_are_exact():
     # holds r: uint16 here, where 256 rows are stable for most vertices.
     minus = np.ones((256, 256), dtype=bool)
     minus[1, 0] = False
-    g = GridGraph(256, blocks={(0, 1): minus})
+    g = GridGraph(256, blocks=stacked({(0, 1): minus}, 256))
     report, delta = validate.check_regularity(g)
     assert report.violations[:2] == ((1, 2, 2, "degree 255 != 256"),
                                      (2, 1, 2, "degree 256 != 255"))
@@ -594,22 +616,85 @@ def test_counts_past_255_are_exact():
         axis=2))
 
 
-def test_a_mapping_of_misshapen_blocks_is_refused():
-    with pytest.raises(InvalidInputError, match="blocks must be 2 x 2"):
-        GridGraph(2, blocks={(0, 1): np.ones((2, 3), dtype=bool)})
+def test_a_misshapen_stack_is_refused():
+    # A block of the wrong shape, a placement table of the wrong shape,
+    # and an entry past the stack.
+    eye = np.eye(2, dtype=bool)[None]
+    for blocks in [(np.ones((1, 2, 3), dtype=bool), [[0, 1], [0, 0]]),
+                   (eye, [[0, 1]]), (eye, [[0, 2], [0, 0]])]:
+        with pytest.raises(InvalidInputError, match="blocks and placements "
+                           "must be 2 x 2, with entries 1..1"):
+            GridGraph(2, blocks=blocks)
+
+
+def _shuffled(text, seed):
+    """A grid file's text with its edge and delta lines shuffled."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:2] + random.Random(seed).sample(lines[2:],
+                                                          len(lines) - 2))
+
+
+def _layout(g):
+    """g's kinds table, its number of stack entries and its pattern of
+    stored (+1) and transposed (-1) placements.  A 1 x 1 identity block
+    is the complete one, which is what a file makes of it."""
+    (r, _, kinds), (stack, at) = g.blocks(), g.stack()
+    if r == 1:
+        kinds = np.where(kinds == IDENTITY, COMPLETE, kinds)
+    return kinds.tolist(), len(stack.array), np.sign(at).tolist()
 
 
 def test_the_stack_read_in_many_parts_grows_and_is_trimmed(monkeypatch):
     # A file read a few lines at a time adds its pairs to the stack in
-    # many calls; the grid keeps one entry per BLOCK pair, as from_edges.
-    from permcsp import formats
+    # many calls; the grid keeps the layout that from_edges gives it.
     monkeypatch.setattr(formats, "_CHUNK", 64)
     side, kind, edges = 8, "biclique", _irregular_grid_edges(4, "biclique", 4)
     g = GridGraph.from_edges(side, edges, kind=kind)
     text = write_grid(g)
-    lines = text.splitlines(keepends=True)
-    shuffled = lines[:2] + random.Random(0).sample(lines[2:], len(lines) - 2)
-    for got in (read_grid(text), read_grid("".join(shuffled))):
+    for got in (read_grid(text), read_grid(_shuffled(text, 0))):
         assert list(got.edges()) == list(g.edges())
-        assert got.blocks()[2].tolist() == g.blocks()[2].tolist()
-        assert len(got.stack()[0].array) == len(g.blocks()[3])
+        assert _layout(got) == _layout(g)
+
+
+def _built_grids():
+    """The grids this module builds: from edges (seeded random and
+    irregular), their doublings (shared and reduced), and from the
+    reduction chain, a clique grid and its doubling."""
+    for seed in range(60):
+        side, kind, edges = _random_grid_edges(seed)
+        g = GridGraph.from_edges(side, edges, kind=kind)
+        yield g
+        if kind == "clique":
+            if all(np.diagonal(g.blocks()[2]) != BLOCK):
+                yield _shared_double(g)
+            try:
+                yield reduce_dcnnc_to_dcnnb(g)
+            except InvalidInputError:
+                pass                    # an irregular G is refused
+    for seed, kind, r in [(0, "clique", 7), (1, "clique", 9),
+                          (2, "biclique", 6), (3, "biclique", 8)]:
+        yield from _irregular_grids(seed, kind, r)
+    for g, bound in [reduce_sat_to_coloring(CnfFormula(1, ((1,),), 3)),
+                     (Graph(3, [(1, 2), (1, 3), (2, 3)]), 2),
+                     (Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), 2)]:
+        grid = reduce_coloring_to_dcnnc(g, degree_bound=bound)
+        yield from (grid, reduce_dcnnc_to_dcnnb(grid))
+
+
+@pytest.mark.parametrize("chunk", [formats._CHUNK, 64])
+def test_a_grid_read_back_from_its_file_keeps_its_layout(chunk, monkeypatch):
+    # Whoever built the grid, its file gives it back with the same kinds,
+    # stack entries and placements: a biclique pair (k, i) whose block is
+    # the transpose of (i, k)'s is placed as that entry transposed.  The
+    # chain's 27-row grids are read whole, the others 64 characters at a
+    # time too, in order and shuffled.
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    count = 0
+    for g in _built_grids():
+        if g.side > 18 and chunk == 64:
+            continue
+        text = write_grid(g)
+        for got in (read_grid(text), read_grid(_shuffled(text, g.side))):
+            assert _layout(got) == _layout(g)
+            count += 1
+    assert count > 150

@@ -161,6 +161,8 @@ def test_evaluate_many_refuses_what_evaluate_refuses():
 def test_validate_instance_clean():
     inst = PermCspInstance.make(3, [(1, 2, 3), (2, 1)])
     assert validate_instance(inst) == []
+    # Duplicate constraints are legal: they count multiply.
+    assert validate_instance(PermCspInstance.make(2, [(1, 2), (1, 2)])) == []
 
 
 def test_validate_instance_reports_breaches():
@@ -170,13 +172,6 @@ def test_validate_instance_reports_breaches():
     assert any("duplicate variable in constraint 0" in p for p in problems)
     assert any("out of range in constraint 1" in p for p in problems)
     assert any("constraint 2 has length 3" in p for p in problems)
-
-
-def test_validate_instance_flags_duplicates_on_request():
-    inst = PermCspInstance.make(2, [(1, 2), (1, 2)])
-    assert validate_instance(inst) == []
-    flagged = validate_instance(inst, flag_duplicates=True)
-    assert any("duplicates constraint 0" in p for p in flagged)
 
 
 def test_validate_instance_bad_num_vars():

@@ -419,8 +419,9 @@ def _read_grid_reference(text):
         delta_table = np.zeros((side, side), dtype=np.int64) if deltas else None
         for i, k, val in deltas:
             delta_table[i - 1, k - 1] = val
-        return GridGraph.from_edges(side, coords, kind=kind, D=D,
-                                    delta_table=delta_table)
+        grid = GridGraph.from_edges(side, coords, kind=kind, D=D)
+        grid.delta_table = delta_table
+        return grid
     except MemoryError:
         raise scan.error(scan.header, "a grid that fits in memory")
     except ValueError as exc:

@@ -10,10 +10,12 @@ import pytest
 
 from conftest import (
     all_cross_row_edges,
+    blocks_by_pair,
     cross_matrix,
     edges_among,
     graph_from_nx,
     grid_from_edges,
+    stacked,
 )
 from permcsp.core import (
     Graph,
@@ -139,28 +141,28 @@ def test_grid_cross_matrix_layout():
 def test_grid_adjacency_is_read_only():
     g = grid_from_edges(2, [((1, 1), (2, 2)), ((1, 2), (2, 1))])
     h = reduce_dcnnc_to_dcnnb(g)
-    stored = [*g.blocks()[3].values(), *h.blocks()[3].values()]
+    stored = [*blocks_by_pair(g).values(), *blocks_by_pair(h).values()]
     assert len(stored) == 4
     for array in (g.adj, g.blocks()[2], h.adj, h.blocks()[2],
-                  h.block(0, 0), g.block(0, 0), *stored):
+                  h.block(0, 0), g.block(0, 0), *stored,
+                  g.stack()[0].array, g.stack()[1], h.stack()[1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = False
-    with pytest.raises(TypeError):
-        g.blocks()[3][0, 0] = stored[0]
     assert g.num_edges() == 2 and h.num_edges() == 8
 
 
 def test_grid_takes_over_its_blocks_and_doubling_shares_them():
-    # A stack of blocks is taken over; a mapping's blocks are copied.
+    # A stack of blocks is taken over, and placed as from_edges places
+    # the same edges.
     block = np.array([[False, True], [True, False]])
     stack = block[None].copy()
     g = GridGraph(2, blocks=(stack, [[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0, 0] = True
     assert g.stack()[0].array is stack
-    copied = GridGraph(2, blocks={(0, 1): block})
-    block[0, 0] = True
-    for x in (g, copied):
+    same = GridGraph.from_edges(2, [((1, 1), (2, 2)), ((1, 2), (2, 1))])
+    assert np.array_equal(same.stack()[0].array, stack)
+    for x in (g, same):
         assert x.stack()[1].tolist() == [[0, 1], [-1, 0]]
         assert x.num_edges() == 2 and x.has_edge((2, 1), (1, 2))
     h = reduce_dcnnc_to_dcnnb(g)
@@ -170,12 +172,15 @@ def test_grid_takes_over_its_blocks_and_doubling_shares_them():
     assert h.block(0, 0) is h.block(1, 1)           # one identity block
     assert np.array_equal(h.block(0, 0), np.eye(2))
     # Empty, complete and identity blocks are kept as kinds only.
-    g = GridGraph(2, blocks={(0, 0): np.zeros((2, 2), dtype=bool),
-                             (0, 1): np.ones((2, 2), dtype=bool)})
-    assert not g.blocks()[3] and g.num_edges() == 4
+    g = GridGraph(2, blocks=stacked({(0, 0): np.zeros((2, 2), dtype=bool),
+                                     (0, 1): np.ones((2, 2), dtype=bool)}, 2))
+    assert not blocks_by_pair(g) and g.num_edges() == 4
+    assert not len(g.stack()[0].array) and not g.stack()[1].any()
     assert g.blocks()[2].tolist() == [[EMPTY, COMPLETE], [COMPLETE, EMPTY]]
-    h = GridGraph(4, kind="biclique", blocks={(1, 0): np.eye(2, dtype=bool)})
-    assert not h.blocks()[3] and h.blocks()[2][1, 0] == IDENTITY
+    h = GridGraph(4, kind="biclique",
+                  blocks=stacked({(1, 0): np.eye(2, dtype=bool)}, 2))
+    assert not blocks_by_pair(h) and h.blocks()[2][1, 0] == IDENTITY
+    assert not len(h.stack()[0].array) and not h.stack()[1].any()
 
 
 # ---------------------------------------------------------------------------

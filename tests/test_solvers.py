@@ -14,10 +14,12 @@ import pytest
 
 from conftest import (
     all_cross_row_edges,
+    blocks_by_pair,
     dense_blocks,
     graph_from_nx,
     grid_from_edges,
     random_instance,
+    stacked,
 )
 from permcsp import solvers, validate
 from permcsp.core import (
@@ -1458,15 +1460,16 @@ def _random_grids(seed, side, p):
     """A random clique grid, its doubling, and a random biclique grid on
     as many rows, built block by block (no condition checks)."""
     rng = np.random.default_rng(seed)
-    g = GridGraph(side, blocks={(i, k): rng.random((side, side)) < p
-                                for i in range(side)
-                                for k in range(i + 1, side)})
+    g = GridGraph(side, blocks=stacked({(i, k): rng.random((side, side)) < p
+                                        for i in range(side)
+                                        for k in range(i + 1, side)}, side))
     doubled = {(i, k): g.block(i, k) if i != k else np.eye(side, dtype=bool)
                for i in range(side) for k in range(side)}
-    h = GridGraph(2 * side, kind="biclique", blocks=doubled)
+    h = GridGraph(2 * side, kind="biclique", blocks=stacked(doubled, side))
     b = GridGraph(2 * side, kind="biclique",
-                  blocks={(i, k): rng.random((side, side)) < p
-                          for i in range(side) for k in range(side)})
+                  blocks=stacked({(i, k): rng.random((side, side)) < p
+                                  for i in range(side) for k in range(side)},
+                                 side))
     return g, h, b
 
 
@@ -1541,7 +1544,7 @@ def test_row_transversal_kernel_leaves_out_rows_with_no_pair(seed):
 def _full_network(g):
     """(width, neighbors, degree, block) over every constrained row pair
     of a grid: the row search's input before free rows were left out."""
-    r, _, kinds, _ = g.blocks()
+    r, _, kinds = g.blocks()
     free = kinds == COMPLETE
     block = g.block
     if g.kind == "clique":
@@ -1571,10 +1574,10 @@ def _network_grids(rows, block_pairs, identity_pairs, seed):
         blocks[a, c] = gen.random((rows, rows)) < 0.6
         blocks[a, c][gen.integers(rows), :] = False     # never COMPLETE
         blocks[a, c][:, gen.integers(rows)] = True      # never EMPTY
-    g = GridGraph(rows, kinds=kinds, blocks=blocks)
+    g = GridGraph(rows, kinds=kinds, blocks=stacked(blocks, rows))
     np.fill_diagonal(kinds, IDENTITY)
     h = GridGraph(2 * rows, kind="biclique", kinds=kinds,
-                  blocks=dict(g.blocks()[3]))
+                  blocks=stacked(blocks_by_pair(g), rows))
     return g, h
 
 
