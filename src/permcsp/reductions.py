@@ -147,6 +147,8 @@ class GridGraph:
         r = side // 2 if kind == "biclique" else side
         table = np.zeros((r, r), dtype=np.int8)
         table[...] = EMPTY if kinds is None else kinds
+        if r == 1:                      # the 1 x 1 identity is complete
+            table[table == IDENTITY] = COMPLETE
         stack, at = blocks or (np.zeros((0, r, r), bool), np.zeros((r, r)))
         shared = isinstance(stack, BlockStack)
         array = stack.array if shared else np.asarray(stack, dtype=bool)
@@ -713,8 +715,9 @@ def sufficient_dummies_perm6(n: int) -> int:
 
     The dominance inequalities behind the shape of optimal orderings are
     stated for sufficiently large n with 2n dummies; here they are solved
-    explicitly so the if-and-only-if also holds at desk scale.  Never
-    below the 2n default.
+    explicitly so the if-and-only-if also holds at desk scale: the least
+    d >= 4 with C(d-2,2)*C(n+1,2), C(d-1,3)*n and C(d,4) all > C(n^2,2),
+    the most constraints G can ever contribute.  Never below 2n.
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
@@ -739,17 +742,17 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
     n-clique (guaranteed only when the dummy count is sufficient; see
     :func:`sufficient_dummies_perm6`).
     """
+    from permcsp import validate
+
     if g.kind != "clique":
         raise InvalidInputError("input must be an n x n clique grid")
     n, _, kinds = g.blocks()
     for i in range(n):
         if kinds[i, i] != EMPTY:
             raise InvalidInputError("grid has an edge inside row %d" % (i + 1))
-    if dummy_count is None:
-        dummy_count = 2 * n
-    if dummy_count < 2 * n:
+    m = 2 * n if dummy_count is None else dummy_count
+    if m < 2 * n:
         raise InvalidInputError("dummy_count must be at least 2n = %d" % (2 * n))
-    m = dummy_count
 
     def r(i):
         return m + i
@@ -778,8 +781,8 @@ def reduce_clique_to_perm6(g: GridGraph, dummy_count: Optional[int] = None
             constraints.append((c(j), r(i), r(ip), c(j + 1)))
 
     instance = PermCspInstance.make(m + 2 * n + 1, constraints)
-    target = comb(m, 4) * comb(n + 1, 2) + n + comb(n, 2)
-    if num_structural != comb(m, 4) * comb(n + 1, 2) + n:
+    target = validate.target_perm6(n, m)
+    if num_structural != target - comb(n, 2):
         raise InternalConsistencyError("%d structural constraints"
                                        % num_structural)
     return ReductionCertificate(
@@ -799,9 +802,10 @@ def sufficient_dummies_perm4(n: int, D: int, num_edges: int) -> int:
     """Dummy count making the arity-4 structure argument airtight at size n.
 
     One column-pair fix must dominate the worst accumulated column-move
-    cost (2Dn per switch, over a row block of length n), and the
-    structural constraints must dominate everything the edge constraints
-    can contribute.  Never below the 2Dn default.
+    cost (2Dn per switch, over a row block of length n), C(d, 2) > 2Dn^2,
+    and the structural constraints must dominate everything the edge
+    constraints can contribute, C(d, 2) > 4 * num_edges.  Never below the
+    2Dn default.
     """
     if n < 1 or D < 1:
         raise InvalidInputError("n and D must be positive")
@@ -838,11 +842,9 @@ def reduce_dcnnb_to_perm4(h: GridGraph, D: Optional[int] = None,
              "input violates stability for D=%d" % D)
 
     n = h.side // 2
-    if dummy_count is None:
-        dummy_count = 2 * D * n
-    if dummy_count < 2:
+    m = 2 * D * n if dummy_count is None else dummy_count
+    if m < 2:
         raise InvalidInputError("need at least two dummies")
-    m = dummy_count
     delta_sum = int(delta[:n, n:].sum())
 
     def r(i):
@@ -867,7 +869,7 @@ def reduce_dcnnb_to_perm4(h: GridGraph, D: Optional[int] = None,
             constraints.append((r(i), c(j + 1), c(n + jp), r(n + ip)))
 
     instance = PermCspInstance.make(m + 4 * n + 1, constraints)
-    target = comb(m, 2) * comb(2 * n + 1, 2) + (n + 2) * delta_sum + n * n
+    target = validate.target_perm4(n, m, delta_sum)
     return ReductionCertificate(
         instance=instance, target=target, kind="perm4", n=n, D=D,
         dummy_vars=tuple(range(1, m + 1)),

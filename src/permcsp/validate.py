@@ -4,8 +4,8 @@ One validation policy for grids: a grid's adjacency is immutable after
 construction, so each condition is computed once per grid, from that
 adjacency, and stored on the grid (by this module only, with read-only
 arrays); every later request, whoever makes it, reads the stored result.
-Stability is stored without D.  Delta tables carried by a grid, such as
-those read from files, are advisory and never trusted.
+Stability is stored as counts, without D.  Delta tables carried by a
+grid, such as those read from files, are advisory and never trusted.
 
 The checks read four facts of each entry of a grid's block stack
 (:meth:`GridGraph.stack`): its row degrees, its column degrees, and
@@ -167,35 +167,30 @@ def check_stability(g: GridGraph, D: int
     For each vertex (i, j) with a right neighbor column, counts the rows k
     where N(i,j) and N(i,j+1) differ inside R_k; the condition demands the
     count never exceeds D.  On a biclique grid the top vertices are
-    checked, against the bottom rows.  Returns, when it holds, the boolean
-    array ``stable[i, j, k]`` of rows where the neighborhoods agree (the
-    I_{i,j} witness sets); it and its per-vertex counts are stored without D.
+    checked, against the bottom rows.  Returns, when it holds, the
+    read-only (r, r - 1) table of those counts, ``counts[i, j]`` for
+    vertex (i + 1, j + 1); it is stored without D.
     """
-    stable, counts = _stored(g, "stability", _stability_counts)
+    counts = _stored(g, "stability", _stability)
     bad = np.argwhere(counts > D)[:_MAX_VIOLATIONS].tolist()
     report = _report("stability", [(i + 1, j + 1, "%d unstable rows > D=%d"
                                     % (counts[i, j], D)) for i, j in bad])
-    return report, (stable if report.holds else None)
-
-
-def _stability_counts(g):
-    stable = _stability(g)
-    counts = stable.shape[2] - _count(stable, "ei").astype(np.int64)
-    counts.setflags(write=False)
-    return stable, counts
+    return report, (counts if report.holds else None)
 
 
 def _stability(g):
-    # EMPTY and COMPLETE pairs are stable, IDENTITY pairs unstable at
-    # every column; a BLOCK pair where its block's rows j and j + 1 agree.
+    # Vertex (i, j)'s unstable rows: row i's IDENTITY pairs, and its BLOCK
+    # pairs whose block's rows j and j + 1 differ, summed a row at a time
+    # (the pairs come in row order) in the smallest dtype that holds r.
     r, _, kinds = g.blocks()
-    stable = np.ones((r, r - 1, r), dtype=bool)
-    rows, others = np.nonzero(kinds == IDENTITY)
-    stable[rows, :, others] = False
-    i, k, fact = _block_pairs(g)
-    stable[i, :, k] = fact("same_rows")
-    stable.setflags(write=False)
-    return stable
+    counts = np.zeros((r, r - 1), dtype=np.int64)
+    counts += np.count_nonzero(kinds == IDENTITY, axis=1)[:, None]
+    i, _, fact = _block_pairs(g)
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    counts[i[starts]] += np.add.reduceat(~fact("same_rows"), starts, axis=0,
+                                         dtype=np.min_scalar_type(r))
+    counts.setflags(write=False)
+    return counts
 
 
 def check_biclique_structure(h: GridGraph) -> ConditionReport:
@@ -255,10 +250,10 @@ def target_perm6(n: int, dummy_count: int) -> int:
     return comb(dummy_count, 4) * comb(n + 1, 2) + n + comb(n, 2)
 
 
-def target_perm4(n: int, D: int, dummy_count: int, delta_sum: int) -> int:
+def target_perm4(n: int, dummy_count: int, delta_sum: int) -> int:
     """Yes-target of the arity-4 reduction:
     C(d,2)*C(2n+1,2) + (n+2)*sum(Delta) + n^2."""
-    if n < 1 or D < 1 or dummy_count < 0 or delta_sum < 0:
+    if n < 1 or dummy_count < 0 or delta_sum < 0:
         raise InvalidInputError("bad parameters")
     return structural_count(dummy_count, 2 * n + 1) + (n + 2) * delta_sum + n * n
 

@@ -89,12 +89,32 @@ def _regularity_reference(side, kind, matrix):
 
 
 def _stability_reference(side, kind, matrix):
+    """The dense stable[i, j, k]: row k's neighborhoods of vertices
+    (i, j) and (i, j + 1) agree, as the package once stored it."""
     r = side // 2 if kind == "biclique" else side
     blocks = matrix.reshape(r, r, r, r)
     stable = np.zeros((r, r - 1, r), dtype=bool)
     for i in range(r):
         stable[i] = (blocks[i, :-1] == blocks[i, 1:]).all(axis=2)
     return stable
+
+
+def _assert_stability_matches(g, stable):
+    """g's unstable-row counts, computed afresh, and its stability
+    report at every D from 0 to the largest count + 1, against those of
+    the dense ``stable`` array: the first _MAX_VIOLATIONS vertices over
+    D, in (i, j) order, and the counts when none is."""
+    want = stable.shape[2] - stable.sum(axis=2)
+    counts = validate._stability(g)
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.shape == want.shape and np.array_equal(counts, want)
+    for D in range(want.max(initial=0) + 2):
+        over = [(i + 1, j + 1, "%d unstable rows > D=%d" % (want[i, j], D))
+                for i, j in np.argwhere(want > D).tolist()]
+        report, value = validate.check_stability(g, D)
+        assert report.holds == (not over)
+        assert list(report.violations) == over[:_MAX_VIOLATIONS]
+        assert (value is None) if over else np.array_equal(value, want)
 
 
 def _structure_reference(side, matrix):
@@ -195,12 +215,7 @@ def test_checkers_match_the_dense_checkers(seed):
     violations, want = _regularity_reference(side, kind, matrix)
     assert list(report.violations) == violations
     assert (delta is None and want is None) or np.array_equal(delta, want)
-    stable = validate._stability(g)
-    assert np.array_equal(stable, _stability_reference(side, kind, matrix))
-    for D in range(stable.shape[0] + 1):
-        counts = stable.shape[2] - stable.sum(axis=2)
-        assert validate.check_stability(g, D)[0].holds == \
-            bool((counts <= D).all())
+    _assert_stability_matches(g, _stability_reference(side, kind, matrix))
     if kind == "biclique":
         assert list(validate.check_biclique_structure(g).violations) == \
             _structure_reference(side, matrix)
@@ -246,8 +261,7 @@ def test_stacked_checks_match_the_dense_checkers_across_chunks(
     violations, _ = _regularity_reference(side, kind, matrix)
     assert len(violations) == _MAX_VIOLATIONS and delta is None
     assert list(report.violations) == violations
-    assert np.array_equal(validate._stability(g),
-                          _stability_reference(side, kind, matrix))
+    _assert_stability_matches(g, _stability_reference(side, kind, matrix))
     if kind == "biclique":
         report = validate.check_biclique_structure(g)
         assert len(report.violations) == _MAX_VIOLATIONS
@@ -264,14 +278,19 @@ def test_stability_reports_match_the_dense_counts_past_the_cap(seed, kind, r):
     g = GridGraph.from_edges(side, edges, kind=kind)
     stable = _stability_reference(side, kind,
                                   _from_edges_reference(side, kind, edges))
-    counts = r - stable.sum(axis=2)
-    assert (counts > 0).sum() > _MAX_VIOLATIONS
-    for D in range(r + 1):
-        want = [(i + 1, j + 1, "%d unstable rows > D=%d" % (counts[i, j], D))
-                for i, j in np.argwhere(counts > D).tolist()]
-        report, witness = validate.check_stability(g, D)
-        assert list(report.violations) == want[:_MAX_VIOLATIONS]
-        assert report.holds == (witness is not None) == (not want)
+    assert (r - stable.sum(axis=2) > 0).sum() > _MAX_VIOLATIONS
+    _assert_stability_matches(g, stable)
+
+
+def test_one_row_grids_have_no_consecutive_columns():
+    # r = 1: a (1, 0) table of counts, and the condition holds at every D.
+    # The doubling's 1 x 1 identity pair is recorded as the complete one.
+    g = GridGraph(1, D=1)
+    h = reduce_dcnnc_to_dcnnb(g)
+    assert h.blocks()[2].tolist() == [[COMPLETE]]
+    for x in (g, h, read_grid(write_grid(h)), GridGraph(2, kind="biclique")):
+        assert validate._stability(x).shape == (1, 0)
+        _assert_stability_matches(x, np.ones((1, 0, 1), dtype=bool))
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -288,8 +307,7 @@ def test_stacked_checks_keep_the_delta_table_across_chunks(chunk,
         assert report.holds
         assert np.array_equal(delta, _regularity_reference(side, kind,
                                                            matrix)[1])
-        assert np.array_equal(validate._stability(x),
-                              _stability_reference(side, kind, matrix))
+        _assert_stability_matches(x, _stability_reference(side, kind, matrix))
 
 
 def test_structure_violations_keep_their_order_past_the_cap():
@@ -414,12 +432,7 @@ def _assert_checks_match_the_references(g):
     assert list(report.violations) == violations[:_MAX_VIOLATIONS]
     assert (delta is None and want is None) or (
         delta.dtype == want.dtype and np.array_equal(delta, want))
-    stable, counts = validate._stability_counts(g)
-    assert stable.dtype == bool and not stable.flags.writeable
-    assert np.array_equal(stable, _stability_pairs_reference(g))
-    want = stable.shape[2] - stable.sum(axis=2)
-    assert counts.dtype == want.dtype and not counts.flags.writeable
-    assert np.array_equal(counts, want)
+    _assert_stability_matches(g, _stability_pairs_reference(g))
     if g.kind == "biclique":
         assert list(validate._structure(g).violations) == \
             _structure_pairs_reference(g)
@@ -611,9 +624,18 @@ def test_counts_past_255_are_exact():
     assert report.violations == ((1, 1, "1 unstable rows > D=0"),
                                  (1, 2, "1 unstable rows > D=0"),
                                  (2, 1, "1 unstable rows > D=0"))
-    _, counts = validate._stability_counts(g)
-    assert np.array_equal(counts, 256 - _stability_pairs_reference(g).sum(
-        axis=2))
+    _assert_stability_matches(g, _stability_pairs_reference(g))
+    # A biclique grid whose top row 1 meets all 256 bottom rows in that
+    # block, and row 2 in IDENTITY pairs: 256 unstable rows per vertex.
+    kinds = np.zeros((256, 256), dtype=np.int8)
+    kinds[1] = IDENTITY
+    at = np.zeros((256, 256), dtype=np.int64)
+    at[0] = 1
+    h = GridGraph(512, kind="biclique", kinds=kinds,
+                  blocks=(minus[None], at))
+    counts = validate._stability(h)
+    assert counts[0, :2].tolist() == [256, 256] and (counts[1] == 256).all()
+    _assert_stability_matches(h, _stability_pairs_reference(h))
 
 
 def test_a_misshapen_stack_is_refused():
@@ -636,11 +658,8 @@ def _shuffled(text, seed):
 
 def _layout(g):
     """g's kinds table, its number of stack entries and its pattern of
-    stored (+1) and transposed (-1) placements.  A 1 x 1 identity block
-    is the complete one, which is what a file makes of it."""
-    (r, _, kinds), (stack, at) = g.blocks(), g.stack()
-    if r == 1:
-        kinds = np.where(kinds == IDENTITY, COMPLETE, kinds)
+    stored (+1) and transposed (-1) placements."""
+    (_, _, kinds), (stack, at) = g.blocks(), g.stack()
     return kinds.tolist(), len(stack.array), np.sign(at).tolist()
 
 

@@ -499,6 +499,21 @@ def test_sufficient_dummies_perm6_reference_values():
     assert sufficient_dummies_perm6(3) == 8
 
 
+def test_sufficient_dummies_perm6_is_the_least_count_that_dominates():
+    # Each of C(d-2, 2) C(n+1, 2), C(d-1, 3) n and C(d, 4) must exceed
+    # C(n^2, 2), the most constraints G can contribute; above the 2n
+    # floor, one of them must not at d - 1.
+    def dominates(n, d):
+        budget = comb(n * n, 2)
+        return all(term > budget for term in (
+            comb(d - 2, 2) * comb(n + 1, 2), comb(d - 1, 3) * n, comb(d, 4)))
+    assert sufficient_dummies_perm6(1) == 2     # a 1 x 1 grid has no edge
+    for n in range(2, 31):
+        d = sufficient_dummies_perm6(n)
+        assert d >= 2 * n and dominates(n, d)
+        assert d == 2 * n or not dominates(n, d - 1)
+
+
 def test_perm6_paper_default_sizes():
     g = grid_from_edges(2, [((1, 1), (2, 1))])
     cert = reduce_clique_to_perm6(g)
@@ -552,6 +567,21 @@ def test_perm6_convenient_identity_small(rng):
 def test_sufficient_dummies_perm4_reference_values():
     assert sufficient_dummies_perm4(1, 1, 1) == 4
     assert sufficient_dummies_perm4(1, 1, 0) == 3
+
+
+def test_sufficient_dummies_perm4_is_the_least_count_that_dominates():
+    # C(d, 2) must exceed the worst column-move cost, 2Dn per switch over
+    # n rows, and the four constraints of each edge; above the 2Dn floor,
+    # one of them must not at d - 1.  A 2n x 2n grid has at most n^4 edges.
+    def dominates(n, D, edges, d):
+        return comb(d, 2) > 2 * D * n * n and comb(d, 2) > 4 * edges
+    for n in range(1, 31):
+        most = n ** 4
+        for D in range(1, 7):
+            for edges in [*range(0, most, max(1, most // 8)), most]:
+                d = sufficient_dummies_perm4(n, D, edges)
+                assert d >= 2 * D * n and dominates(n, D, edges, d)
+                assert d == 2 * D * n or not dominates(n, D, edges, d - 1)
 
 
 def test_perm4_paper_default_sizes():

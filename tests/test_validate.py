@@ -1,12 +1,14 @@
 """Condition checkers, closed-form counts, witness mappers."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import grid_from_edges
+from permcsp.cli import gen_sat
 from permcsp.core import Graph, InvalidInputError
 from permcsp.reductions import (
     GridGraph,
@@ -14,6 +16,7 @@ from permcsp.reductions import (
     reduce_coloring_to_dcnnc,
     reduce_dcnnb_to_perm4,
     reduce_dcnnc_to_dcnnb,
+    reduce_sat_to_coloring,
 )
 from permcsp.solvers import RowSelection, solve_3coloring
 from permcsp.validate import (
@@ -72,9 +75,9 @@ def test_regularity_biclique_covers_both_directions():
 # ---------------------------------------------------------------------------
 
 def test_stability_edgeless_always_holds():
-    report, stable = check_stability(GridGraph(3), 0)
+    report, counts = check_stability(GridGraph(3), 0)
     assert report.holds
-    assert stable.all()
+    assert counts.shape == (3, 2) and not counts.any()
 
 
 def test_stability_counts_unstable_rows():
@@ -82,17 +85,38 @@ def test_stability_counts_unstable_rows():
     g = grid_from_edges(2, [((1, 1), (2, 1))])
     report, _ = check_stability(g, 1)
     assert report.holds
-    report, stable = check_stability(g, 0)
+    report, counts = check_stability(g, 0)
     assert not report.holds
-    assert stable is None
+    assert counts is None
 
 
-def test_stability_witness_sets():
+def test_stability_counts_each_vertex():
     g = grid_from_edges(2, [((1, 1), (2, 1))])
-    report, stable = check_stability(g, 1)
-    # Row 1, columns 1->2: row 2 is the unstable one, row 1 is stable.
-    assert not stable[0, 0, 1]
-    assert stable[0, 0, 0]
+    report, counts = check_stability(g, 1)
+    # Row 1, columns 1->2: row 2 is the one unstable row; row 2, columns
+    # 1->2: row 1 is.
+    assert counts.tolist() == [[1], [1]]
+
+
+def test_first_stability_check_at_243_rows_stays_small():
+    # The counts are a 243 x 242 table; the r x (r - 1) x r array of
+    # stable rows that they replace took 14.3 MB.  A grid that shares the
+    # chain grid's stack, and the facts that its checks stored on it,
+    # has no stored stability yet.
+    cnf = gen_sat(16, 16, 3, seed=1)
+    g, bound = reduce_sat_to_coloring(cnf)
+    grid = reduce_coloring_to_dcnnc(g, degree_bound=bound, row_cap=243)
+    assert grid.side == 243
+    fresh = GridGraph(243, D=grid.D, kinds=grid.blocks()[2],
+                      blocks=grid.stack())
+    tracemalloc.start()
+    try:
+        report, counts = check_stability(fresh, fresh.D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert report.holds and counts.shape == (243, 242)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +207,8 @@ def test_the_in_memory_chain_computes_each_condition_once(count_checks):
 def test_checks_hand_out_read_only_arrays():
     h = reduce_dcnnc_to_dcnnb(reduce_coloring_to_dcnnc(TRIANGLE, 2))
     _, delta = check_regularity(h)
-    _, stable = check_stability(h, h.D)
-    for array in (delta, stable, h.delta_table):
+    _, counts = check_stability(h, h.D)
+    for array in (delta, counts, h.delta_table):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -228,11 +252,12 @@ def test_target_perm6_values():
 
 
 def test_target_perm4_values():
-    assert target_perm4(1, 1, 4, 1) == comb(4, 2) * comb(3, 2) + 3 * 1 + 1
-    assert target_perm4(1, 1, 4, 1) == 22
-    assert target_perm4(1, 1, 3, 0) == comb(3, 2) * comb(3, 2) + 1 == 10
-    with pytest.raises(InvalidInputError):
-        target_perm4(1, 0, 4, 1)
+    assert target_perm4(1, 4, 1) == comb(4, 2) * comb(3, 2) + 3 * 1 + 1
+    assert target_perm4(1, 4, 1) == 22
+    assert target_perm4(1, 3, 0) == comb(3, 2) * comb(3, 2) + 1 == 10
+    for bad in [(0, 4, 1), (1, -1, 1), (1, 4, -1)]:
+        with pytest.raises(InvalidInputError):
+            target_perm4(*bad)
 
 
 # ---------------------------------------------------------------------------
