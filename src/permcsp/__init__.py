@@ -22,7 +22,6 @@ from permcsp.core import (
     Ordering,
     PermCspInstance,
     evaluate,
-    validate_instance,
     InvalidInputError,
     InternalConsistencyError,
     SizeLimitError,
@@ -35,7 +34,6 @@ __all__ = [
     "Ordering",
     "PermCspInstance",
     "evaluate",
-    "validate_instance",
     "InvalidInputError",
     "InternalConsistencyError",
     "SizeLimitError",

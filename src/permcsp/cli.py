@@ -192,10 +192,6 @@ def _parse_steps(spec_text):
 def cmd_reduce(args):
     steps = _parse_steps(args.steps)
     dummies = _dummy_policy(args.dummies)
-    if args.stop_after:
-        if args.stop_after not in steps:
-            raise InvalidInputError("--stop-after names a step not in --steps")
-        steps = steps[:steps.index(args.stop_after) + 1]
 
     value = formats.read(_read(args.input))
     kind = _kind(value)
@@ -403,7 +399,6 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dummies", default="sufficient",
                    help="paper | sufficient | explicit count")
-    p.add_argument("--stop-after")
     p.add_argument("--degree-bound", type=_integer,
                    help="D for grids that do not carry one")
     p.add_argument("--row-cap", type=_integer, default=81)

@@ -46,13 +46,40 @@ class PermCspInstance:
     """A Permutation CSP instance.
 
     Variables are the integers 1..num_vars.  ``constraints`` is a tuple of
-    constraints; duplicates are allowed and count multiply.  ``arity`` is
-    the maximum constraint length.
+    constraints; duplicates are allowed and count multiply.  ``arity``
+    bounds the constraint length.  Construction refuses a negative
+    variable count and a constraint that is not 1..arity distinct
+    variables within 1..num_vars, so code that takes an instance need not
+    check for them.
     """
 
     num_vars: int
     constraints: Tuple[Constraint, ...]
     arity: int
+
+    def __post_init__(self):
+        fault = self.misfit(self.num_vars, self.constraints, self.arity)
+        if fault is not None:
+            k, expected = fault
+            raise InvalidInputError("%s: expected %s" % (
+                "instance" if k is None
+                else "constraint %r" % (self.constraints[k],), expected))
+
+    @staticmethod
+    def misfit(num_vars: int, constraints: Sequence[Sequence[int]],
+               arity: int):
+        """(k, what was expected) for the first of ``constraints`` that is
+        not 1..arity distinct variables within 1..num_vars (k None: a
+        negative count, checked after the constraints, as the pcsp reader
+        names a line's fault before the header's), or None."""
+        for k, c in enumerate(constraints):
+            if not 1 <= len(set(c)) == len(c) <= arity:
+                return k, "1..%d distinct variables" % arity
+            if min(c) < 1 or max(c) > num_vars:
+                return k, "indices within 1..%d" % num_vars
+        if num_vars < 0:
+            return None, "a variable count >= 0"
+        return None
 
     @classmethod
     def make(cls, num_vars: int, constraints: Iterable[Sequence[int]]) -> "PermCspInstance":
@@ -224,29 +251,3 @@ def evaluate_many(instance: PermCspInstance, positions) -> np.ndarray:
                 prev = cur
             counts[lo:lo + step] += held.sum(axis=0)
     return counts
-
-
-def validate_instance(instance: PermCspInstance) -> list:
-    """Report every invariant breach, each with its constraint index.
-
-    Returns an empty list for a well-formed instance.  Duplicate
-    constraints are legal (they count multiply).
-    """
-    violations = []
-    if instance.num_vars < 1:
-        violations.append("num_vars must be positive, got %d" % instance.num_vars)
-    for idx, c in enumerate(instance.constraints):
-        if not 1 <= len(c) <= instance.arity:
-            violations.append(
-                "constraint %d has length %d, outside [1, arity=%d]"
-                % (idx, len(c), instance.arity)
-            )
-        if len(set(c)) != len(c):
-            violations.append("duplicate variable in constraint %d" % idx)
-        for v in c:
-            if not 1 <= v <= instance.num_vars:
-                violations.append(
-                    "index out of range in constraint %d: %d not in [1, %d]"
-                    % (idx, v, instance.num_vars)
-                )
-    return violations

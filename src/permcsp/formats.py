@@ -425,13 +425,13 @@ def write_grid(g: GridGraph) -> str:
 
 def _parse_pcsp(text: str):
     """The instance and the scanner that read it, in one pass.  Past the
-    line faults: the count, then the first line not of 1..arity distinct
-    variables (solvers rely on the arity), then the variable count."""
+    line faults: the count, then the first line that
+    :meth:`PermCspInstance.misfit` names, then the variable count."""
     scan = _Scanner(text, "p pcsp <vars> <constraints> <arity>")
     constraints = []
-    misfit = None
+    linenos = []
     for lineno, tokens in scan:
-        num_vars, _, arity = scan.fields
+        num_vars = scan.fields[0]
         vals = scan.ints(lineno, tokens)
         if vals[-1] != 0:
             raise scan.error(lineno, "constraint terminated by 0")
@@ -440,19 +440,22 @@ def _parse_pcsp(text: str):
             raise scan.error(lineno, "one constraint per line")
         if any(not 1 <= v <= num_vars for v in body):
             raise scan.error(lineno, "indices within 1..%d" % num_vars)
-        if misfit is None and not 1 <= len(set(body)) == len(body) <= arity:
-            misfit = lineno
         constraints.append(tuple(body))
+        linenos.append(lineno)
     num_vars, num_constraints, arity = scan.fields
     if len(constraints) != num_constraints:
         raise scan.end_error("%d constraints" % num_constraints,
                              "%d constraints" % len(constraints))
-    if misfit is not None:
-        raise scan.error(misfit, "1..%d distinct variables" % arity)
+    try:
+        instance = PermCspInstance(num_vars, tuple(constraints), arity)
+    except InvalidInputError:
+        k, expected = PermCspInstance.misfit(num_vars, constraints, arity)
+        if k is not None:           # else a negative count, refused below
+            raise scan.error(linenos[k], expected) from None
     if num_vars < 1:
         raise scan.error(scan.header, "a positive variable count",
                          str(num_vars))
-    return PermCspInstance(num_vars, tuple(constraints), arity), scan
+    return instance, scan
 
 
 def read_instance(text: str) -> PermCspInstance:

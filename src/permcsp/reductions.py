@@ -402,18 +402,6 @@ def _edge_rows(edges, side):
 
 
 @dataclass(frozen=True)
-class GrayCode:
-    """A reflected ternary Gray code on ``digits`` digit positions."""
-
-    digits: int
-    words: Tuple[Tuple[int, ...], ...]
-
-    def rank(self, word) -> int:
-        """Index of a word in the sequence."""
-        return self.words.index(tuple(word))
-
-
-@dataclass(frozen=True)
 class ReductionCertificate:
     """Output of a reduction to Permutation CSP plus its yes-target.
 
@@ -438,8 +426,8 @@ class ReductionCertificate:
 # Combinatorial helpers
 # ---------------------------------------------------------------------------
 
-def ternary_gray(x: int) -> GrayCode:
-    """Reflected ternary Gray code on x digits.
+def ternary_gray(x: int) -> Tuple[Tuple[int, ...], ...]:
+    """The words of the reflected ternary Gray code on x digits.
 
     All 3^x words are distinct and consecutive words differ in exactly one
     digit.  Digit 0 is the most significant (slowest) position: even
@@ -455,7 +443,7 @@ def ternary_gray(x: int) -> GrayCode:
             block = words if d % 2 == 0 else list(reversed(words))
             nxt.extend((d,) + w for w in block)
         words = nxt
-    return GrayCode(digits=x, words=tuple(words))
+    return tuple(words)
 
 
 def distance3_partition(g: Graph, degree_bound: int) -> List[List[int]]:
@@ -602,7 +590,7 @@ def reduce_coloring_to_dcnnc(g: Graph, degree_bound: int,
         raise InternalConsistencyError("blocks hold %d padding vertices"
                                        % (next_id - 1 - n0))
 
-    words = np.array(ternary_gray(x).words, dtype=np.int8)    # (nprime, x)
+    words = np.array(ternary_gray(x), dtype=np.int8)    # (nprime, x)
 
     where = {}
     for bi, block in enumerate(blocks):

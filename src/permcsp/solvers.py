@@ -298,7 +298,10 @@ def solve_dp3(instance: PermCspInstance) -> SolveResult:
     An arity-3 constraint is satisfied exactly when, at the moment its
     middle element is placed, the first element is in the prefix and the
     last is not -- so each constraint is credited exactly once, and the
-    final value f(V) is the true optimum.
+    final value f(V) is the true optimum.  Both rules need what
+    :class:`PermCspInstance` guarantees when built: a constraint's
+    variables are distinct, and no constraint is longer than the
+    instance's arity, so an arity above 3 is refused before any work.
 
     Subsets are taken one popcount layer at a time, in blocks of at most
     ``_DP_BLOCK`` masks.  f is in the smallest signed dtype that holds
@@ -309,13 +312,11 @@ def solve_dp3(instance: PermCspInstance) -> SolveResult:
     each T the smallest v that attains f(T): ties go to the smallest v,
     as when ascending candidates replace the best only on a strict gain.
     """
-    # The header arity is a claim; the constraints themselves decide.
-    arity = max([instance.arity] + [len(c) for c in instance.constraints])
-    if arity > 3:
+    if instance.arity > 3:
         raise UnsupportedArityError(
             "subset DP applies to arity <= 3 only (the other side of the "
             "dichotomy has no known O*(c^n) algorithm); got arity %d"
-            % arity
+            % instance.arity
         )
     n = instance.num_vars
     if n > _DP_MAX_VARS:

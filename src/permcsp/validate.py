@@ -272,11 +272,11 @@ def map_coloring_to_selection(coloring: Dict[int, int],
     blocks, x = grid.meta.get("blocks"), grid.meta.get("x")
     if blocks is None or x is None:
         raise InvalidInputError("grid carries no block metadata")
-    gray = ternary_gray(x)
+    words = ternary_gray(x)
     choice = []
     for block in blocks:
         word = tuple(coloring.get(v, 0) for v in block)
-        choice.append(gray.rank(word) + 1)
+        choice.append(words.index(word) + 1)
     return RowSelection(tuple(choice))
 
 
@@ -289,10 +289,10 @@ def map_selection_to_coloring(sel: RowSelection,
         raise InvalidInputError("grid carries no block metadata")
     if len(sel.choice) != len(blocks):
         raise InvalidInputError("selection and grid disagree on row count")
-    gray = ternary_gray(x)
+    words = ternary_gray(x)
     coloring = {}
     for block, j in zip(blocks, sel.choice):
-        word = gray.words[j - 1]
+        word = words[j - 1]
         for v, color in zip(block, word):
             if v <= num_original:
                 coloring[v] = color

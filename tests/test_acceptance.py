@@ -101,7 +101,7 @@ def test_criterion_2_gray_code(capsys):
     start = time.time()
     ok = True
     for x in range(1, 9):
-        words = ternary_gray(x).words
+        words = ternary_gray(x)
         if len(words) != 3 ** x or len(set(words)) != 3 ** x:
             ok = False
         for a, b in zip(words, words[1:]):

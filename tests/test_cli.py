@@ -198,18 +198,6 @@ def test_reduce_graph_chain_artifacts(tmp_path, capsys):
     assert h.kind == "biclique" and h.side == 6
 
 
-def test_reduce_stop_after(tmp_path, capsys):
-    src = tmp_path / "p3.graph"
-    src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
-    out = tmp_path / "chain"
-    code, _, _ = run(capsys, [
-        "reduce", str(src), "--steps", "col2clique,clique2biclique",
-        "--stop-after", "col2clique",
-        "--out-dir", str(out), "--degree-bound", "2"])
-    assert code == 0
-    assert os.listdir(out) == ["step1-col2clique.grid"]
-
-
 def test_reduce_perm6_step(tmp_path, capsys):
     src = tmp_path / "grid.grid"
     src.write_text("p grid 2\nc kind clique\ne 1 1 2 2\n")

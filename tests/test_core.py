@@ -1,6 +1,7 @@
 """Instances, orderings, the evaluator, and graphs."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from permcsp.core import (
     PermCspInstance,
     evaluate,
     evaluate_many,
-    validate_instance,
 )
 
 
@@ -159,24 +159,51 @@ def test_evaluate_many_refuses_what_evaluate_refuses():
 
 
 def test_validate_instance_clean():
-    inst = PermCspInstance.make(3, [(1, 2, 3), (2, 1)])
-    assert validate_instance(inst) == []
-    # Duplicate constraints are legal: they count multiply.
-    assert validate_instance(PermCspInstance.make(2, [(1, 2), (1, 2)])) == []
+    assert PermCspInstance.misfit(3, [(1, 2, 3), (2, 1)], 3) is None
+    # Duplicate constraints are legal: they count multiply.  So are
+    # arity-1 constraints and an arity above the longest constraint.
+    inst = PermCspInstance(2, ((1, 2), (1, 2), (2,)), 4)
+    assert inst.constraints == ((1, 2), (1, 2), (2,))
 
 
 def test_validate_instance_reports_breaches():
-    inst = PermCspInstance(num_vars=2, constraints=((1, 1), (1, 5), (1, 2, 2)),
-                           arity=2)
-    problems = validate_instance(inst)
-    assert any("duplicate variable in constraint 0" in p for p in problems)
-    assert any("out of range in constraint 1" in p for p in problems)
-    assert any("constraint 2 has length 3" in p for p in problems)
+    # Each of these constraints is refused on its own; the first names
+    # the instance's fault.
+    cons = ((1, 1), (1, 5), (1, 2, 2))
+    with pytest.raises(InvalidInputError, match=r"constraint \(1, 1\)"):
+        PermCspInstance(2, cons, 2)
+    for k in range(len(cons)):
+        assert PermCspInstance.misfit(2, cons[k:], 2)[0] == 0
+    assert PermCspInstance.misfit(2, cons[1:2], 2)[1] == "indices within 1..2"
+    assert PermCspInstance.misfit(2, cons[2:], 2)[1] == ("1..2 distinct "
+                                                          "variables")
 
 
 def test_validate_instance_bad_num_vars():
-    inst = PermCspInstance(num_vars=0, constraints=(), arity=1)
-    assert any("num_vars" in p for p in validate_instance(inst))
+    # Zero variables is an instance (with no constraints); fewer is not.
+    assert PermCspInstance(0, (), 1).num_vars == 0
+    with pytest.raises(InvalidInputError,
+                       match="instance: expected a variable count >= 0"):
+        PermCspInstance(-1, (), 1)
+
+
+@pytest.mark.parametrize("n, constraints, arity, k, expected", [
+    (3, [(1, 2), (0, 3)], 2, 1, "indices within 1..3"),
+    (3, [(-1, 2)], 2, 0, "indices within 1..3"),
+    (3, [(1, 2), (2, 4)], 2, 1, "indices within 1..3"),
+    (3, [(1, 2, 1)], 3, 0, "1..3 distinct variables"),
+    (3, [(1,), ()], 2, 1, "1..2 distinct variables"),
+    (4, [(1, 2), (1, 2, 3)], 2, 1, "1..2 distinct variables"),
+    (-1, [], 1, None, "a variable count >= 0"),
+], ids=["index-0", "negative-index", "index-above-n", "repeated-variable",
+        "empty", "longer-than-arity", "negative-count"])
+def test_instance_refuses_malformed_constraints(n, constraints, arity, k,
+                                                expected):
+    named = "instance" if k is None else re.escape(repr(constraints[k]))
+    with pytest.raises(InvalidInputError,
+                       match="%s: expected %s" % (named, re.escape(expected))):
+        PermCspInstance(n, tuple(constraints), arity)
+    assert PermCspInstance.misfit(n, constraints, arity) == (k, expected)
 
 
 def test_graph_stores_each_edge_once_sorted():

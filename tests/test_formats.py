@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_error_at, grid_from_edges
-from permcsp.core import Graph, Ordering, PermCspInstance, validate_instance
+from permcsp.core import (Graph, InvalidInputError, Ordering,
+                          PermCspInstance)
 from permcsp.formats import (
     FormatError,
     _Scanner,
@@ -753,10 +754,19 @@ def test_reader_fuzz_rejects_or_round_trips(name, data):
     assert write(read(once)) == once
 
 
+def _refused(num_vars, constraints, arity):
+    """Whether building the instance raises InvalidInputError."""
+    try:
+        PermCspInstance(num_vars, tuple(constraints), arity)
+    except InvalidInputError:
+        return True
+    return False
+
+
 def _parse_pcsp_reference(text):
     """The pcsp reader that _parse_pcsp replaced: the lines in one pass,
-    then validate_instance over the whole instance and, on a fault, over
-    each line again to name the first line at fault."""
+    then building the whole instance and, if that is refused, building
+    each line's alone to name the first line at fault."""
     scan = _Scanner(text, "p pcsp <vars> <constraints> <arity>")
     constraints = []
     linenos = []
@@ -776,15 +786,14 @@ def _parse_pcsp_reference(text):
     if len(constraints) != num_constraints:
         raise scan.end_error("%d constraints" % num_constraints,
                              "%d constraints" % len(constraints))
-    instance = PermCspInstance(num_vars=num_vars,
-                               constraints=tuple(constraints), arity=arity)
-    if validate_instance(instance):
+    if _refused(num_vars, constraints, arity):
         for lineno, c in zip(linenos, constraints):
-            if validate_instance(PermCspInstance(num_vars, (c,), arity)):
+            if _refused(num_vars, [c], arity):
                 raise scan.error(lineno, "1..%d distinct variables" % arity)
+    if num_vars < 1:
         raise scan.error(scan.header, "a positive variable count",
                          str(num_vars))
-    return instance, scan
+    return PermCspInstance(num_vars, tuple(constraints), arity), scan
 
 
 def _pcsp_outcome(parse, text):

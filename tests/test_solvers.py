@@ -31,6 +31,7 @@ from permcsp.core import (
     SizeLimitError,
     UnsupportedArityError,
     evaluate,
+    evaluate_many,
 )
 from permcsp.reductions import (
     COMPLETE,
@@ -1782,8 +1783,60 @@ def test_best_convenient_names_the_first_wrong_phi(k, monkeypatch):
 
 
 def test_dp3_checks_constraint_lengths_not_the_header():
-    # The header claims arity 3; the 4-element constraint must not be
-    # scored as if it had three.
-    inst = PermCspInstance(4, ((1, 2, 3, 4), (4, 1)), 3)
+    # An instance that claims arity 3 cannot hold a 4-element constraint,
+    # so dp3 never scores one as if it had three.
+    with pytest.raises(InvalidInputError,
+                       match=r"constraint \(1, 2, 3, 4\): expected 1..3"):
+        PermCspInstance(4, ((1, 2, 3, 4), (4, 1)), 3)
     with pytest.raises(UnsupportedArityError):
-        solve_dp3(inst)
+        solve_dp3(PermCspInstance(4, ((1, 2, 3, 4), (4, 1)), 4))
+
+
+def _candidate(rng):
+    """(num_vars, constraints, arity) for a random instance: mostly of
+    what the constructor allows (repeated constraints, arity-1
+    constraints, a declared arity above the longest constraint), with now
+    and then a constraint of any 0 to 4 indices in -1..n + 1."""
+    n = rng.randint(0, 6)
+    constraints = []
+    for _ in range(rng.randint(0, 8 if n else 1)):
+        if constraints and rng.random() < 0.25:
+            constraints.append(rng.choice(constraints))
+        elif n == 0 or rng.random() < 0.05:
+            constraints.append(tuple(rng.randint(-1, n + 1)
+                                     for _ in range(rng.randint(0, 4))))
+        else:
+            size = rng.randint(1, min(n, 4))
+            constraints.append(tuple(rng.sample(range(1, n + 1), size)))
+    longest = max(map(len, constraints), default=1)
+    return n, tuple(constraints), longest + rng.choice([0, 0, 1, 2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_accepted_instance_has_one_optimum(seed):
+    # Every instance the constructor accepts has one optimum, whichever
+    # route computes it, and every solver's witness scores it.
+    rng = random.Random(seed)
+    candidates = [(2, ((1, 1),), 2), (2, ((),), 1), (3, ((0, 1),), 2),
+                  (2, ((1, 3),), 2)]
+    candidates += [_candidate(rng) for _ in range(60)]
+    accepted = 0
+    for n, constraints, arity in candidates:
+        try:
+            inst = PermCspInstance(n, constraints, arity)
+        except InvalidInputError:
+            continue
+        accepted += 1
+        orders = [Ordering(p)
+                  for p in itertools.permutations(range(1, n + 1))]
+        scores = [evaluate(inst, o) for o in orders]
+        optimum = max(scores)
+        table = np.array([o.positions for o in orders]).reshape(len(orders), n)
+        assert evaluate_many(inst, table).tolist() == scores
+        results = [solve_brute(inst)]
+        if arity <= 3:
+            results.append(solve_dp3(inst))
+        for res in results:
+            assert res.optimum == optimum, inst
+            assert evaluate(inst, res.witness) == optimum, inst
+    assert accepted >= 40
